@@ -1,0 +1,107 @@
+"""Golden JSON reports: every subcommand on the fixtures, byte for byte.
+
+Each case runs ``compvar <subcommand> ... --json`` in-process from the
+repository root with relative ``fixtures/...`` paths (the paths are part of
+the report) and compares stdout with ``tests/golden/<name>.json``.
+
+A deliberate change to a report regenerates the files with
+``PYTHONPATH=src python tests/test_golden_reports.py``; review the diff.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from compvar.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+Q_DUAL = "fixtures/algebra_q_dual_numbers_quiver.json"
+Q_DUAL_TABLE = "fixtures/algebra_q_dual_numbers.json"
+Q_A2 = "fixtures/algebra_q_a2_quiver.json"
+F2 = "fixtures/algebra_f2.json"
+F2_DUAL = "fixtures/algebra_f2_dual_numbers.json"
+AXA = "fixtures/complex_axa_q.json"
+P2P1 = "fixtures/complex_p2_p1_a2.json"
+SIMPLE = "fixtures/complex_stalk_simple_q.json"
+REGULAR = "fixtures/complex_stalk_regular_q.json"
+PIN = "fixtures/pin_regular_f2_dual.json"
+
+# (algebra, complex, short name) for every valid complex fixture
+POINTS = [
+    (Q_DUAL, AXA, "axa"),
+    (Q_A2, P2P1, "p2p1"),
+    (Q_DUAL, SIMPLE, "simple"),
+    (Q_DUAL, REGULAR, "regular"),
+]
+
+
+def _cases() -> dict:
+    cases = {}
+    for alg, cx, short in POINTS:
+        for cmd in ("validate", "tangent", "theorem7", "strip-acyclic"):
+            cases[f"{cmd}-{short}"] = [cmd, "--algebra", alg, "--complex", cx]
+        for n in (0, 1, 2):
+            cases[f"derived-hom-{short}-shift{n}"] = [
+                "derived-hom", "--algebra", alg, "--complex", cx,
+                "--shift", str(n)]
+    cases["validate-axa-table"] = ["validate", "--algebra", Q_DUAL_TABLE,
+                                   "--complex", AXA]
+    cases["derived-hom-simple-regular-shift0"] = [
+        "derived-hom", "--algebra", Q_DUAL, "--complex", SIMPLE,
+        "--other", REGULAR, "--shift", "0"]
+    cases["derived-hom-regular-simple-shift1"] = [
+        "derived-hom", "--algebra", Q_DUAL, "--complex", REGULAR,
+        "--other", SIMPLE, "--shift", "1"]
+    for short, cx in (("simple", SIMPLE), ("regular", REGULAR)):
+        cases[f"voigt-{short}"] = ["voigt", "--algebra", Q_DUAL,
+                                   "--complex", cx]
+        cases[f"voigt-{short}-degree2"] = ["voigt", "--algebra", Q_DUAL,
+                                           "--complex", cx, "--degree", "2"]
+    for cmd in ("census", "rigid-scan"):
+        cases[f"{cmd}-f2-1-1"] = [cmd, "--algebra", F2, "--dims", "1,1",
+                                  "--seed", "3"]
+        cases[f"{cmd}-f2-2-1-0"] = [cmd, "--algebra", F2, "--dims", "2,1,0"]
+        cases[f"{cmd}-f2dual-1-1"] = [cmd, "--algebra", F2_DUAL,
+                                      "--dims", "1,1"]
+        cases[f"{cmd}-f2dual-2-1"] = [cmd, "--algebra", F2_DUAL,
+                                      "--dims", "2,1"]
+        cases[f"{cmd}-f2dual-pinned"] = [cmd, "--algebra", F2_DUAL,
+                                         "--dims", "2,2", "--pin", PIN]
+    return cases
+
+
+CASES = _cases()
+
+
+def _run(argv) -> tuple:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv) + ["--json"])
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(name, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    code, out = _run(CASES[name])
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    os.chdir(ROOT)
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in sorted(CASES.items()):
+        code, out = _run(argv)
+        if code != 0:
+            sys.exit(f"{name}: exit {code}")
+        (GOLDEN / f"{name}.json").write_text(out, encoding="utf-8")
+    print(f"wrote {len(CASES)} golden reports to {GOLDEN}")
