@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from .errors import (MissingIdempotents, ShapeMismatch,
                      UnsupportedCharacteristic, ValidationFailure)
 from .fields import Field
-from .linalg import LinearSolver, Matrix, Subspace, vec_add, vec_scale, vec_zero
+from .linalg import (LinearSolver, Matrix, Subspace, linear_system, vec_add,
+                     vec_scale, vec_zero)
 
 
 @dataclass(frozen=True, eq=False)
@@ -422,13 +423,10 @@ def _check_idempotents(alg: FDAlgebra):
 
 def center(a: FDAlgebra) -> Subspace:
     """{z : z x = x z for all x}, as a subspace of coordinate space."""
-    blocks = []
-    for j in range(1, a.dim):
-        bj = a.basis_vec(j)
-        blocks.append(a.left_mult_matrix(bj) - a.right_mult_matrix(bj))
-    if not blocks:
-        return Subspace.full(a.field, a.dim)
-    return Matrix.vstack(blocks).kernel()
+    equations = [(a.dim, 1, [(1, a.left_mult_matrix(b), 0, None),
+                             (-1, a.right_mult_matrix(b), 0, None)])
+                 for b in map(a.basis_vec, range(1, a.dim))]
+    return linear_system(a.field, [(a.dim, 1)], equations).kernel()
 
 
 def radical(a: FDAlgebra) -> Subspace:

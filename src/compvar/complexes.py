@@ -15,11 +15,11 @@ from dataclasses import dataclass
 from .algebra import FDAlgebra
 from .errors import (AlgebraMismatch, NotProjectiveComplex, ShapeMismatch,
                      ValidationFailure)
-from .linalg import Matrix, Subspace
-from .modules import (ModuleRep, WitnessSearch, conjugate_module,
-                      direct_sum_modules, hom_matrices, is_projective,
-                      projective_cover, search_invertible_combination,
-                      submodule, validate_module, zero_module)
+from .linalg import Matrix, Subspace, linear_system
+from .modules import (ModuleRep, WitnessSearch, direct_sum_modules,
+                      hom_matrices, is_projective, projective_cover,
+                      search_invertible_combination, submodule,
+                      validate_module, zero_module)
 
 
 @dataclass(frozen=True)
@@ -316,17 +316,19 @@ class GroupElement:
 def act(g: GroupElement, x: ComplexPoint) -> ComplexPoint:
     """Transport of structure: modules by conjugation, differentials by
     g_{i-1} d_i g_i^{-1}."""
-    field = x.field
-    gs = {i: g.component(i, x.dim_at(i), field) for i in x.degrees()}
-    for i, m in gs.items():
-        if m.inverse() is None:
+    gs, invs = {}, {}
+    for i in x.degrees():
+        gs[i] = g.component(i, x.dim_at(i), x.field)
+        invs[i] = gs[i].inverse()
+        if invs[i] is None:
             raise ValidationFailure(f"group component at degree {i} is singular")
-    terms = [conjugate_module(x.term(i), gs[i]) if x.dim_at(i) else x.term(i)
-             for i in x.degrees()]
-    diffs = []
-    for i in range(x.bottom + 1, x.top + 1):
-        diffs.append(gs[i - 1] @ x.diff(i) @ gs[i].inverse())
-    return ComplexPoint(x.algebra, x.bottom, tuple(terms), tuple(diffs))
+    terms = tuple(ModuleRep(t.algebra, t.dim,
+                            tuple(gs[i] @ a @ invs[i] for a in t.action))
+                  if t.dim else t
+                  for i, t in zip(x.degrees(), x.terms))
+    diffs = tuple(gs[i - 1] @ x.diff(i) @ invs[i]
+                  for i in range(x.bottom + 1, x.top + 1))
+    return ComplexPoint(x.algebra, x.bottom, terms, diffs)
 
 
 # -- chain map spaces and homotopies ----------------------------------------------
@@ -386,73 +388,24 @@ def chain_map_space(x: ComplexPoint, y: ComplexPoint, n: int) -> ChainMapSpace:
     """Solve the A-linearity and (signed) square conditions for shift-n maps."""
     if x.algebra != y.algebra:
         raise AlgebraMismatch("chain maps between complexes over different algebras")
-    field = x.field
     layout = _map_layout(x, y, n)
-    offsets = {}
-    pos = 0
+    index = {i: k for k, (i, _, _) in enumerate(layout)}
+    equations = []
+    # A-linearity per component: f_i rhoX_i(a_j) = rhoY_{i-n}(a_j) f_i
     for i, r, c in layout:
-        offsets[i] = (pos, r, c)
-        pos += r * c
-    nunk = pos
-    if nunk == 0:
-        return ChainMapSpace(x, y, n, layout, Subspace.zero(field, 0))
-    sign = field.one() if n % 2 == 0 else field.neg(field.one())
-    rows = []
-    z = field.zero()
-    # A-linearity per component
-    for i, r, c in layout:
-        base = offsets[i][0]
-        rhox = x.term(i).action
-        rhoy = y.term(i - n).action
-        for j in range(1, x.algebra.dim):
-            mj, nj = rhox[j], rhoy[j]
-            for a in range(r):
-                for b in range(c):
-                    row = [z] * nunk
-                    for k in range(c):
-                        coeff = mj.entry(k, b)
-                        if coeff:
-                            row[base + a * c + k] = field.add(row[base + a * c + k], coeff)
-                    for k in range(r):
-                        coeff = nj.entry(a, k)
-                        if coeff:
-                            row[base + k * c + b] = field.sub(row[base + k * c + b], coeff)
-                    if any(row):
-                        rows.append(row)
+        for a, b in zip(x.term(i).action[1:], y.term(i - n).action[1:]):
+            equations.append((r, c, [(1, None, index[i], a),
+                                     (-1, b, index[i], None)]))
     # signed squares: (-1)^n dY_{i-n} f_i  =  f_{i-1} dX_i
     for i in range(x.bottom, x.top + 2):
-        rtgt = y.dim_at(i - n - 1)
-        csrc = x.dim_at(i)
-        if rtgt == 0 or csrc == 0:
-            continue
-        has_fi = i in offsets
-        has_fprev = (i - 1) in offsets
-        if not has_fi and not has_fprev:
-            continue
-        dy = y.diff(i - n)
-        dx = x.diff(i)
-        for a in range(rtgt):
-            for b in range(csrc):
-                row = [z] * nunk
-                if has_fi:
-                    base, r, c = offsets[i]
-                    for k in range(r):
-                        coeff = field.mul(sign, dy.entry(a, k))
-                        if coeff:
-                            row[base + k * c + b] = field.add(row[base + k * c + b], coeff)
-                if has_fprev:
-                    base, r, c = offsets[i - 1]
-                    for k in range(c):
-                        coeff = dx.entry(k, b)
-                        if coeff:
-                            row[base + a * c + k] = field.sub(row[base + a * c + k], coeff)
-                if any(row):
-                    rows.append(row)
-    if not rows:
-        space = Subspace.full(field, nunk)
-    else:
-        space = Matrix.from_rows(field, rows).kernel()
-    return ChainMapSpace(x, y, n, layout, space)
+        terms = []
+        if i in index:
+            terms.append(((-1) ** n, y.diff(i - n), index[i], None))
+        if i - 1 in index:
+            terms.append((-1, None, index[i - 1], x.diff(i)))
+        equations.append((y.dim_at(i - n - 1), x.dim_at(i), terms))
+    system = linear_system(x.field, [(r, c) for _, r, c in layout], equations)
+    return ChainMapSpace(x, y, n, layout, system.kernel())
 
 
 @dataclass(frozen=True)

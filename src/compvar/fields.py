@@ -79,9 +79,6 @@ class Field:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p) if self.p is not None else 1 / a
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def elements(self):
         """All field elements; only available over F_p."""
         if self.p is None:

@@ -1,4 +1,7 @@
-"""Dense exact linear algebra: matrices, echelon forms, subspaces, solvers.
+"""Dense exact linear algebra: matrices, echelon forms, subspaces, solvers,
+and ``linear_system``, the one builder that turns linear equations in
+unknown matrices (sums of terms ``c * L @ X_k @ R``) into a coefficient
+matrix.
 
 Everything is immutable and deterministic: row reduction always picks the
 leftmost available pivot and the first nonzero row below it, so reduced
@@ -329,6 +332,60 @@ class Matrix:
         return f"[{body}]"
 
 
+def _nonzeros(m, n: int, scale=None) -> list:
+    """``(row, col, value)`` for the nonzero entries of ``m``, or for the
+    n x n identity when ``m`` is None (value ``None`` standing for one);
+    values are multiplied by ``scale`` when it is given."""
+    if m is None:
+        return [(i, i, scale) for i in range(n)]
+    return [(i, j, v if scale is None else scale * v)
+            for i, row in enumerate(m.data) for j, v in enumerate(row) if v]
+
+
+def linear_system(field: Field, shapes, equations) -> Matrix:
+    """Coefficient matrix of linear equations in unknown matrices.
+
+    The unknowns X_0, X_1, ... have the ``(rows, cols)`` given in
+    ``shapes``; the columns are their entries, row-major, one unknown after
+    another.  An equation ``(rows, cols, terms)`` is the rows x cols sum of
+    ``c * L @ X_k @ R`` over its terms ``(c, L, k, R)``, with ``None`` for
+    an identity factor.  It contributes one row per entry of the sum, in
+    row-major order, read off from vec(L X R) = (R^T (x) L) vec(X): entry
+    (a, b) gets c * L[a, i] * R[j, b] in the column of X_k[i, j].  Every
+    row is kept, zero or not, so rows line up with the equations.
+    """
+    offsets, ncols = [], 0
+    for r, c in shapes:
+        offsets.append(ncols)
+        ncols += r * c
+    p = field.p
+    z = field.zero()
+    rows = []
+    for nr, nc, terms in equations:
+        block = [[z] * ncols for _ in range(nr * nc)]
+        for c, left, k, right in terms:
+            xr, xc = shapes[k]
+            lshape = left.shape if left is not None else (xr, xr)
+            rshape = right.shape if right is not None else (xc, xc)
+            if lshape != (nr, xr) or rshape != (xc, nc):
+                raise ShapeMismatch(f"term on unknown {k} of shape {(xr, xc)} "
+                                    f"does not give a {nr} x {nc} matrix")
+            base = offsets[k]
+            rights = _nonzeros(right, xc)
+            for a, i, lv in _nonzeros(left, xr, field.coerce(c)):
+                col0 = base + i * xc
+                for j, b, rv in rights:
+                    v = lv if rv is None else lv * rv
+                    row = block[a * nc + b]
+                    cur = row[col0 + j]
+                    if p is None:
+                        row[col0 + j] = cur + v if cur else v
+                    else:
+                        row[col0 + j] = (cur + v) % p
+        rows.extend(block)
+    return Matrix(field, len(rows), ncols, tuple(map(tuple, rows)))
+
+
 class LinearSolver:
     """Reusable exact solver for Mx = b with a fixed M.
 
@@ -339,20 +396,17 @@ class LinearSolver:
 
     def __init__(self, m: Matrix):
         self.m = m
-        aug = Matrix.hstack([m, Matrix.identity(m.field, m.nrows)]) if m.nrows else m
+        aug = Matrix.hstack([m, Matrix.identity(m.field, m.nrows)])
         red, pivots = aug.rref()
         self.pivots = tuple(pc for pc in pivots if pc < m.ncols)
         # rows of the reduction transform E with E @ M in RREF
-        self.transform = red.submatrix(range(m.nrows), range(m.ncols, m.ncols + m.nrows)) \
-            if m.nrows else Matrix.zeros(m.field, 0, 0)
-        self.reduced = red.submatrix(range(m.nrows), range(m.ncols)) if m.nrows else m
+        self.transform = red.submatrix(range(m.nrows), range(m.ncols, m.ncols + m.nrows))
+        self.reduced = red.submatrix(range(m.nrows), range(m.ncols))
 
     def solve(self, b: tuple):
         m = self.m
         if len(b) != m.nrows:
             raise ShapeMismatch(f"rhs length {len(b)} vs {m.nrows} rows")
-        if m.nrows == 0:
-            return vec_zero(m.field, m.ncols)
         y = self.transform.mat_vec(tuple(m.field.coerce(x) for x in b))
         z = m.field.zero()
         x = [z] * m.ncols
@@ -399,11 +453,6 @@ class Subspace:
     @staticmethod
     def zero(field: Field, ambient: int) -> "Subspace":
         return Subspace(field, ambient, ())
-
-    @staticmethod
-    def full(field: Field, ambient: int) -> "Subspace":
-        return Subspace.from_vectors(
-            field, ambient, Matrix.identity(field, ambient).data)
 
     @property
     def dim(self) -> int:

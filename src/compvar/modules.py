@@ -17,7 +17,7 @@ from fractions import Fraction
 from .algebra import FDAlgebra, radical as algebra_radical
 from .errors import (AlgebraMismatch, MissingIdempotents, ShapeMismatch,
                      ValidationFailure)
-from .linalg import LinearSolver, Matrix, Subspace
+from .linalg import LinearSolver, Matrix, Subspace, linear_system
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,6 @@ class ModuleRep:
             if xj:
                 out = out + mat.scale(xj)
         return out
-
-    def is_zero_module(self) -> bool:
-        return self.dim == 0
 
 
 def make_module(algebra: FDAlgebra, matrices, check: bool = True) -> ModuleRep:
@@ -168,33 +165,9 @@ def hom_space(m: ModuleRep, n: ModuleRep) -> Subspace:
     """{F : F rho_M(a) = rho_N(a) F}, flattened row-major into F^(dn*dm)."""
     if m.algebra != n.algebra:
         raise AlgebraMismatch("hom between modules over different algebras")
-    field = m.field
-    dm, dn = m.dim, n.dim
-    nunk = dn * dm
-    if nunk == 0:
-        return Subspace.zero(field, 0)
-    rows = []
-    z = field.zero()
-    for j in range(1, m.algebra.dim):
-        rm, rn = m.action[j], n.action[j]
-        for r in range(dn):
-            for c in range(dm):
-                row = [z] * nunk
-                # (F rho_M)[r,c] = sum_k F[r,k] rhoM[k,c]
-                for k in range(dm):
-                    coeff = rm.entry(k, c)
-                    if coeff:
-                        row[r * dm + k] = field.add(row[r * dm + k], coeff)
-                # -(rho_N F)[r,c] = -sum_k rhoN[r,k] F[k,c]
-                for k in range(dn):
-                    coeff = rn.entry(r, k)
-                    if coeff:
-                        row[k * dm + c] = field.sub(row[k * dm + c], coeff)
-                if any(row):
-                    rows.append(row)
-    if not rows:
-        return Subspace.full(field, nunk)
-    return Matrix.from_rows(field, rows).kernel()
+    equations = [(n.dim, m.dim, [(1, None, 0, a), (-1, b, 0, None)])
+                 for a, b in zip(m.action[1:], n.action[1:])]
+    return linear_system(m.field, [(n.dim, m.dim)], equations).kernel()
 
 
 def hom_matrices(m: ModuleRep, n: ModuleRep) -> list:
@@ -421,11 +394,6 @@ def is_projective(m: ModuleRep) -> bool:
     target = Matrix.identity(field, m.dim).flat()
     system = Matrix(field, len(target), len(cols), tuple(zip(*cols)))
     return system.solve(target) is not None
-
-
-def kernel_submodule(m: ModuleRep, f: Matrix, target: ModuleRep) -> tuple:
-    """Kernel of an A-linear map as a module; returns (module, inclusion)."""
-    return submodule(m, f.kernel())
 
 
 def ext1_dim_oracle(m: ModuleRep, n: ModuleRep) -> int:

@@ -41,6 +41,19 @@ class ScanBudget:
             raise ValidationFailure("budget bounds must be positive")
 
 
+# Grid sizes and group orders are computed exactly only below 2^ORDER_BITS
+# (about 1,200 decimal digits); sizes are compared through exponents first.
+ORDER_BITS = 4096
+
+
+def _max_exponent(q: int, limit: int) -> int:
+    """Largest k with q^k <= limit."""
+    k, power = 0, q
+    while power <= limit:
+        k, power = k + 1, power * q
+    return k
+
+
 # -- point enumeration ---------------------------------------------------------
 
 def free_coordinate_count(algebra: FDAlgebra, dims, pinned: bool = False) -> int:
@@ -82,10 +95,12 @@ def enumerate_points(algebra: FDAlgebra, dims, budget: ScanBudget,
     (top degree first, window bottom at degree 0), optionally with the
     module structures pinned (same order as ``dims``).
 
-    Raises BudgetExceeded -- with the exact candidate count attached --
-    before doing any work if the coordinate grid is larger than
-    ``budget.max_points``.  Every returned point satisfies the variety
-    conditions; the list order is the deterministic coordinate order."""
+    Raises BudgetExceeded before building anything if the coordinate grid
+    is larger than ``budget.max_points`` (with the exact candidate count
+    attached when it is below 2^ORDER_BITS), or if the order of the acting
+    group, which every census reports, could reach 2^ORDER_BITS.  Every
+    returned point satisfies the variety conditions; the list order is the
+    deterministic coordinate order."""
     field = algebra.field
     if field.is_rational:
         raise UnsupportedCharacteristic(
@@ -98,11 +113,12 @@ def enumerate_points(algebra: FDAlgebra, dims, budget: ScanBudget,
     q = field.p
     free = free_coordinate_count(algebra, dims,
                                  pinned=pinned_modules is not None)
-    count = q ** free
-    if count > budget.max_points:
+    if free > _max_exponent(q, budget.max_points):
+        count = q ** free if free * (q - 1).bit_length() <= ORDER_BITS else None
         raise BudgetExceeded(
-            f"enumeration grid has {count} candidate points "
+            f"enumeration grid has {count or f'{q}^{free}'} candidate points "
             f"(budget {budget.max_points})", count=count)
+    group_order(field, dims)  # refuses a window too large to report
 
     if pinned_modules is not None:
         pinned_modules = tuple(pinned_modules)
@@ -150,10 +166,19 @@ def general_linear_order(q: int, d: int) -> int:
 
 
 def group_order(field: Field, dims) -> int:
-    """Order of the product of general linear groups acting on the window."""
+    """Order of the product of general linear groups acting on the window.
+
+    The order is below q^(sum d^2); BudgetExceeded is raised, before any
+    arithmetic, when that bound exceeds 2^ORDER_BITS, which also keeps
+    every d below 65."""
     if field.is_rational:
         raise UnsupportedCharacteristic("the acting group is finite only "
                                         "over a finite field")
+    bits = sum(d * d for d in dims) * (field.p - 1).bit_length()
+    if bits > ORDER_BITS:
+        raise BudgetExceeded(
+            f"acting group for dims {list(dims)} has an order of up to "
+            f"2^{bits} (limit 2^{ORDER_BITS})")
     out = 1
     for d in dims:
         out *= general_linear_order(field.p, d)

@@ -314,10 +314,6 @@ def load_json(path: str):
                           f"column {exc.colno}: {exc.msg}")
 
 
-def parse_algebra_file(path: str) -> FDAlgebra:
-    return parse_algebra(load_json(path))
-
-
 def parse_complex_file(path: str, algebra: FDAlgebra,
                        require_differentials: bool = True) -> ComplexPoint:
     return parse_complex(load_json(path), algebra,

@@ -25,7 +25,7 @@ from .complexes import (ChainMap, ComplexPoint, chain_map_from_components,
 from .derived import derived_hom_dim
 from .errors import (NotAlmostProjective, NotProjectiveComplex, ShapeMismatch,
                      ValidationFailure)
-from .linalg import LinearSolver, Matrix, Subspace
+from .linalg import LinearSolver, Matrix, Subspace, linear_system
 from .modules import ext1_dim_oracle, make_module
 
 
@@ -172,31 +172,25 @@ def _require_point(x: ComplexPoint) -> None:
                                 witness=witness)
 
 
-def _offsets(layout: TangentLayout) -> dict:
-    offsets = {}
-    pos = 0
+def _unknowns(layout: TangentLayout) -> tuple:
+    """(shapes, index) of the layout blocks as unknown matrices, keyed
+    ("delta", i, j) and ("sigma", i)."""
+    shapes, index = [], {}
     for b in layout.blocks:
         if b[0] == "delta":
-            offsets[("delta", b[1], b[2])] = pos
-            pos += b[3] * b[3]
+            key, shape = b[:3], (b[3], b[3])
         else:
-            offsets[("sigma", b[1])] = pos
-            pos += b[2] * b[3]
-    return offsets
+            key, shape = b[:2], b[2:]
+        index[key] = len(shapes)
+        shapes.append(shape)
+    return shapes, index
 
 
 def tangent_system_matrix(x: ComplexPoint, layout: TangentLayout) -> Matrix:
     """Coefficient matrix of the linear system (a), (b), (c)."""
-    field = x.field
     s = x.algebra.dim
-    offsets = _offsets(layout)
-    nunk = layout.ambient_dim
-    z = field.zero()
-    rows = []
-
-    def delta_off(i, j):
-        return offsets.get(("delta", i, j))
-
+    shapes, unk = _unknowns(layout)
+    equations = []
     # (a): derivation rule per degree and basis pair
     for i in x.degrees():
         d = x.dim_at(i)
@@ -205,99 +199,37 @@ def tangent_system_matrix(x: ComplexPoint, layout: TangentLayout) -> Matrix:
         acts = x.term(i).action
         for j in range(s):
             for k in range(s):
-                prod = x.algebra.products[j][k]
-                for r in range(d):
-                    for c in range(d):
-                        row = [z] * nunk
-                        base_j = delta_off(i, j)
-                        base_k = delta_off(i, k)
-                        for b in range(d):
-                            coeff = acts[k].entry(b, c)
-                            if coeff:
-                                idx = base_j + r * d + b
-                                row[idx] = field.add(row[idx], coeff)
-                            coeff = acts[j].entry(r, b)
-                            if coeff:
-                                idx = base_k + b * d + c
-                                row[idx] = field.add(row[idx], coeff)
-                        for l, coeff in enumerate(prod):
-                            if coeff:
-                                idx = delta_off(i, l) + r * d + c
-                                row[idx] = field.sub(row[idx], coeff)
-                        if any(row):
-                            rows.append(row)
-
+                terms = [(1, None, unk["delta", i, j], acts[k]),
+                         (1, acts[j], unk["delta", i, k], None)]
+                terms += [(-c, None, unk["delta", i, l], None)
+                          for l, c in enumerate(x.algebra.products[j][k]) if c]
+                equations.append((d, d, terms))
     # (b): compatibility of sigma with the module actions
     for i in range(x.bottom + 1, x.top + 1):
         dlo, dhi = x.dim_at(i - 1), x.dim_at(i)
         if dlo == 0 or dhi == 0:
             continue
-        di = x.diff(i)
-        acts_hi = x.term(i).action
-        acts_lo = x.term(i - 1).action
-        sig = offsets[("sigma", i)]
+        di, sig = x.diff(i), unk["sigma", i]
         for j in range(s):
-            for r in range(dlo):
-                for c in range(dhi):
-                    row = [z] * nunk
-                    for b in range(dhi):
-                        coeff = acts_hi[j].entry(b, c)
-                        if coeff:
-                            idx = sig + r * dhi + b
-                            row[idx] = field.add(row[idx], coeff)
-                        coeff = di.entry(r, b)
-                        if coeff:
-                            idx = delta_off(i, j) + b * dhi + c
-                            row[idx] = field.add(row[idx], coeff)
-                    for b in range(dlo):
-                        coeff = acts_lo[j].entry(r, b)
-                        if coeff:
-                            idx = sig + b * dhi + c
-                            row[idx] = field.sub(row[idx], coeff)
-                        coeff = di.entry(b, c)
-                        if coeff:
-                            idx = delta_off(i - 1, j) + r * dlo + b
-                            row[idx] = field.sub(row[idx], coeff)
-                    if any(row):
-                        rows.append(row)
-
+            equations.append((dlo, dhi, [
+                (1, None, sig, x.term(i).action[j]),
+                (1, di, unk["delta", i, j], None),
+                (-1, None, unk["delta", i - 1, j], di),
+                (-1, x.term(i - 1).action[j], sig, None)]))
     # (c): sigma is a square-zero perturbation direction
     for i in range(x.bottom + 2, x.top + 1):
-        d2, d1, d0 = x.dim_at(i), x.dim_at(i - 1), x.dim_at(i - 2)
-        if d0 == 0 or d1 == 0 or d2 == 0:
-            continue
-        di = x.diff(i)
-        dprev = x.diff(i - 1)
-        sig_i = offsets.get(("sigma", i))
-        sig_prev = offsets.get(("sigma", i - 1))
-        for r in range(d0):
-            for c in range(d2):
-                row = [z] * nunk
-                for b in range(d1):
-                    coeff = di.entry(b, c)
-                    if coeff and sig_prev is not None:
-                        idx = sig_prev + r * d1 + b
-                        row[idx] = field.add(row[idx], coeff)
-                    coeff = dprev.entry(r, b)
-                    if coeff and sig_i is not None:
-                        idx = sig_i + b * d2 + c
-                        row[idx] = field.add(row[idx], coeff)
-                if any(row):
-                    rows.append(row)
-
-    if not rows:
-        return Matrix.zeros(field, 0, nunk)
-    return Matrix.from_rows(field, rows)
+        if x.dim_at(i) and x.dim_at(i - 1) and x.dim_at(i - 2):
+            equations.append((x.dim_at(i - 2), x.dim_at(i), [
+                (1, None, unk["sigma", i - 1], x.diff(i)),
+                (1, x.diff(i - 1), unk["sigma", i], None)]))
+    return linear_system(x.field, shapes, equations)
 
 
 def tangent_space(x: ComplexPoint):
     """(layout, Subspace) for the scheme tangent space at x."""
     _require_point(x)
     layout = tangent_layout(x)
-    system = tangent_system_matrix(x, layout)
-    if system.nrows == 0:
-        return layout, Subspace.full(x.field, layout.ambient_dim)
-    return layout, system.kernel()
+    return layout, tangent_system_matrix(x, layout).kernel()
 
 
 def tangent_space_basis(x: ComplexPoint) -> list:
@@ -317,36 +249,28 @@ def lie_dim(x: ComplexPoint) -> int:
     return sum(d * d for _, d in _lie_blocks(x))
 
 
+def _commutator(k: int, a: Matrix) -> list:
+    """Terms of t a - a t for the unknown t = X_k."""
+    return [(1, None, k, a), (-1, a, k, None)]
+
+
 def orbit_map_matrix(x: ComplexPoint, layout: TangentLayout) -> Matrix:
     """Matrix of t = (t_i) |-> (delta_i(a_j) = t_i A_ij - A_ij t_i,
     sigma_i = t_{i-1} del_i - del_i t_i), columns indexed by Lie coordinates
     (degrees descending, row-major)."""
-    field = x.field
-    s = x.algebra.dim
-    columns = []
-    for deg, d in _lie_blocks(x):
-        acts = x.term(deg).action
-        for a in range(d):
-            for b in range(d):
-                unit = Matrix.from_rows(
-                    field, [[field.one() if (r == a and c == b) else field.zero()
-                             for c in range(d)] for r in range(d)])
-                deltas = {deg: tuple(unit @ acts[j] - acts[j] @ unit
-                                     for j in range(s))}
-                sigmas = {}
-                if x.dim_at(deg - 1):
-                    low = x.diff(deg) @ unit
-                    if not low.is_zero():
-                        sigmas[deg] = -low
-                if x.dim_at(deg + 1):
-                    up = unit @ x.diff(deg + 1)
-                    if not up.is_zero():
-                        sigmas[deg + 1] = up
-                v = tangent_vector(x, deltas, sigmas)
-                columns.append(list(layout.flatten(v)))
-    if not columns:
-        return Matrix.zeros(field, layout.ambient_dim, 0)
-    return Matrix.from_rows(field, columns).transpose()
+    blocks = _lie_blocks(x)
+    t = {deg: k for k, (deg, _) in enumerate(blocks)}
+    equations = []
+    for b in layout.blocks:
+        if b[0] == "delta":
+            _, i, j, d = b
+            equations.append((d, d, _commutator(t[i], x.term(i).action[j])))
+        else:
+            _, i, rows, cols = b
+            di = x.diff(i)
+            equations.append((rows, cols, [(1, None, t[i - 1], di),
+                                           (-1, di, t[i], None)]))
+    return linear_system(x.field, [(d, d) for _, d in blocks], equations)
 
 
 def orbit_tangent(x: ComplexPoint):
@@ -445,33 +369,12 @@ def chi_splitting(x: ComplexPoint, v: TangentVector):
 
 def _derivation_solvers(x: ComplexPoint) -> dict:
     """Per degree, a solver for t |-> (t A_ij - A_ij t)_{j>=1} stacked."""
-    field = x.field
-    s = x.algebra.dim
     solvers = {}
     for i in x.degrees():
         d = x.dim_at(i)
-        if d == 0:
-            continue
-        acts = x.term(i).action
-        rows = []
-        for j in range(1, s):
-            a = acts[j]
-            for r in range(d):
-                for c in range(d):
-                    row = [field.zero()] * (d * d)
-                    for b in range(d):
-                        coeff = a.entry(b, c)
-                        if coeff:
-                            idx = r * d + b
-                            row[idx] = field.add(row[idx], coeff)
-                        coeff = a.entry(r, b)
-                        if coeff:
-                            idx = b * d + c
-                            row[idx] = field.sub(row[idx], coeff)
-                    rows.append(row)
-        if not rows:
-            rows = [[field.zero()] * (d * d)]
-        solvers[i] = LinearSolver(Matrix.from_rows(field, rows))
+        if d:
+            equations = [(d, d, _commutator(0, a)) for a in x.term(i).action[1:]]
+            solvers[i] = LinearSolver(linear_system(x.field, [(d, d)], equations))
     return solvers
 
 
@@ -489,12 +392,8 @@ def eta(x: ComplexPoint, v: TangentVector, _solvers: dict | None = None) -> Chai
         d = x.dim_at(i)
         if d == 0:
             continue
-        rhs = []
-        for j in range(1, s):
-            rhs.extend(v.delta(i, j).flat())
-        if not rhs:
-            rhs = [field.zero()]
-        sol = solvers[i].solve(tuple(rhs))
+        rhs = tuple(e for j in range(1, s) for e in v.delta(i, j).flat())
+        sol = solvers[i].solve(rhs)
         if sol is None:
             raise ValidationFailure(
                 f"inner-derivation solve infeasible at degree {i}; "

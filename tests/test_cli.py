@@ -1,6 +1,7 @@
 """JSON schemas and the command-line surface, exercised in-process."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -180,6 +181,25 @@ def test_budget_exits_3(capsys):
                    "--algebra", fx("algebra_f2_dual_numbers.json"),
                    "--dims", "2,2", "--max-points", "100")
     assert code == 3
+
+
+@pytest.mark.parametrize("command", ["census", "rigid-scan"])
+@pytest.mark.parametrize("algebra, dims", [
+    ("algebra_f2_dual_numbers.json", "70,70"),
+    ("algebra_f2_dual_numbers.json", "99999999,99999999"),
+    ("algebra_f2.json", "300"),
+    ("algebra_f2.json", "99999999"),
+])
+def test_huge_census_inputs_exit_3_at_once(command, algebra, dims, capsys):
+    start = time.perf_counter()
+    code = run_cli(command, "--algebra", fx(algebra), "--dims", dims)
+    elapsed = time.perf_counter() - start
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: budget exceeded")
+    assert elapsed < 1.0
 
 
 def test_bad_usage_exits_4(capsys):

@@ -9,7 +9,7 @@ import pytest
 
 from compvar.errors import ShapeMismatch
 from compvar.fields import GF, QQ, Field
-from compvar.linalg import LinearSolver, Matrix, Subspace
+from compvar.linalg import LinearSolver, Matrix, Subspace, linear_system
 
 F2 = GF(2)
 F5 = GF(5)
@@ -176,3 +176,79 @@ def test_solve_round_trip_randomized_over_f5():
         b = m.mat_vec(x0)
         x = m.solve(b)
         assert x is not None and m.mat_vec(x) == b
+
+
+# -- the linear-system builder -------------------------------------------------
+
+def test_linear_system_frozen_example():
+    # X is 1 x 2; X @ R with R = [[0, 1], [0, 0]] is (0, X[0, 0])
+    r = Matrix.from_rows(QQ, [[0, 1], [0, 0]])
+    m = linear_system(QQ, [(1, 2)], [(1, 2, [(1, None, 0, r)])])
+    assert m == Matrix.from_rows(QQ, [[0, 0], [1, 0]])
+    # t a - a t on 1 x 1 unknowns cancels; the zero row is kept
+    a = Matrix.from_rows(F5, [[3]])
+    m = linear_system(F5, [(1, 1)], [(1, 1, [(1, None, 0, a), (-1, a, 0, None)])])
+    assert m == Matrix.zeros(F5, 1, 1)
+
+
+def test_linear_system_rejects_mismatched_terms():
+    with pytest.raises(ShapeMismatch):
+        linear_system(QQ, [(2, 3)], [(2, 2, [(1, None, 0, None)])])
+    with pytest.raises(ShapeMismatch):
+        linear_system(QQ, [(2, 3)], [(2, 2, [(1, Matrix.identity(QQ, 2), 0,
+                                               Matrix.zeros(QQ, 2, 2))])])
+
+
+def _random_equations(field, shapes, rng, seen):
+    equations = []
+    for _ in range(rng.randint(0, 4)):
+        nr, nc = rng.randint(0, 3), rng.randint(0, 3)
+        terms = []
+        for _ in range(rng.randint(0, 3) if shapes else 0):
+            k = rng.randrange(len(shapes))
+            xr, xc = shapes[k]
+            left = right = None
+            if nr != xr or rng.random() < 0.5:
+                left = rand_matrix(field, nr, xr, rng)
+            else:
+                seen["none"] += 1
+            if nc != xc or rng.random() < 0.5:
+                right = rand_matrix(field, xc, nc, rng)
+            else:
+                seen["none"] += 1
+            c = rng.choice([1, -1, 2, Fraction(-2, 3)])
+            terms.append((c, left, k, right))
+        seen["empty"] += not terms
+        equations.append((nr, nc, terms))
+    return equations
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=str)
+def test_linear_system_matches_direct_products(field):
+    """M vec(X) = vec(sum c L X_k R) for every equation, with the sums
+    computed by matrix multiplication."""
+    rng = random.Random(2000 + field.characteristic)
+    seen = {"none": 0, "empty": 0, "zero_size": 0}
+    for _ in range(60):
+        shapes = [(rng.randint(0, 3), rng.randint(0, 3))
+                  for _ in range(rng.randint(0, 3))]
+        seen["zero_size"] += any(r * c == 0 for r, c in shapes)
+        equations = _random_equations(field, shapes, rng, seen)
+        xs = [rand_matrix(field, r, c, rng) for r, c in shapes]
+        m = linear_system(field, shapes, equations)
+        assert m.shape == (sum(r * c for r, c, _ in equations),
+                           sum(r * c for r, c in shapes))
+        expected = []
+        for nr, nc, terms in equations:
+            total = Matrix.zeros(field, nr, nc)
+            for c, left, k, right in terms:
+                xr, xc = shapes[k]
+                left = left if left is not None else Matrix.identity(field, xr)
+                right = right if right is not None else Matrix.identity(field, xc)
+                total = total + (left @ xs[k] @ right).scale(c)
+            expected.extend(total.flat())
+        vec = tuple(e for x in xs for e in x.flat())
+        assert m.mat_vec(vec) == tuple(expected)
+        assert all(v == field.coerce(v) and type(v) is type(field.zero())
+                   for row in m.data for v in row)
+    assert min(seen.values()) > 0

@@ -48,6 +48,23 @@ def test_budget_exceeded_carries_exact_count():
     assert exc.value.count == 2 ** 12
 
 
+def test_budget_exceeded_on_huge_grid_leaves_count_out():
+    a = dual_numbers(F2)
+    with pytest.raises(BudgetExceeded) as exc:
+        enumerate_points(a, (70, 70), small_budget())
+    assert exc.value.count is None
+    assert "2^14700 candidate points" in str(exc.value)
+
+
+def test_group_order_refuses_huge_windows_before_building():
+    a = base_field_algebra(F2)
+    assert group_order(F2, (64,)).bit_length() <= 4096
+    with pytest.raises(BudgetExceeded):
+        group_order(F2, (65,))
+    with pytest.raises(BudgetExceeded):
+        enumerate_points(a, (99999999,), small_budget())
+
+
 def test_free_coordinate_count_pinned_drops_module_entries():
     a = dual_numbers(F2)
     assert free_coordinate_count(a, (2, 2), pinned=True) == 4
