@@ -10,13 +10,14 @@ which downstream module theory needs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import (MissingIdempotents, ShapeMismatch,
                      UnsupportedCharacteristic, ValidationFailure)
 from .fields import Field
 from .linalg import (LinearSolver, Matrix, Subspace, linear_system, vec_add,
-                     vec_scale, vec_zero)
+                     vec_combination, vec_zero)
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,17 +68,7 @@ class FDAlgebra:
         """Product of two elements in coordinates."""
         if len(x) != self.dim or len(y) != self.dim:
             raise ShapeMismatch("element coordinate length mismatch")
-        out = list(self.zero_vec())
-        fld = self.field
-        for j, xj in enumerate(x):
-            if not xj:
-                continue
-            for k, yk in enumerate(y):
-                if not yk:
-                    continue
-                c = fld.mul(xj, yk)
-                out = list(vec_add(fld, tuple(out), vec_scale(fld, c, self.products[j][k])))
-        return tuple(out)
+        return _bilinear(self.field, x, y, self.products)
 
     def c(self, j: int, k: int, l: int):
         """Structure constant c_{jkl} (0-based indices)."""
@@ -146,18 +137,40 @@ def algebra_from_constants(field: Field, dim: int, labels, constants,
 
 
 def validate_algebra(a: FDAlgebra) -> tuple | None:
-    """Check unitality and associativity; return None or a witness tuple."""
+    """Check unitality and associativity; return None or a witness tuple.
+
+    Once the unit laws hold, every basis triple containing the identity is
+    associative, so only triples of the other basis elements are checked,
+    each as two sums over the nonzero structure constants.  Over Q the
+    constants are first scaled to integers by their common denominator D;
+    both sides then scale by D^2, so the comparison stays exact."""
     for k in range(a.dim):
         if a.products[0][k] != a.basis_vec(k):
             return ("unit-left", k)
         if a.products[k][0] != a.basis_vec(k):
             return ("unit-right", k)
-    for j in range(a.dim):
-        for k in range(a.dim):
-            jk = a.products[j][k]
-            for l in range(a.dim):
-                lhs = a.mul_vec(jk, a.basis_vec(l))
-                rhs = a.mul_vec(a.basis_vec(j), a.products[k][l])
+    p = a.field.p
+    scale = math.lcm(*(c.denominator for row in a.products
+                       for cell in row for c in cell))  # 1 over F_p
+    nz = [[[(m, c.numerator * (scale // c.denominator))
+            for m, c in enumerate(cell) if c] for cell in row]
+          for row in a.products]
+
+    def combine(terms):
+        acc = {}
+        for c, vec in terms:
+            for n, d in vec:
+                acc[n] = acc.get(n, 0) + c * d
+        if p is not None:
+            acc = {n: v % p for n, v in acc.items()}
+        return {n: v for n, v in acc.items() if v}
+
+    others = range(1, a.dim)
+    for j in others:
+        for k in others:
+            for l in others:
+                lhs = combine((c, nz[m][l]) for m, c in nz[j][k])  # (a_j a_k) a_l
+                rhs = combine((c, nz[j][m]) for m, c in nz[k][l])  # a_j (a_k a_l)
                 if lhs != rhs:
                     return ("associativity", j, k, l)
     return None
@@ -349,23 +362,11 @@ def path_algebra(q: QuiverPresentation, field: Field) -> FDAlgebra:
     s_mat = Matrix(field, nb, nb, tuple(zip(*new_basis_vectors)))  # columns = new basis
     solver = LinearSolver(s_mat)
 
-    def mul_old(x: tuple, y: tuple) -> tuple:
-        out = [field.zero()] * nb
-        for j, xj in enumerate(x):
-            if not xj:
-                continue
-            for k, yk in enumerate(y):
-                if not yk:
-                    continue
-                c = field.mul(xj, yk)
-                out = list(vec_add(field, tuple(out), vec_scale(field, c, raw[j][k])))
-        return tuple(out)
-
     products = []
     for j in range(nb):
         row = []
         for k in range(nb):
-            prod_old = mul_old(new_basis_vectors[j], new_basis_vectors[k])
+            prod_old = _bilinear(field, new_basis_vectors[j], new_basis_vectors[k], raw)
             coords = solver.solve(prod_old)
             row.append(tuple(coords))
         products.append(tuple(row))
@@ -384,6 +385,14 @@ def path_algebra(q: QuiverPresentation, field: Field) -> FDAlgebra:
                     idempotents=tuple(idem_vectors),
                     radical_vectors=tuple(radical_coords))
     return _revalidate(alg)
+
+
+def _bilinear(field: Field, x: tuple, y: tuple, table) -> tuple:
+    """sum of x_j y_k table[j][k]: the product of x and y for the
+    structure constants ``table``."""
+    return vec_combination(field, len(x), ((xj * yk, table[j][k])
+                                           for j, xj in enumerate(x) if xj
+                                           for k, yk in enumerate(y) if yk))
 
 
 def unit_axis(field: Field, n: int, i: int) -> tuple:
@@ -443,13 +452,12 @@ def radical(a: FDAlgebra) -> Subspace:
         if not (a.field.is_rational or a.field.p > a.dim):
             raise UnsupportedCharacteristic(
                 f"trace-form radical needs char 0 or p > {a.dim}, have p = {a.field.p}")
-        rows = []
-        for j in range(a.dim):
-            row = []
-            for u in range(a.dim):
-                prod = a.products[u][j]  # a_u * a_j
-                row.append(a.left_mult_matrix(prod).trace())
-            rows.append(row)
+        # trace(L_x) is linear in x: the sum of x_l * trace(L_{a_l})
+        traces = [sum(a.products[l][k][k] for k in range(a.dim))
+                  for l in range(a.dim)]
+        rows = [[sum(x * t for x, t in zip(a.products[u][j], traces) if x)
+                 for u in range(a.dim)]  # trace(L_{a_u * a_j})
+                for j in range(a.dim)]
         rad = Matrix.from_rows(a.field, rows).kernel()
     _check_radical(a, rad)
     return rad

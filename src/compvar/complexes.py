@@ -313,15 +313,14 @@ class GroupElement:
         return GroupElement(tuple(out))
 
 
-def act(g: GroupElement, x: ComplexPoint) -> ComplexPoint:
+def act(g: GroupElement, x: ComplexPoint,
+        _inverse: GroupElement | None = None) -> ComplexPoint:
     """Transport of structure: modules by conjugation, differentials by
-    g_{i-1} d_i g_i^{-1}."""
-    gs, invs = {}, {}
-    for i in x.degrees():
-        gs[i] = g.component(i, x.dim_at(i), x.field)
-        invs[i] = gs[i].inverse()
-        if invs[i] is None:
-            raise ValidationFailure(f"group component at degree {i} is singular")
+    g_{i-1} d_i g_i^{-1}.  A caller that applies g many times passes
+    ``g.inverse()`` once as ``_inverse``."""
+    ginv = _inverse if _inverse is not None else g.inverse()
+    gs = {i: g.component(i, x.dim_at(i), x.field) for i in x.degrees()}
+    invs = {i: ginv.component(i, x.dim_at(i), x.field) for i in x.degrees()}
     terms = tuple(ModuleRep(t.algebra, t.dim,
                             tuple(gs[i] @ a @ invs[i] for a in t.action))
                   if t.dim else t

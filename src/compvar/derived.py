@@ -20,7 +20,8 @@ from .complexes import (ChainMap, ComplexPoint, HomotopyHom,
                         is_acyclic, make_complex, replace_by_projective)
 from .errors import (AlgebraMismatch, NotAlmostProjective, SplitterFailure,
                      ValidationFailure)
-from .linalg import LinearSolver, Matrix, Subspace, vec_scale, vec_sub
+from .linalg import (LinearSolver, Matrix, Subspace, vec_combination, vec_scale,
+                     vec_sub)
 from .modules import submodule
 
 
@@ -85,13 +86,8 @@ class EndAlgebraPackage:
 
     def realize(self, coords: tuple) -> ChainMap:
         space = self.hom.space
-        vec = [space.source.field.zero()] * space.ambient_dim
-        for c, bv in zip(coords, self.basis_vectors):
-            if c:
-                for k, entry in enumerate(bv):
-                    vec[k] = space.source.field.add(
-                        vec[k], space.source.field.mul(c, entry))
-        return space.unflatten(tuple(vec))
+        return space.unflatten(vec_combination(space.source.field, space.ambient_dim,
+                                               zip(coords, self.basis_vectors)))
 
 
 def _identity_first_basis(field, ambient_vectors, id_vec):
@@ -151,12 +147,7 @@ def _check_ideal_and_homology_kill(x, bhat, h_sub, basis_vectors, cms):
                 raise ValidationFailure("null-homotopic maps fail left ideal closure")
     # each null-homotopic map sends cycles into boundaries in every degree
     for hv in h_sub.basis:
-        ambient = [field.zero()] * cms.ambient_dim
-        for c, bv in zip(hv, basis_vectors):
-            if c:
-                for k, entry in enumerate(bv):
-                    ambient[k] = field.add(ambient[k], field.mul(c, entry))
-        f = cms.unflatten(tuple(ambient))
+        f = cms.unflatten(vec_combination(field, cms.ambient_dim, zip(hv, basis_vectors)))
         for i in x.degrees():
             data = homology(x, i)
             for cyc in data.cycles.basis:
@@ -168,40 +159,26 @@ def _check_ideal_and_homology_kill(x, bhat, h_sub, basis_vectors, cms):
 # -- idempotent lifting ---------------------------------------------------------------
 
 
-def _nilpotency_index(bhat: FDAlgebra, ideal: Subspace) -> int:
-    """Smallest k with ideal^k = 0."""
-    current = ideal
-    index = 1
-    while current.dim > 0:
-        vectors = []
-        for u in current.basis:
-            for w in ideal.basis:
-                vectors.append(bhat.mul_vec(u, w))
-        current = Subspace.from_vectors(bhat.field, bhat.dim, vectors)
-        index += 1
-        if index > bhat.dim + 1:
-            raise ValidationFailure("ideal is not nilpotent")
-    return index
-
-
 def lift_idempotent(bhat: FDAlgebra, ebar: tuple, ideal: Subspace) -> tuple:
     """Lift an idempotent of bhat/ideal to an exact idempotent congruent to
     it, via e <- 3e^2 - 2e^3 (error term r^2(4r - 3), so precision doubles
-    each round)."""
+    each round).  A nilpotent ideal I has I^(dim I + 1) = 0, so an exact
+    idempotent is reached after at most bit_length(dim I) + 1 rounds; a
+    value that is still not idempotent then is refused."""
     field = bhat.field
     defect = vec_sub(field, bhat.mul_vec(ebar, ebar), ebar)
     if not ideal.contains(defect):
         raise ValidationFailure("input is not idempotent modulo the ideal")
-    index = _nilpotency_index(bhat, ideal)
-    rounds = max(1, (index - 1).bit_length() + 1)
     three = field.coerce(3)
     two = field.coerce(2)
     e = ebar
-    for _ in range(rounds):
+    for _ in range(ideal.dim.bit_length() + 2):
         e2 = bhat.mul_vec(e, e)
+        if e2 == e:
+            break
         e3 = bhat.mul_vec(e2, e)
         e = vec_sub(field, vec_scale(field, three, e2), vec_scale(field, two, e3))
-    if bhat.mul_vec(e, e) != e:
+    else:
         raise ValidationFailure("idempotent lifting did not converge")
     if not ideal.contains(vec_sub(field, e, ebar)):
         raise ValidationFailure("lifted idempotent drifted out of its coset")
@@ -241,12 +218,7 @@ def _ideal_identity(field, quot_dim, ideal, q_mul):
     coeffs = LinearSolver(Matrix.from_rows(field, rows)).solve(tuple(rhs))
     if coeffs is None:
         return None
-    cand = [field.zero()] * quot_dim
-    for c, b in zip(coeffs, basis):
-        if c:
-            for k in range(quot_dim):
-                cand[k] = field.add(cand[k], field.mul(c, b[k]))
-    cand = tuple(cand)
+    cand = vec_combination(field, quot_dim, zip(coeffs, basis))
     if q_mul(cand, cand) != cand:
         return None
     if not all(q_mul(cand, b) == b and q_mul(b, cand) == b for b in basis):

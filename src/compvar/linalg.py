@@ -1,7 +1,14 @@
-"""Dense exact linear algebra: matrices, echelon forms, subspaces, solvers,
-and ``linear_system``, the one builder that turns linear equations in
-unknown matrices (sums of terms ``c * L @ X_k @ R``) into a coefficient
-matrix.
+"""Exact linear algebra: matrices, echelon forms, subspaces, solvers, and
+``linear_system``, the one builder that turns linear equations in unknown
+matrices (sums of terms ``c * L @ X_k @ R``) into a coefficient matrix.
+
+A matrix keeps its entries as dense row tuples or as sparse rows (dicts
+from column to nonzero value), whichever it was built from, and derives the
+other form on first use.  Products and elimination read the sparse rows, so
+their cost follows the nonzeros: the linear systems behind tangent spaces,
+orbit maps and hom spaces are more than 99% zeros.  ``_eliminate`` is the
+one elimination routine; every echelon form, rank, kernel, inverse, solver
+and subspace basis comes from it.
 
 Everything is immutable and deterministic: row reduction always picks the
 leftmost available pivot and the first nonzero row below it, so reduced
@@ -11,70 +18,130 @@ echelon forms (and hence subspace representations) are canonical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import FieldMismatch, ShapeMismatch
 from .fields import Field
 
+_set = object.__setattr__
 
-def _rref_inplace(rows: list, field: Field) -> list:
-    """Reduce ``rows`` (list of lists) in place; return pivot column list."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    p = field.p
+
+def _eliminate(rows: list, p, stop: int) -> list:
+    """Gauss-Jordan elimination, in place, of nonempty sparse rows (dicts
+    column -> nonzero canonical value) on the columns below ``stop``.
+
+    Returns the pivot columns.  Afterwards ``rows[:rank]`` are the reduced
+    pivot rows in pivot order, and the other rows hold no column below
+    ``stop``.  A row that is not a pivot row yet holds no column left of
+    the next pivot, so its leftmost column tells whether it takes part.
+    """
+    n = len(rows)
+    lead = [min(row) for row in rows]
     pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
+    for r in range(n):
+        c = min(lead[r:])
+        if c >= stop:
             break
-        pr = None
-        for k in range(r, nrows):
-            if rows[k][c]:
-                pr = k
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
+        k = lead.index(c, r)
+        rows[r], rows[k] = rows[k], rows[r]
+        lead[k] = lead[r]
         prow = rows[r]
         pv = prow[c]
-        if p is None:
-            if pv != 1:
-                inv = 1 / Fraction(pv)
-                prow = [x * inv for x in prow]
-                rows[r] = prow
-            for k in range(nrows):
-                if k != r:
-                    f = rows[k][c]
-                    if f:
-                        rk = rows[k]
-                        rows[k] = [a - f * b for a, b in zip(rk, prow)]
-        else:
-            if pv != 1:
+        if pv != 1:
+            if p is None:
+                inv = 1 / pv
+                for j, x in prow.items():
+                    prow[j] = x * inv
+            else:
                 inv = pow(pv, -1, p)
-                prow = [x * inv % p for x in prow]
-                rows[r] = prow
-            for k in range(nrows):
-                if k != r:
-                    f = rows[k][c]
-                    if f:
-                        rk = rows[k]
-                        rows[k] = [(a - f * b) % p for a, b in zip(rk, prow)]
+                for j, x in prow.items():
+                    prow[j] = x * inv % p
+        items = list(prow.items())
+        for i in range(n):
+            row = rows[i]
+            f = row.get(c)
+            if f is None or i == r:
+                continue
+            if p is None:
+                for j, b in items:
+                    v = row.get(j, 0) - f * b
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
+            else:
+                for j, b in items:
+                    v = (row.get(j, 0) - f * b) % p
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
+            if i > r:
+                lead[i] = min(row, default=stop)
         pivots.append(c)
-        r += 1
     return pivots
 
 
-@dataclass(frozen=True)
-class Matrix:
-    """Immutable dense matrix over an exact field.
+def _sparse_rows(dense) -> list:
+    return [{j: x for j, x in enumerate(row) if x} for row in dense]
 
-    ``data`` is a tuple of row tuples; scalars are canonical field values.
+
+def _dense_rows(rows, ncols: int, zero) -> tuple:
+    out = []
+    for row in rows:
+        d = [zero] * ncols
+        for j, x in row.items():
+            d[j] = x
+        out.append(tuple(d))
+    return tuple(out)
+
+
+def _canonical(acc: dict, p) -> dict:
+    """Sparse row of the nonzero values of ``acc``, reduced mod ``p``."""
+    if p is None:
+        return {j: v for j, v in acc.items() if v}
+    out = {}
+    for j, v in acc.items():
+        v %= p
+        if v:
+            out[j] = v
+    return out
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class Matrix:
+    """Immutable matrix over an exact field.
+
+    ``data`` is a tuple of row tuples of canonical field values.  A matrix
+    made as ``Matrix(field, nrows, ncols, None, rows)`` from sparse rows
+    (dicts column -> nonzero canonical value, never modified afterwards)
+    builds ``data`` when it is first read.
     """
 
     field: Field
     nrows: int
     ncols: int
-    data: tuple
+    _data: tuple | None
+    _rows: list | None = None
+
+    @property
+    def data(self) -> tuple:
+        if self._data is None:
+            _set(self, "_data", _dense_rows(self._rows, self.ncols, self.field.zero()))
+        return self._data
+
+    def _sparse(self) -> list:
+        """Rows as dicts column -> nonzero value, shared: never modify them."""
+        if self._rows is None:
+            _set(self, "_rows", _sparse_rows(self._data))
+        return self._rows
+
+    def __eq__(self, other):
+        if other.__class__ is not Matrix:
+            return NotImplemented
+        return (self.field, self.shape, self.data) == (other.field, other.shape, other.data)
+
+    def __hash__(self):
+        return hash((self.field, self.shape, self.data))
 
     # -- construction ------------------------------------------------------
 
@@ -111,12 +178,6 @@ class Matrix:
 
     # -- basic access ------------------------------------------------------
 
-    def entry(self, i: int, j: int):
-        return self.data[i][j]
-
-    def row(self, i: int) -> tuple:
-        return self.data[i]
-
     def col(self, j: int) -> tuple:
         return tuple(r[j] for r in self.data)
 
@@ -129,14 +190,10 @@ class Matrix:
         return (self.nrows, self.ncols)
 
     def is_zero(self) -> bool:
-        return all(not x for r in self.data for x in r)
+        return not any(self._sparse())
 
     def is_identity(self) -> bool:
-        if self.nrows != self.ncols:
-            return False
-        o = self.field.one()
-        return all(x == (o if i == j else 0)
-                   for i, r in enumerate(self.data) for j, x in enumerate(r))
+        return self == Matrix.identity(self.field, self.nrows)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -147,70 +204,58 @@ class Matrix:
             raise ShapeMismatch(f"shape {self.shape} vs {other.shape}")
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        p = self.field.p
-        if p is None:
-            data = tuple(tuple(a + b for a, b in zip(r, s))
-                         for r, s in zip(self.data, other.data))
-        else:
-            data = tuple(tuple((a + b) % p for a, b in zip(r, s))
-                         for r, s in zip(self.data, other.data))
-        return Matrix(self.field, self.nrows, self.ncols, data)
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
+        return self._plus(other, -1)
+
+    def _plus(self, other: "Matrix", c: int) -> "Matrix":
+        """self + c * other."""
         self._check_same_shape(other)
-        p = self.field.p
-        if p is None:
-            data = tuple(tuple(a - b for a, b in zip(r, s))
-                         for r, s in zip(self.data, other.data))
-        else:
-            data = tuple(tuple((a - b) % p for a, b in zip(r, s))
-                         for r, s in zip(self.data, other.data))
-        return Matrix(self.field, self.nrows, self.ncols, data)
+        out = []
+        for a, b in zip(self._sparse(), other._sparse()):
+            acc = dict(a)
+            for j, y in b.items():
+                acc[j] = acc.get(j, 0) + c * y
+            out.append(_canonical(acc, self.field.p))
+        return Matrix(self.field, self.nrows, self.ncols, None, out)
 
     def __neg__(self) -> "Matrix":
-        p = self.field.p
-        if p is None:
-            data = tuple(tuple(-a for a in r) for r in self.data)
-        else:
-            data = tuple(tuple(-a % p for a in r) for r in self.data)
-        return Matrix(self.field, self.nrows, self.ncols, data)
+        return self.scale(-1)
 
     def scale(self, c) -> "Matrix":
         c = self.field.coerce(c)
-        p = self.field.p
-        if p is None:
-            data = tuple(tuple(c * a for a in r) for r in self.data)
-        else:
-            data = tuple(tuple(c * a % p for a in r) for r in self.data)
-        return Matrix(self.field, self.nrows, self.ncols, data)
+        return Matrix(self.field, self.nrows, self.ncols, None,
+                      [_canonical({j: c * x for j, x in row.items()}, self.field.p)
+                       for row in self._sparse()])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
             raise FieldMismatch("matrices over different fields")
         if self.ncols != other.nrows:
             raise ShapeMismatch(f"cannot multiply {self.shape} by {other.shape}")
-        if self.ncols == 0:
-            return Matrix.zeros(self.field, self.nrows, other.ncols)
         p = self.field.p
-        cols = list(zip(*other.data)) if other.data else []
         z = self.field.zero()
-        if p is None:
-            data = tuple(tuple(sum((a * b for a, b in zip(row, col)), z) for col in cols)
-                         for row in self.data)
-        else:
-            data = tuple(tuple(sum(a * b for a, b in zip(row, col)) % p for col in cols)
-                         for row in self.data)
-        return Matrix(self.field, self.nrows, other.ncols, data)
+        brows = other._sparse()
+        out = []
+        for a in self._sparse():
+            row = [z] * other.ncols
+            for k, x in a.items():
+                for j, y in brows[k].items():
+                    row[j] += x * y
+            out.append(tuple(row) if p is None else tuple(v % p for v in row))
+        return Matrix(self.field, self.nrows, other.ncols, tuple(out))
 
     def mat_vec(self, v: tuple) -> tuple:
         if len(v) != self.ncols:
             raise ShapeMismatch(f"vector length {len(v)} vs {self.ncols} columns")
         p = self.field.p
-        z = self.field.zero()
         if p is None:
-            return tuple(sum((a * b for a, b in zip(row, v)), z) for row in self.data)
-        return tuple(sum(a * b for a, b in zip(row, v)) % p for row in self.data)
+            z = self.field.zero()
+            return tuple(sum((x * v[k] for k, x in row.items()), z)
+                         for row in self._sparse())
+        return tuple(sum(x * v[k] for k, x in row.items()) % p
+                     for row in self._sparse())
 
     def transpose(self) -> "Matrix":
         if self.nrows == 0 or self.ncols == 0:
@@ -247,18 +292,11 @@ class Matrix:
 
     @staticmethod
     def block_diag(field: Field, blocks) -> "Matrix":
-        blocks = list(blocks)
-        nrows = sum(b.nrows for b in blocks)
-        ncols = sum(b.ncols for b in blocks)
-        out = Matrix.zeros(field, nrows, ncols)
-        rows = [list(r) for r in out.data]
-        r0 = c0 = 0
+        rows, ncols = [], 0
         for b in blocks:
-            for i in range(b.nrows):
-                rows[r0 + i][c0:c0 + b.ncols] = list(b.data[i])
-            r0 += b.nrows
-            c0 += b.ncols
-        return Matrix(field, nrows, ncols, tuple(tuple(r) for r in rows))
+            rows += [{ncols + j: x for j, x in r.items()} for r in b._sparse()]
+            ncols += b.ncols
+        return Matrix(field, len(rows), ncols, None, rows)
 
     def submatrix(self, row_idx, col_idx) -> "Matrix":
         row_idx, col_idx = list(row_idx), list(col_idx)
@@ -269,10 +307,10 @@ class Matrix:
 
     def rref(self) -> tuple:
         """Reduced row echelon form and pivot columns: ``(R, pivots)``."""
-        rows = [list(r) for r in self.data]
-        pivots = _rref_inplace(rows, self.field)
-        return (Matrix(self.field, self.nrows, self.ncols,
-                       tuple(tuple(r) for r in rows)), tuple(pivots))
+        rows = [dict(r) for r in self._sparse() if r]
+        pivots = _eliminate(rows, self.field.p, self.ncols)
+        rows[len(pivots):] = [{}] * (self.nrows - len(pivots))
+        return Matrix(self.field, self.nrows, self.ncols, None, rows), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -280,24 +318,27 @@ class Matrix:
     def kernel(self) -> "Subspace":
         """Right kernel {v : Mv = 0} as a subspace of F^ncols."""
         red, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [j for j in range(self.ncols) if j not in pivot_set]
-        z, o = self.field.zero(), self.field.one()
-        basis = []
-        for j in free:
-            v = [z] * self.ncols
-            v[j] = o
-            for r, pc in enumerate(pivots):
-                v[pc] = self.field.neg(red.data[r][j])
-            basis.append(tuple(v))
-        return Subspace.from_vectors(self.field, self.ncols, basis)
+        rows = red._sparse()
+        field = self.field
+        one = field.one()
+        vectors = {j: {j: one} for j in range(self.ncols)}
+        for pc in pivots:
+            del vectors[pc]
+        for row, pc in zip(rows, pivots):
+            for j, x in row.items():
+                if j != pc:
+                    vectors[j][pc] = field.neg(x)
+        return Subspace._span(field, self.ncols, list(vectors.values()))
 
     def column_space(self) -> "Subspace":
-        return Subspace.from_vectors(self.field, self.nrows,
-                                     [self.col(j) for j in range(self.ncols)])
+        cols = [{} for _ in range(self.ncols)]
+        for i, row in enumerate(self._sparse()):
+            for j, x in row.items():
+                cols[j][i] = x
+        return Subspace._span(self.field, self.nrows, cols)
 
     def row_space(self) -> "Subspace":
-        return Subspace.from_vectors(self.field, self.ncols, list(self.data))
+        return Subspace._span(self.field, self.ncols, [dict(r) for r in self._sparse()])
 
     def solve(self, b: tuple):
         """One solution of Mx = b (free variables zero), or None."""
@@ -307,23 +348,13 @@ class Matrix:
         """Exact inverse, or None if singular (requires square)."""
         if self.nrows != self.ncols:
             raise ShapeMismatch("inverse of a non-square matrix")
-        n = self.nrows
-        aug = Matrix.hstack([self, Matrix.identity(self.field, n)])
-        red, pivots = aug.rref()
-        if tuple(pivots[:n]) != tuple(range(n)):
+        solver = LinearSolver(self)
+        if len(solver.pivots) < self.nrows:
             return None
-        return red.submatrix(range(n), range(n, 2 * n))
+        return solver.transform
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.rank() == self.nrows
-
-    def trace(self):
-        if self.nrows != self.ncols:
-            raise ShapeMismatch("trace of a non-square matrix")
-        z = self.field.zero()
-        if self.field.p is None:
-            return sum((self.data[i][i] for i in range(self.nrows)), z)
-        return sum(self.data[i][i] for i in range(self.nrows)) % self.field.p
 
     def __str__(self):
         if not self.nrows or not self.ncols:
@@ -339,7 +370,7 @@ def _nonzeros(m, n: int, scale=None) -> list:
     if m is None:
         return [(i, i, scale) for i in range(n)]
     return [(i, j, v if scale is None else scale * v)
-            for i, row in enumerate(m.data) for j, v in enumerate(row) if v]
+            for i, row in enumerate(m._sparse()) for j, v in row.items()]
 
 
 def linear_system(field: Field, shapes, equations) -> Matrix:
@@ -352,17 +383,16 @@ def linear_system(field: Field, shapes, equations) -> Matrix:
     an identity factor.  It contributes one row per entry of the sum, in
     row-major order, read off from vec(L X R) = (R^T (x) L) vec(X): entry
     (a, b) gets c * L[a, i] * R[j, b] in the column of X_k[i, j].  Every
-    row is kept, zero or not, so rows line up with the equations.
+    row is kept, zero or not, so rows line up with the equations; the rows
+    are built sparse, and elimination skips the empty ones.
     """
     offsets, ncols = [], 0
     for r, c in shapes:
         offsets.append(ncols)
         ncols += r * c
-    p = field.p
-    z = field.zero()
     rows = []
     for nr, nc, terms in equations:
-        block = [[z] * ncols for _ in range(nr * nc)]
+        block = [{} for _ in range(nr * nc)]
         for c, left, k, right in terms:
             xr, xc = shapes[k]
             lshape = left.shape if left is not None else (xr, xr)
@@ -375,15 +405,12 @@ def linear_system(field: Field, shapes, equations) -> Matrix:
             for a, i, lv in _nonzeros(left, xr, field.coerce(c)):
                 col0 = base + i * xc
                 for j, b, rv in rights:
-                    v = lv if rv is None else lv * rv
                     row = block[a * nc + b]
-                    cur = row[col0 + j]
-                    if p is None:
-                        row[col0 + j] = cur + v if cur else v
-                    else:
-                        row[col0 + j] = (cur + v) % p
+                    col = col0 + j
+                    row[col] = row.get(col, 0) + (lv if rv is None else lv * rv)
         rows.extend(block)
-    return Matrix(field, len(rows), ncols, tuple(map(tuple, rows)))
+    p = field.p
+    return Matrix(field, len(rows), ncols, None, [_canonical(r, p) for r in rows])
 
 
 class LinearSolver:
@@ -396,26 +423,28 @@ class LinearSolver:
 
     def __init__(self, m: Matrix):
         self.m = m
-        aug = Matrix.hstack([m, Matrix.identity(m.field, m.nrows)])
-        red, pivots = aug.rref()
-        self.pivots = tuple(pc for pc in pivots if pc < m.ncols)
-        # rows of the reduction transform E with E @ M in RREF
-        self.transform = red.submatrix(range(m.nrows), range(m.ncols, m.ncols + m.nrows))
-        self.reduced = red.submatrix(range(m.nrows), range(m.ncols))
+        n = m.ncols
+        one = m.field.one()
+        rows = [dict(r) for r in m._sparse()]
+        for i, row in enumerate(rows):
+            row[n + i] = one
+        self.pivots = tuple(_eliminate(rows, m.field.p, n))
+        # an invertible E with E @ M in reduced echelon form; rows past the
+        # rank must vanish on b for Mx = b to be consistent
+        self.transform = Matrix(m.field, m.nrows, m.nrows, None,
+                                [{j - n: x for j, x in row.items() if j >= n}
+                                 for row in rows])
 
     def solve(self, b: tuple):
         m = self.m
         if len(b) != m.nrows:
             raise ShapeMismatch(f"rhs length {len(b)} vs {m.nrows} rows")
         y = self.transform.mat_vec(tuple(m.field.coerce(x) for x in b))
-        z = m.field.zero()
-        x = [z] * m.ncols
-        npiv = len(self.pivots)
+        if any(y[len(self.pivots):]):
+            return None
+        x = [m.field.zero()] * m.ncols
         for r, pc in enumerate(self.pivots):
             x[pc] = y[r]
-        for r in range(npiv, m.nrows):
-            if y[r]:
-                return None
         return tuple(x)
 
     def solve_matrix(self, b: Matrix):
@@ -440,15 +469,21 @@ class Subspace:
 
     @staticmethod
     def from_vectors(field: Field, ambient: int, vectors) -> "Subspace":
-        vecs = [list(field.coerce(x) for x in v) for v in vectors]
-        for v in vecs:
+        rows = []
+        for v in vectors:
+            v = [field.coerce(x) for x in v]
             if len(v) != ambient:
                 raise ShapeMismatch(f"vector length {len(v)} vs ambient {ambient}")
-        if not vecs:
-            return Subspace(field, ambient, ())
-        _rref_inplace(vecs, field)
-        basis = tuple(tuple(v) for v in vecs if any(v))
-        return Subspace(field, ambient, basis)
+            rows.append({j: x for j, x in enumerate(v) if x})
+        return Subspace._span(field, ambient, rows)
+
+    @staticmethod
+    def _span(field: Field, ambient: int, rows: list) -> "Subspace":
+        """Span of sparse rows of canonical values, which it consumes."""
+        rows = [r for r in rows if r]
+        pivots = _eliminate(rows, field.p, ambient)
+        return Subspace(field, ambient,
+                        _dense_rows(rows[:len(pivots)], ambient, field.zero()))
 
     @staticmethod
     def zero(field: Field, ambient: int) -> "Subspace":
@@ -462,13 +497,7 @@ class Subspace:
         return not self.basis
 
     def pivots(self) -> tuple:
-        out = []
-        for row in self.basis:
-            for j, x in enumerate(row):
-                if x:
-                    out.append(j)
-                    break
-        return tuple(out)
+        return tuple(next(j for j, x in enumerate(row) if x) for row in self.basis)
 
     def reduce(self, v: tuple) -> tuple:
         """Canonical representative of v modulo this subspace."""
@@ -490,22 +519,26 @@ class Subspace:
         return not any(self.reduce(v))
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
+        return self.sum(other).dim == self.dim
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
-        return Subspace.from_vectors(self.field, self.ambient,
-                                     list(self.basis) + list(other.basis))
+        return Subspace._span(self.field, self.ambient,
+                              _sparse_rows(self.basis + other.basis))
 
     def intersection(self, other: "Subspace") -> "Subspace":
+        """Zassenhaus: reduce the rows (u, u) for u in this basis and (w, 0)
+        for w in the other's; the reduced rows (0, y) are the reduced
+        echelon basis of the intersection."""
         self._check_compatible(other)
-        if self.is_zero() or other.is_zero():
-            return Subspace.zero(self.field, self.ambient)
-        a = Matrix.from_rows(self.field, self.basis).transpose()
-        b = Matrix.from_rows(self.field, other.basis).transpose()
-        ker = Matrix.hstack([a, b]).kernel()
-        vecs = [a.mat_vec(v[:self.dim]) for v in ker.basis]
-        return Subspace.from_vectors(self.field, self.ambient, vecs)
+        n = self.ambient
+        rows = [{**u, **{n + j: x for j, x in u.items()}}
+                for u in _sparse_rows(self.basis)]
+        rows += _sparse_rows(other.basis)
+        pivots = _eliminate(rows, self.field.p, 2 * n)
+        meet = [{j - n: x for j, x in row.items()}
+                for row, pc in zip(rows, pivots) if pc >= n]
+        return Subspace(self.field, n, _dense_rows(meet, n, self.field.zero()))
 
     def _check_compatible(self, other: "Subspace"):
         if self.field != other.field:
@@ -521,46 +554,30 @@ class Subspace:
         """Matrix whose columns are the canonical basis vectors."""
         return self.basis_matrix().transpose()
 
-    def coordinates(self, v: tuple):
-        """Coefficients of v in the canonical basis, or None if v outside."""
-        if not self.contains(v):
-            return None
-        coords = []
-        v = list(self.field.coerce(x) for x in v)
-        for row, pc in zip(self.basis, self.pivots()):
-            coords.append(v[pc])
-        return tuple(coords)
+    def _free(self) -> list:
+        pivots = set(self.pivots())
+        return [j for j in range(self.ambient) if j not in pivots]
 
     def quotient_matrix(self) -> Matrix:
         """Linear map F^ambient -> F^(ambient-dim) with kernel exactly this
-        subspace: reduce modulo the basis, keep the non-pivot coordinates."""
-        pivot_set = set(self.pivots())
-        free = [j for j in range(self.ambient) if j not in pivot_set]
-        z, o = self.field.zero(), self.field.one()
-        red_cols = []
-        for j in range(self.ambient):
-            v = [z] * self.ambient
-            v[j] = o
-            red_cols.append(self.reduce(tuple(v)))
-        # column j of the reduction map is reduce(e_j); the quotient keeps
-        # only the non-pivot coordinates of the reduced vector
-        rows = tuple(tuple(red_cols[j][k] for j in range(self.ambient)) for k in free)
-        return Matrix(self.field, len(free), self.ambient, rows)
+        subspace: reduce modulo the basis, keep the non-pivot coordinates.
+        Reducing e_j leaves it alone for a non-pivot j and subtracts the
+        basis row with pivot j otherwise."""
+        field = self.field
+        rows = [{k: field.one()} for k in self._free()]
+        for row, k in zip(rows, self._free()):
+            for b, pc in zip(self.basis, self.pivots()):
+                if b[k]:
+                    row[pc] = field.neg(b[k])
+        return Matrix(field, len(rows), self.ambient, None, rows)
 
     def section_matrix(self) -> Matrix:
         """Right inverse of ``quotient_matrix`` (standard basis vectors on
         the non-pivot coordinates), shape ambient x (ambient - dim)."""
-        pivot_set = set(self.pivots())
-        free = [j for j in range(self.ambient) if j not in pivot_set]
-        z, o = self.field.zero(), self.field.one()
-        cols = []
-        for j in free:
-            v = [z] * self.ambient
-            v[j] = o
-            cols.append(tuple(v))
-        if not cols:
-            return Matrix.zeros(self.field, self.ambient, 0)
-        return Matrix(self.field, self.ambient, len(cols), tuple(zip(*cols)))
+        free = {j: i for i, j in enumerate(self._free())}
+        return Matrix(self.field, self.ambient, len(free), None,
+                      [{free[j]: self.field.one()} if j in free else {}
+                       for j in range(self.ambient)])
 
 
 # -- vector helpers ---------------------------------------------------------
@@ -583,3 +600,14 @@ def vec_scale(field: Field, c, a: tuple) -> tuple:
 
 def vec_zero(field: Field, n: int) -> tuple:
     return (field.zero(),) * n
+
+def vec_combination(field: Field, n: int, terms) -> tuple:
+    """Sum of c * v over the pairs (c, v) of ``terms``, for vectors v of
+    length n; zero coefficients and coordinates are skipped."""
+    acc = {}
+    for c, v in terms:
+        if c:
+            for k, x in enumerate(v):
+                if x:
+                    acc[k] = acc.get(k, 0) + c * x
+    return _dense_rows([_canonical(acc, field.p)], n, field.zero())[0]

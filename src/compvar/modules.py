@@ -17,7 +17,7 @@ from fractions import Fraction
 from .algebra import FDAlgebra, radical as algebra_radical
 from .errors import (AlgebraMismatch, MissingIdempotents, ShapeMismatch,
                      ValidationFailure)
-from .linalg import LinearSolver, Matrix, Subspace, linear_system
+from .linalg import LinearSolver, Matrix, Subspace, linear_system, vec_combination
 
 
 @dataclass(frozen=True)
@@ -104,16 +104,11 @@ def direct_sum_modules(mods) -> tuple:
     inclusions, projections = [], []
     offset = 0
     for m in mods:
-        inc = Matrix.zeros(field, total, m.dim)
-        rows = [list(r) for r in inc.data]
-        for i in range(m.dim):
-            rows[offset + i][i] = field.one()
-        inclusions.append(Matrix(field, total, m.dim, tuple(tuple(r) for r in rows)))
-        proj = Matrix.zeros(field, m.dim, total)
-        rows = [list(r) for r in proj.data]
-        for i in range(m.dim):
-            rows[i][offset + i] = field.one()
-        projections.append(Matrix(field, m.dim, total, tuple(tuple(r) for r in rows)))
+        inc = Matrix.vstack([Matrix.zeros(field, offset, m.dim),
+                             Matrix.identity(field, m.dim),
+                             Matrix.zeros(field, total - offset - m.dim, m.dim)])
+        inclusions.append(inc)
+        projections.append(inc.transpose())
         offset += m.dim
     return out, tuple(inclusions), tuple(projections)
 
@@ -212,16 +207,10 @@ def search_invertible_combination(field, basis_vectors, realize, is_good,
         return WitnessSearch(False, True)
 
     def attempt(coeffs):
-        vec = None
-        for c, b in zip(coeffs, basis_vectors):
-            if not c:
-                continue
-            scaled = tuple(field.mul(c, x) for x in b)
-            vec = scaled if vec is None else tuple(field.add(u, v)
-                                                   for u, v in zip(vec, scaled))
-        if vec is None:
+        if not any(coeffs):
             return None
-        cand = realize(vec)
+        cand = realize(vec_combination(field, len(basis_vectors[0]),
+                                       zip(coeffs, basis_vectors)))
         return cand if is_good(cand) else None
 
     if not field.is_rational:

@@ -264,12 +264,14 @@ def _orbit_partition(points, group) -> list:
     n = len(points)
     assigned = [None] * n
     classes = []
+    inverse = {m: None for g in group for _, m in g.comps}
+    inverse = {m: m.inverse() for m in inverse}
+    acting = [(g, GroupElement(tuple((d, inverse[m]) for d, m in g.comps)))
+              for g in group]
     for i in range(n):
         if assigned[i] is not None:
             continue
-        images = set()
-        for g in group:
-            images.add(act(g, points[i]))
+        images = {act(g, points[i], _inverse=ginv) for g, ginv in acting}
         members = [j for j in range(n)
                    if assigned[j] is None and points[j] in images]
         label = len(classes)

@@ -25,7 +25,7 @@ from .complexes import (ChainMap, ComplexPoint, chain_map_from_components,
 from .derived import derived_hom_dim
 from .errors import (NotAlmostProjective, NotProjectiveComplex, ShapeMismatch,
                      ValidationFailure)
-from .linalg import LinearSolver, Matrix, Subspace, linear_system
+from .linalg import LinearSolver, Matrix, Subspace, linear_system, vec_combination
 from .modules import ext1_dim_oracle, make_module
 
 
@@ -428,14 +428,8 @@ def eta_kernel(x: ComplexPoint):
         return layout, Subspace.zero(field, layout.ambient_dim), 0
     m = Matrix.from_rows(field, columns).transpose()
     coeff_kernel = m.kernel()
-    vectors = []
-    for coeffs in coeff_kernel.basis:
-        acc = [field.zero()] * layout.ambient_dim
-        for c, basis_vec in zip(coeffs, tspace.basis):
-            if c:
-                for k, entry in enumerate(basis_vec):
-                    acc[k] = field.add(acc[k], field.mul(c, entry))
-        vectors.append(tuple(acc))
+    vectors = [vec_combination(field, layout.ambient_dim, zip(coeffs, tspace.basis))
+               for coeffs in coeff_kernel.basis]
     kernel = Subspace.from_vectors(field, layout.ambient_dim, vectors)
     return layout, kernel, m.rank()
 

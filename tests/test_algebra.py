@@ -12,6 +12,7 @@ from compvar.algebra import (FDAlgebra, QuiverPresentation, algebra_from_constan
 from compvar.errors import (MissingIdempotents, UnsupportedCharacteristic,
                             ValidationFailure)
 from compvar.fields import GF, QQ
+from compvar.linalg import LinearSolver, Matrix
 from compvar.samples import (a2_algebra, base_field_algebra, dual_numbers,
                              two_loop_truncated)
 
@@ -42,6 +43,48 @@ def test_broken_associativity_is_caught():
         algebra_from_constants(QQ, 3, ("1", "x", "y"),
                                {(1, 1, 2): 1, (1, 2, 0): 1})
     assert exc.value.witness[0] == "associativity"
+
+
+def _first_nonassociative_triple(a):
+    """Witness from products of coordinate vectors over all basis triples."""
+    for j in range(a.dim):
+        for k in range(a.dim):
+            for l in range(a.dim):
+                if a.mul_vec(a.products[j][k], a.basis_vec(l)) != \
+                        a.mul_vec(a.basis_vec(j), a.products[k][l]):
+                    return ("associativity", j, k, l)
+    return None
+
+
+def _rebased(alg, rows):
+    """alg in the basis 1, rows[0], rows[1], ... (coordinate vectors)."""
+    field = alg.field
+    basis = [alg.unit_vec()] + [tuple(map(field.coerce, r)) for r in rows]
+    solver = LinearSolver(Matrix.from_rows(field, basis).transpose())
+    return FDAlgebra(field, alg.dim, alg.labels, tuple(
+        tuple(solver.solve(alg.mul_vec(u, v)) for v in basis) for u in basis))
+
+
+@pytest.mark.parametrize("field", [QQ, F5])
+def test_associativity_witness_matches_vector_products(field):
+    # change one non-unit structure constant at a time by 1/3 and compare
+    # the witness with the first failing triple of the plain definition,
+    # also in a basis where the constants are dense (fractions over Q,
+    # sums that wrap around over F_5)
+    for build in (a2_algebra, two_loop_truncated):
+        for alg in (build(field), _rebased(build(field), [(2, 3, 1), (4, 1, 3)])):
+            assert validate_algebra(alg) is None
+            table = [[list(cell) for cell in row] for row in alg.products]
+            for j in range(1, alg.dim):
+                for k in range(1, alg.dim):
+                    for l in range(alg.dim):
+                        old = table[j][k][l]
+                        table[j][k][l] = field.coerce(old + Fraction(1, 3))
+                        broken = FDAlgebra(field, alg.dim, alg.labels, tuple(
+                            tuple(tuple(cell) for cell in row) for row in table))
+                        table[j][k][l] = old
+                        assert validate_algebra(broken) == \
+                            _first_nonassociative_triple(broken)
 
 
 def test_identity_contradiction_is_caught():
@@ -149,6 +192,9 @@ def test_trace_form_agrees_with_structural_radical_over_q():
         alg = build(QQ)
         stripped = FDAlgebra(alg.field, alg.dim, alg.labels, alg.products)
         assert radical(stripped) == radical(alg)
+        rows = [(2, 3, 1), (4, 1, 3)][:alg.dim - 1]
+        assert radical(_rebased(alg, [r[:alg.dim] for r in rows])).dim == \
+            radical(alg).dim
 
 
 def test_trace_form_characteristic_guard():

@@ -1,4 +1,5 @@
-"""Exact dense linear algebra: frozen examples and randomized invariants."""
+"""Exact linear algebra: frozen examples, randomized invariants and a sympy
+oracle."""
 
 from __future__ import annotations
 
@@ -252,3 +253,125 @@ def test_linear_system_matches_direct_products(field):
         assert all(v == field.coerce(v) and type(v) is type(field.zero())
                    for row in m.data for v in row)
     assert min(seen.values()) > 0
+
+
+# -- oracle: sympy DomainMatrix ------------------------------------------------
+
+ORACLE_FIELDS = [QQ, GF(2), GF(3), GF(101)]
+
+
+def _oracle():
+    """(DomainMatrix, sympy domain constructor) for our fields."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    return DomainMatrix, lambda field: sympy.QQ if field.p is None else sympy.GF(field.p)
+
+
+def _to_dm(m: Matrix):
+    dm_cls, domain = _oracle()
+    k = domain(m.field)
+    if m.field.p is None:
+        rows = [[k(x.numerator, x.denominator) for x in r] for r in m.data]
+    else:
+        rows = [[k(x) for x in r] for r in m.data]
+    return dm_cls(rows, m.shape, k)
+
+
+def _from_dm(field: Field, dm) -> tuple:
+    if field.p is None:
+        return tuple(tuple(Fraction(int(x.numerator), int(x.denominator)) for x in r)
+                     for r in dm.to_list())
+    return tuple(tuple(int(x) % field.p for x in r) for r in dm.to_list())
+
+
+def _random_entry(field: Field, rng: random.Random):
+    if field.p is None:
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+    return rng.randrange(1, field.p)
+
+
+def _sparse_matrix(field: Field, nrows: int, ncols: int, rng: random.Random) -> Matrix:
+    """At most 5% of the entries nonzero."""
+    rows = [[field.zero()] * ncols for _ in range(nrows)]
+    for _ in range(rng.randint(1, max(1, nrows * ncols // 20))):
+        rows[rng.randrange(nrows)][rng.randrange(ncols)] = _random_entry(field, rng)
+    return Matrix.from_rows(field, rows)
+
+
+def _oracle_cases(field: Field, seed: int) -> list:
+    rng = random.Random(seed)
+    cases = [
+        Matrix.zeros(field, 0, 4),
+        Matrix.zeros(field, 4, 0),
+        Matrix.zeros(field, 3, 3),
+        Matrix.from_rows(field, [[1, 2, 0], [1, 2, 0], [0, 0, 1]]),   # duplicate rows
+        Matrix.from_rows(field, [[1, 0, 2], [0, 0, 0], [0, 1, 1]]),   # zero row between pivots
+    ]
+    for _ in range(8):
+        cases.append(_sparse_matrix(field, rng.randint(10, 30), rng.randint(10, 30), rng))
+    for _ in range(12):
+        n = rng.randint(1, 7)
+        shape = (n, n) if rng.random() < 0.5 else (rng.randint(1, 7), n)
+        cases.append(rand_matrix(field, *shape, rng))
+    return cases
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
+def test_elimination_matches_sympy(field):
+    """Rank, RREF, pivots, kernel, solvability and inverse agree with sympy."""
+    dm_cls, _ = _oracle()
+    rng = random.Random(3000 + field.characteristic)
+    for m in _oracle_cases(field, 3100 + field.characteristic):
+        dm = _to_dm(m)
+        red, pivots = m.rref()
+        want_red, want_pivots = dm.rref()
+        assert m.rank() == dm.rank() == len(pivots)
+        assert pivots == tuple(want_pivots)
+        assert red.data == _from_dm(field, want_red)
+        kernel = m.kernel()
+        null = dm.nullspace()
+        assert kernel.dim == null.shape[0] == m.ncols - m.rank()
+        if kernel.dim:
+            assert kernel.basis == _from_dm(field, null.rref()[0])
+        for consistent in (True, False):
+            if consistent:
+                b = m.mat_vec(tuple(_random_entry(field, rng) for _ in range(m.ncols)))
+            else:
+                b = tuple(_random_entry(field, rng) for _ in range(m.nrows))
+            aug = Matrix.hstack([m, Matrix.from_rows(field, [[x] for x in b])])
+            solvable = _to_dm(aug).rank() == dm.rank()
+            x = m.solve(b)
+            assert (x is not None) == solvable
+            if x is not None:
+                assert m.mat_vec(x) == tuple(b)
+        if m.nrows == m.ncols:
+            inv = m.inverse()
+            if dm.rank() < m.nrows:
+                assert inv is None
+            else:
+                assert inv.data == _from_dm(field, dm.inv())
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
+def test_subspace_ops_match_sympy(field):
+    """Sum and intersection dimensions (and the canonical sum basis) agree
+    with sympy ranks, on sparse and dense spans and the edge cases."""
+    dm_cls, _ = _oracle()
+    rng = random.Random(3200 + field.characteristic)
+    for _ in range(25):
+        ambient = rng.randint(1, 24)
+        make = _sparse_matrix if rng.random() < 0.5 else rand_matrix
+        u_rows = make(field, rng.randint(1, 8), ambient, rng)
+        w_rows = make(field, rng.randint(1, 8), ambient, rng)
+        if rng.random() < 0.2:
+            w_rows = Matrix.vstack([u_rows, Matrix.zeros(field, 1, ambient)])
+        u, w = u_rows.row_space(), w_rows.row_space()
+        stacked = _to_dm(Matrix.vstack([u_rows, w_rows]))
+        assert u.dim == _to_dm(u_rows).rank() and w.dim == _to_dm(w_rows).rank()
+        total = u.sum(w)
+        assert total.dim == stacked.rank()
+        assert total.basis == _from_dm(field, stacked.rref()[0])[:total.dim]
+        meet = u.intersection(w)
+        assert meet.dim == u.dim + w.dim - stacked.rank()
+        assert u.contains_subspace(meet) and w.contains_subspace(meet)
+        assert meet == Subspace.from_vectors(field, ambient, meet.basis)

@@ -244,6 +244,19 @@ def test_theorem7_embedding_cases():
     assert report["quotient"] == 1 and report["derived_hom_dim"] == 1
 
 
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=str)
+def test_theorem7_on_l4(field):
+    """L_4 = A^4 --x--> A^4 --x--> A^4 over A = k[x]/(x^2), x acting
+    block-diagonally: its tangent system is 768 x 512 with 0.26% nonzeros."""
+    a = dual_numbers(field)
+    term = direct_sum_modules([regular_module(a)] * 4)[0]
+    x = Matrix.block_diag(field, [a.right_mult_matrix(a.basis_vec(1))] * 4)
+    complex_ = make_complex(a, 0, (term, term, term), (x, x))
+    assert verify_theorem7(complex_) == {
+        "tangent_dim": 144, "orbit_dim": 128, "quotient": 16,
+        "derived_hom_dim": 16, "verdict": "equality"}
+
+
 def test_theorem7_rejects_bad_shape():
     a = dual_numbers(QQ)
     bad = make_complex(a, 0, (simple_over_dual(QQ), regular_module(a)),
