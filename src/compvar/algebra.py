@@ -11,7 +11,7 @@ which downstream module theory needs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 from .errors import (MissingIdempotents, ShapeMismatch,
                      UnsupportedCharacteristic, ValidationFailure)
@@ -39,6 +39,14 @@ class FDAlgebra:
     products: tuple  # s x s tuple of coordinate s-tuples
     idempotents: tuple | None = None
     radical_vectors: tuple | None = None
+    _memo: dict = dataclass_field(default_factory=dict, init=False, repr=False)
+
+    def cached(self, key: str, compute):
+        """``compute(self)``, computed once per instance (not per equal
+        algebra: equality ignores the idempotents the result may use)."""
+        if key not in self._memo:
+            self._memo[key] = compute(self)
+        return self._memo[key]
 
     def __eq__(self, other):
         if not isinstance(other, FDAlgebra):
@@ -439,13 +447,17 @@ def center(a: FDAlgebra) -> Subspace:
 
 
 def radical(a: FDAlgebra) -> Subspace:
-    """Jacobson radical.
+    """Jacobson radical, computed and checked once per algebra instance.
 
     Quiver-constructed algebras carry a structural basis (the arrow ideal),
     valid in every characteristic.  Otherwise the trace-form criterion
     {x : trace(L_{x a_j}) = 0 for all j} is used, which requires char 0 or
     p > dim; outside that range UnsupportedCharacteristic is raised.
     """
+    return a.cached("radical", _radical)
+
+
+def _radical(a: FDAlgebra) -> Subspace:
     if a.radical_vectors is not None:
         rad = Subspace.from_vectors(a.field, a.dim, a.radical_vectors)
     else:

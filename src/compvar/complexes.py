@@ -64,7 +64,7 @@ class ComplexPoint:
         return zero_module(self.algebra)
 
     def dim_at(self, i: int) -> int:
-        return self.term(i).dim
+        return self.terms[i - self.bottom].dim if self.bottom <= i <= self.top else 0
 
     def diff(self, i: int) -> Matrix:
         """The differential from degree i to degree i-1 (zero out of range)."""

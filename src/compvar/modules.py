@@ -41,12 +41,11 @@ class ModuleRep:
         return self.algebra.field
 
     def rho(self, x: tuple) -> Matrix:
-        """Action matrix of an arbitrary element given by coordinates."""
-        out = Matrix.zeros(self.field, self.dim, self.dim)
-        for xj, mat in zip(x, self.action):
-            if xj:
-                out = out + mat.scale(xj)
-        return out
+        """Action matrix of an element given by canonical coordinates."""
+        n = self.dim
+        flat = vec_combination(self.field, n * n,
+                               zip(x, (m.flat() for m in self.action)))
+        return Matrix.from_flat(self.field, n, n, flat)
 
 
 def make_module(algebra: FDAlgebra, matrices, check: bool = True) -> ModuleRep:
@@ -278,15 +277,20 @@ def top_multiplicities(m: ModuleRep) -> tuple:
     return tuple(mults)
 
 
-def indecomposable_projectives(a: FDAlgebra) -> list:
+def indecomposable_projectives(a: FDAlgebra) -> tuple:
     """The modules A e_i (one per primitive idempotent), with embeddings
-    into the regular module; returns a list of (module, inclusion)."""
+    into the regular module, computed once per algebra instance; returns a
+    tuple of (module, inclusion).  The algebra keeps only the matrices, so
+    that it holds no reference cycle through its modules."""
+    return tuple((ModuleRep(a, inc.ncols, action), inc)
+                 for action, inc in a.cached("projectives", _projectives))
+
+
+def _projectives(a: FDAlgebra) -> tuple:
     reg = regular_module(a)
-    out = []
-    for e in a.primitive_idempotents():
-        image = a.right_mult_matrix(e).column_space()
-        out.append(submodule(reg, image))
-    return out
+    return tuple((p.action, inc) for p, inc in (
+        submodule(reg, a.right_mult_matrix(e).column_space())
+        for e in a.primitive_idempotents()))
 
 
 @dataclass(frozen=True)
@@ -368,21 +372,10 @@ def simple_modules(a: FDAlgebra) -> list:
 
 
 def is_projective(m: ModuleRep) -> bool:
-    """M is projective iff its cover splits; solved as a linear system for
-    a section s with pi s = id."""
-    if m.dim == 0:
-        return True
-    cover = projective_cover(m)
-    secs = hom_matrices(m, cover.projective)
-    if not secs:
-        return False
-    # find coefficients x with sum x_i (pi @ s_i) = id
-    field = m.field
-    composites = [cover.pi @ s for s in secs]
-    cols = [mat.flat() for mat in composites]
-    target = Matrix.identity(field, m.dim).flat()
-    system = Matrix(field, len(target), len(cols), tuple(zip(*cols)))
-    return system.solve(target) is not None
+    """M is projective iff its cover P -> M (checked surjective, with kernel
+    K inside rad P) is an isomorphism: if M is projective the cover splits,
+    so K is a summand of P inside rad P, hence zero by Nakayama."""
+    return m.dim == 0 or projective_cover(m).projective.dim == m.dim
 
 
 def ext1_dim_oracle(m: ModuleRep, n: ModuleRep) -> int:

@@ -8,7 +8,11 @@ the top of the window down; within a degree the module action matrices for
 the non-identity basis elements come first (basis order, row-major), then
 the differentials (again degrees descending, row-major); every coordinate
 runs through the field elements in their canonical order with the last
-coordinate varying fastest.
+coordinate varying fastest.  Points come out in that grid order, but only
+candidates that satisfy (alpha) and (beta) are built: module structures
+are pruned while their action matrices are chosen, and each differential
+is drawn from the Hom_A space between its terms, so only (gamma) is left
+to filter.  Every returned point is still validated in full.
 """
 
 from __future__ import annotations
@@ -17,14 +21,15 @@ import itertools
 from dataclasses import dataclass
 
 from .algebra import FDAlgebra
-from .complexes import (ComplexPoint, GroupElement, act, classify,
+from .complexes import (ComplexPoint, GroupElement, act,
                         complexes_isomorphic, validate_point)
-from .errors import (BudgetExceeded, UnsupportedCharacteristic,
-                     ValidationFailure)
+from .derived import derived_hom_dim
+from .errors import (BudgetExceeded, NotAlmostProjective,
+                     UnsupportedCharacteristic, ValidationFailure)
 from .fields import Field
-from .linalg import Matrix
-from .modules import ModuleRep, validate_module, zero_module
-from .tangent import corollary8_check, is_rigid
+from .linalg import Matrix, vec_combination
+from .modules import ModuleRep, hom_space, validate_module, zero_module
+from .tangent import quotient_dim
 
 
 @dataclass(frozen=True)
@@ -70,23 +75,37 @@ def free_coordinate_count(algebra: FDAlgebra, dims, pinned: bool = False) -> int
 
 
 def _module_candidates(algebra: FDAlgebra, d: int) -> list:
-    """Every valid module structure of dimension d, in enumeration order."""
+    """Every valid module structure of dimension d, in enumeration order.
+
+    The action matrices are chosen in basis order, and a choice is dropped
+    as soon as an identity a_j a_k = sum c_jkl a_l whose indices all lie
+    among the matrices chosen so far fails; every complete choice is then
+    validated."""
     field = algebra.field
     if d == 0:
         return [zero_module(algebra)]
     s = algebra.dim
-    per_matrix = d * d
-    elements = field.elements()
-    found = []
-    for combo in itertools.product(elements, repeat=(s - 1) * per_matrix):
-        actions = [Matrix.identity(field, d)]
-        for j in range(s - 1):
-            chunk = combo[j * per_matrix:(j + 1) * per_matrix]
-            actions.append(Matrix.from_flat(field, d, d, chunk))
-        m = ModuleRep(algebra, d, tuple(actions))
-        if validate_module(m) is None:
-            found.append(m)
-    return found
+    grid = [Matrix.from_flat(field, d, d, combo) for combo in
+            itertools.product(field.elements(), repeat=d * d)] if s > 1 else []
+    checks = [[] for _ in range(s)]  # identities decided once a_m is chosen
+    for j in range(s):
+        for k in range(s):
+            support = [l for l, c in enumerate(algebra.products[j][k]) if c]
+            checks[max([j, k] + support)].append((j, k))
+    prefixes = [[Matrix.identity(field, d)]]
+    for m in range(1, s):  # choose a_m after every surviving prefix
+        longer = []
+        for prefix in prefixes:
+            for a in grid:
+                chosen = prefix + [a]
+                flats = [x.flat() for x in chosen]
+                if all((chosen[j] @ chosen[k]).flat() == vec_combination(
+                        field, d * d, zip(algebra.products[j][k], flats))
+                       for j, k in checks[m]):
+                    longer.append(chosen)
+        prefixes = longer
+    modules = (ModuleRep(algebra, d, tuple(p)) for p in prefixes)
+    return [m for m in modules if validate_module(m) is None]
 
 
 def enumerate_points(algebra: FDAlgebra, dims, budget: ScanBudget,
@@ -135,25 +154,29 @@ def enumerate_points(algebra: FDAlgebra, dims, budget: ScanBudget,
         per_degree = [_module_candidates(algebra, d) for d in dims]
 
     # differential k (top-down) maps the term of dims[k] into the term of
-    # dims[k+1], so its matrix is dims[k+1] x dims[k]
-    diff_shapes = [(dims[k + 1], dims[k]) for k in range(len(dims) - 1)]
-    total_diff = sum(r * c for r, c in diff_shapes)
-    elements = field.elements()
+    # dims[k+1]; it is drawn from Hom_A, listed in grid order, so that only
+    # (gamma) is left to filter
+    homs = [{(hi, lo): _hom_elements(hi, lo) for hi in per_degree[k]
+             for lo in per_degree[k + 1]} for k in range(len(dims) - 1)]
     points = []
     for module_choice in itertools.product(*per_degree):
         terms = tuple(reversed(module_choice))
-        for combo in itertools.product(elements, repeat=total_diff):
-            blocks = []
-            pos = 0
-            for rows, cols in diff_shapes:
-                blocks.append(Matrix.from_flat(
-                    field, rows, cols, combo[pos:pos + rows * cols]))
-                pos += rows * cols
-            candidate = ComplexPoint(algebra, 0, terms,
-                                     tuple(reversed(blocks)))
+        pairs = zip(module_choice, module_choice[1:])
+        for blocks in itertools.product(*(h[pair] for h, pair in zip(homs, pairs))):
+            candidate = ComplexPoint(algebra, 0, terms, tuple(reversed(blocks)))
             if validate_point(candidate) is None:
                 points.append(candidate)
     return points
+
+
+def _hom_elements(m: ModuleRep, n: ModuleRep) -> list:
+    """Every element of Hom_A(M, N) as a matrix, in grid order (row-major
+    entries, compared as tuples of canonical field values)."""
+    field, size = m.field, n.dim * m.dim
+    basis = hom_space(m, n).basis
+    flats = sorted(vec_combination(field, size, zip(coeffs, basis)) for coeffs
+                   in itertools.product(field.elements(), repeat=len(basis)))
+    return [Matrix.from_flat(field, n.dim, m.dim, f) for f in flats]
 
 
 # -- the acting group ----------------------------------------------------------
@@ -237,24 +260,33 @@ class OrbitCensus:
         return len(self.classes)
 
 
+def _rank_key(x: ComplexPoint) -> tuple:
+    """Ranks of every differential and of every action matrix, which the
+    group action preserves; with the dimension vector they also fix the
+    homology dimensions."""
+    return (tuple(d.rank() for d in x.diffs),
+            tuple(a.rank() for t in x.terms for a in t.action[1:]))
+
+
 def _iso_partition(points, seed: int) -> list:
+    """Classes of isomorphic points, ordered by first member; a point is
+    searched against the representatives with its rank key only."""
     classes = []
-    reps = []
+    buckets = {}  # rank key -> [(class index, representative)]
     for idx, p in enumerate(points):
-        placed = False
-        for c, rep in enumerate(reps):
+        bucket = buckets.setdefault(_rank_key(p), [])
+        for c, rep in bucket:
             ws = complexes_isomorphic(rep, p, seed=seed)
             if ws.found:
                 classes[c].append(idx)
-                placed = True
                 break
             if not ws.certain:
                 raise BudgetExceeded(
                     "isomorphism search was inconclusive; the census "
                     "partition would not be trustworthy")
-        if not placed:
+        else:
+            bucket.append((len(classes), p))
             classes.append([idx])
-            reps.append(p)
     return [tuple(c) for c in classes]
 
 
@@ -336,11 +368,13 @@ def rigid_census(algebra: FDAlgebra, dims, budget: ScanBudget,
     almost = []
     rigid = []
     for c, rep in enumerate(census.representatives):
-        if not classify(rep).is_almost_projective:
+        try:  # decides almost projectivity, classifying rep once
+            self_ext = derived_hom_dim(rep, rep, 1)
+        except NotAlmostProjective:
             continue
         almost.append(c)
-        if is_rigid(rep):
-            if not corollary8_check(rep):
+        if self_ext == 0:  # rigid; Corollary 8 asks for an open orbit
+            if quotient_dim(rep) != 0:
                 raise ValidationFailure(
                     "rigid class has a positive-dimensional tangent "
                     f"quotient (class {c})")

@@ -202,6 +202,53 @@ def test_projectivity_for_semisimple_base():
     assert is_projective(m)
 
 
+def split_cover(m):
+    """Reference criterion: M is projective iff its cover pi has a section,
+    found by solving sum x_i (pi @ s_i) = id over a basis s_i of Hom(M, P)."""
+    if m.dim == 0:
+        return True
+    cover = projective_cover(m)
+    cols = [(cover.pi @ s).flat() for s in hom_matrices(m, cover.projective)]
+    if not cols:
+        return False
+    target = Matrix.identity(m.field, m.dim).flat()
+    system = Matrix(m.field, len(target), len(cols), tuple(zip(*cols)))
+    return system.solve(target) is not None
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), F3], ids=str)
+def test_projectivity_matches_split_cover_criterion(field):
+    rng = random.Random(11)
+    verdicts = set()
+    for make in (dual_numbers, a2_algebra):
+        a = make(field)
+        basic = [p for p, _ in indecomposable_projectives(a)] + simple_modules(a)
+        sums = [direct_sum_modules([x, y])[0] for x in basic for y in basic]
+        for m in basic + sums:
+            for n in (m, conjugate_module(m, rand_invertible(field, m.dim, rng))):
+                verdicts.add(is_projective(n))
+                assert is_projective(n) == split_cover(n)
+    assert verdicts == {True, False}
+
+
+def test_radical_and_projectives_are_computed_once_per_algebra(monkeypatch):
+    import compvar.algebra as algebra_module
+    checked = []
+    check = algebra_module._check_radical
+    monkeypatch.setattr(algebra_module, "_check_radical",
+                        lambda a, rad: (checked.append(a), check(a, rad)))
+    a = dual_numbers(F3)
+    simple = make_module(a, [[[1]], [[0]]])
+    assert not is_projective(simple)
+    assert len(checked) == 1 and checked[0] is a
+    assert not is_projective(simple)
+    assert len(checked) == 1
+    fresh = dual_numbers(F3)
+    assert fresh == a and fresh is not a
+    assert not is_projective(make_module(fresh, [[[1]], [[0]]]))
+    assert len(checked) == 2 and checked[1] is fresh
+
+
 # -- Ext^1 oracle ----------------------------------------------------------------------
 
 def test_ext_vanishes_on_projectives():

@@ -1,18 +1,24 @@
 """Enumeration and census layer, checked against hand-enumerated cases."""
 
+import itertools
+import time
+from pathlib import Path
+
 import pytest
 
-from compvar.complexes import classify, stalk, validate_point
+from compvar.algebra import algebra_from_constants
+from compvar.cli import main as cli_main
+from compvar.complexes import ComplexPoint, classify, stalk, validate_point
 from compvar.errors import (BudgetExceeded, UnsupportedCharacteristic,
                             ValidationFailure)
 from compvar.fields import GF, Field
 from compvar.linalg import Matrix
-from compvar.modules import regular_module
-from compvar.samples import base_field_algebra, dual_numbers
-from compvar.scan import (OrbitCensus, ScanBudget, enumerate_group,
-                          enumerate_points, free_coordinate_count,
-                          general_linear_order, group_order, orbit_census,
-                          rigid_census)
+from compvar.modules import ModuleRep, regular_module, validate_module
+from compvar.samples import a2_algebra, base_field_algebra, dual_numbers
+from compvar.scan import (OrbitCensus, ScanBudget, _iso_partition,
+                          _orbit_partition, enumerate_group, enumerate_points,
+                          free_coordinate_count, general_linear_order,
+                          group_order, orbit_census, rigid_census)
 
 F2 = GF(2)
 Q = Field(None)
@@ -241,3 +247,81 @@ def test_stalk_of_regular_module_rigid():
     rep = report.census.representatives[0]
     assert classify(rep).is_projective_complex
     assert rep == stalk(reg, 0)
+
+
+# -- enumeration and partition against the grid walk -------------------------
+
+def grid_points(algebra, dims, pinned_modules=None):
+    """Reference enumeration: walk every coordinate of the grid in order
+    (module actions, then differentials, last coordinate fastest) and keep
+    the candidates that satisfy (alpha), (beta) and (gamma)."""
+    field = algebra.field
+    elements = field.elements()
+    s = algebra.dim
+    if pinned_modules is not None:
+        per_degree = [[m] for m in pinned_modules]
+    else:
+        per_degree = []
+        for d in dims:
+            mods = []
+            for combo in itertools.product(elements, repeat=(s - 1) * d * d):
+                actions = [Matrix.identity(field, d)] + [
+                    Matrix.from_flat(field, d, d, combo[j * d * d:(j + 1) * d * d])
+                    for j in range(s - 1)]
+                m = ModuleRep(algebra, d, tuple(actions))
+                if validate_module(m) is None:
+                    mods.append(m)
+            per_degree.append(mods)
+    shapes = [(dims[k + 1], dims[k]) for k in range(len(dims) - 1)]
+    points = []
+    for choice in itertools.product(*per_degree):
+        for combo in itertools.product(elements,
+                                       repeat=sum(r * c for r, c in shapes)):
+            blocks, pos = [], 0
+            for r, c in shapes:
+                blocks.append(Matrix.from_flat(field, r, c, combo[pos:pos + r * c]))
+                pos += r * c
+            x = ComplexPoint(algebra, 0, tuple(reversed(choice)),
+                             tuple(reversed(blocks)))
+            if validate_point(x) is None:
+                points.append(x)
+    return points
+
+
+def split_cubic(field):
+    """K[u]/(u^3 - u) from structure constants on the basis (1, u, u^2):
+    the product u * u lands on a basis element after both factors."""
+    return algebra_from_constants(
+        field, 3, ("1", "u", "u2"),
+        {(1, 1, 2): 1, (1, 2, 1): 1, (2, 1, 1): 1, (2, 2, 2): 1})
+
+
+CENSUS_CASES = [(make, p, dims, None)
+                for make in (base_field_algebra, dual_numbers, a2_algebra)
+                for p in (2, 3)
+                for dims in ((2, 1), (1, 2), (2, 2), (1, 2, 1))]
+CENSUS_CASES += [(dual_numbers, 3, (2, 2), "regular"),
+                 (split_cubic, 2, (2, 1), None),
+                 (split_cubic, 2, (1, 2), None)]
+
+
+@pytest.mark.parametrize("make, p, dims, pin", CENSUS_CASES)
+def test_enumeration_and_partition_match_the_grid_walk(make, p, dims, pin):
+    a = make(GF(p))
+    budget = small_budget()
+    pinned = (regular_module(a),) * len(dims) if pin else None
+    if p ** free_coordinate_count(a, dims, pinned is not None) > budget.max_points:
+        with pytest.raises(BudgetExceeded):
+            enumerate_points(a, dims, budget, pinned)
+        return
+    points = enumerate_points(a, dims, budget, pinned)
+    assert points == grid_points(a, dims, pinned)
+    group = enumerate_group(a.field, dims, budget)
+    assert _iso_partition(points, budget.seed) == _orbit_partition(points, group)
+
+
+def test_large_single_degree_rigid_scan_is_fast(capsys):
+    fixture = Path(__file__).resolve().parent.parent / "fixtures" / "algebra_f2.json"
+    start = time.perf_counter()
+    assert cli_main(["rigid-scan", "--algebra", str(fixture), "--dims", "16"]) == 0
+    assert time.perf_counter() - start < 5
