@@ -21,15 +21,13 @@ import sys
 
 from . import __version__
 from .complexes import classify, homology_dims, is_acyclic
-from .derived import acyclic_splitter, derived_hom, derived_hom_dim
+from .derived import acyclic_splitter, derived_hom
 from .errors import (BudgetExceeded, CompvarError, MissingIdempotents,
                      SchemaError, UnsupportedCharacteristic,
                      ValidationFailure)
 from .scan import ScanBudget, enumerate_points, orbit_census, rigid_census
-from .schemas import (algebra_to_json, complex_to_json, load_json,
-                      parse_algebra, parse_complex)
-from .tangent import (orbit_tangent_basis, tangent_space, verify_theorem7,
-                      voigt_check)
+from .schemas import complex_to_json, load_json, parse_algebra, parse_complex
+from .tangent import tangent_and_orbit, verify_theorem7, voigt_check
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -71,12 +69,13 @@ def _load_inputs(args, names):
     return inputs, algebra, complexes
 
 
-def _base_report(command: str, args, inputs: dict) -> dict:
+def _base_report(command: str, args, inputs: dict, algebra) -> dict:
     return {
         "command": command,
         "version": __version__,
         "seed": getattr(args, "seed", 0),
         "inputs": inputs,
+        "field": str(algebra.field),
     }
 
 
@@ -100,9 +99,8 @@ def _cmd_validate(args):
         proj = almost = None
         class_line = ("classification: unavailable for this algebra form "
                       "(needs a quiver presentation)")
-    report = _base_report("validate", args, inputs)
+    report = _base_report("validate", args, inputs, algebra)
     report.update({
-        "field": str(algebra.field),
         "algebra_dim": algebra.dim,
         "dims": _dims_list(x),
         "total_dim": x.total_dim(),
@@ -125,11 +123,9 @@ def _cmd_validate(args):
 def _cmd_tangent(args):
     inputs, algebra, cxs = _load_inputs(args, ["algebra", "complex"])
     x = cxs["complex"]
-    _layout, tspace = tangent_space(x)
-    orbit, stab = orbit_tangent_basis(x)
-    report = _base_report("tangent", args, inputs)
+    _layout, tspace, orbit, stab = tangent_and_orbit(x)
+    report = _base_report("tangent", args, inputs, algebra)
     report.update({
-        "field": str(algebra.field),
         "dims": _dims_list(x),
         "tangent_dim": tspace.dim,
         "orbit_dim": orbit.dim,
@@ -150,8 +146,8 @@ def _cmd_theorem7(args):
     inputs, algebra, cxs = _load_inputs(args, ["algebra", "complex"])
     x = cxs["complex"]
     result = verify_theorem7(x)
-    report = _base_report("theorem7", args, inputs)
-    report.update({"field": str(algebra.field), "dims": _dims_list(x)})
+    report = _base_report("theorem7", args, inputs, algebra)
+    report["dims"] = _dims_list(x)
     report.update(result)
     rel = "=" if result["verdict"] == "equality" else "<="
     text = [
@@ -172,9 +168,8 @@ def _cmd_derived_hom(args):
     y = cxs.get("other", x)
     n = args.shift
     replacement, hom = derived_hom(x, y, n)
-    report = _base_report("derived-hom", args, inputs)
+    report = _base_report("derived-hom", args, inputs, algebra)
     report.update({
-        "field": str(algebra.field),
         "dims": _dims_list(x),
         "other_dims": _dims_list(y),
         "shift": n,
@@ -198,9 +193,8 @@ def _cmd_strip_acyclic(args):
     inputs, algebra, cxs = _load_inputs(args, ["algebra", "complex"])
     x = cxs["complex"]
     result = acyclic_splitter(x)
-    report = _base_report("strip-acyclic", args, inputs)
+    report = _base_report("strip-acyclic", args, inputs, algebra)
     report.update({
-        "field": str(algebra.field),
         "dims": _dims_list(x),
         "kept_dims": _dims_list(result.xe),
         "stripped_dims": _dims_list(result.xcomp),
@@ -227,8 +221,7 @@ def _cmd_voigt(args):
         raise ValidationFailure(
             "voigt expects a single module: a complex file with m = 0")
     result = voigt_check(x.term(0), degree=args.degree)
-    report = _base_report("voigt", args, inputs)
-    report.update({"field": str(algebra.field)})
+    report = _base_report("voigt", args, inputs, algebra)
     report.update(result)
     report["verdict"] = "equality" if result["equality"] else "bounded"
     text = [
@@ -253,13 +246,7 @@ def _parse_dims(text: str) -> tuple:
     return dims
 
 
-def _budget(args) -> ScanBudget:
-    return ScanBudget(max_points=args.max_points,
-                      max_group_elements=args.max_group_elements,
-                      seed=args.seed)
-
-
-def _pin_modules(args, algebra, cxs, dims):
+def _pin_modules(algebra, cxs, dims):
     if "pin" not in cxs:
         return None
     pin = cxs["pin"]
@@ -273,19 +260,17 @@ def _census_common(args):
     names = ["algebra"] + (["pin"] if args.pin else [])
     inputs, algebra, cxs = _load_inputs(args, names)
     dims = _parse_dims(args.dims)
-    budget = _budget(args)
-    pinned = _pin_modules(args, algebra, cxs, dims)
-    return inputs, algebra, dims, budget, pinned
+    budget = ScanBudget(max_points=args.max_points,
+                        max_group_elements=args.max_group_elements,
+                        seed=args.seed)
+    return inputs, algebra, dims, budget, _pin_modules(algebra, cxs, dims)
 
 
-def _cmd_census(args):
-    inputs, algebra, dims, budget, pinned = _census_common(args)
-    points = enumerate_points(algebra, dims, budget, pinned_modules=pinned)
-    census = orbit_census(points, algebra, dims, budget)
-    report = _base_report("census", args, inputs)
+def _census_report(command, args, inputs, algebra, dims, pinned, census):
+    """Report fields and header line shared by census and rigid-scan."""
+    report = _base_report(command, args, inputs, algebra)
     report.update({
         "label": "finite-field census",
-        "field": str(algebra.field),
         "dims": list(dims),
         "pinned": pinned is not None,
         "point_count": census.point_count,
@@ -295,11 +280,21 @@ def _cmd_census(args):
         "group_checked": census.group_checked,
         "verdict": "computed",
     })
+    header = (f"finite-field census over {algebra.field}, d = {list(dims)}"
+              + (" (modules pinned)" if pinned is not None else ""))
+    return report, header
+
+
+def _cmd_census(args):
+    inputs, algebra, dims, budget, pinned = _census_common(args)
+    points = enumerate_points(algebra, dims, budget, pinned_modules=pinned)
+    census = orbit_census(points, algebra, dims, budget)
+    report, header = _census_report("census", args, inputs, algebra, dims,
+                                    pinned, census)
     check = ("agrees with brute-force G-orbits" if census.group_checked
              else "group too large for the brute-force cross-check")
     text = [
-        f"finite-field census over {algebra.field}, d = {list(dims)}"
-        + (" (modules pinned)" if pinned is not None else ""),
+        header,
         f"points: {census.point_count}",
         f"orbits: {census.class_count} with sizes {report['class_sizes']}",
         f"|G| = {census.group_order}; {check}",
@@ -311,27 +306,17 @@ def _cmd_rigid_scan(args):
     inputs, algebra, dims, budget, pinned = _census_common(args)
     result = rigid_census(algebra, dims, budget, pinned_modules=pinned)
     census = result.census
-    report = _base_report("rigid-scan", args, inputs)
+    report, header = _census_report("rigid-scan", args, inputs, algebra, dims,
+                                    pinned, census)
     report.update({
-        "label": "finite-field census",
-        "field": str(algebra.field),
-        "dims": list(dims),
-        "pinned": pinned is not None,
-        "point_count": census.point_count,
-        "orbit_count": census.class_count,
-        "class_sizes": [len(c) for c in census.classes],
-        "group_order": census.group_order,
-        "group_checked": census.group_checked,
         "almost_projective_classes": list(result.almost_projective_classes),
         "rigid_classes": list(result.rigid_classes),
         "rigid_class_count": result.rigid_class_count,
         "rigid_class_sizes": [len(census.classes[c])
                               for c in result.rigid_classes],
-        "verdict": "computed",
     })
     text = [
-        f"finite-field census over {algebra.field}, d = {list(dims)}"
-        + (" (modules pinned)" if pinned is not None else ""),
+        header,
         f"points: {census.point_count}, orbits: {census.class_count}",
         f"almost projective classes: "
         f"{len(result.almost_projective_classes)}",

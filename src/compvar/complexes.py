@@ -11,10 +11,11 @@ C_i = X_{i-1} (+) Y_i with differential [[-dX, 0], [-f, dY]].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import FDAlgebra
-from .errors import (AlgebraMismatch, NotProjectiveComplex, ShapeMismatch,
-                     ValidationFailure)
+from .errors import (AlgebraMismatch, BudgetExceeded, NotProjectiveComplex,
+                     ShapeMismatch, ValidationFailure)
 from .linalg import Matrix, Subspace, linear_system
 from .modules import (ModuleRep, WitnessSearch, direct_sum_modules,
                       hom_matrices, is_projective, projective_cover,
@@ -44,6 +45,11 @@ class ComplexPoint:
                 raise ShapeMismatch(
                     f"differential into degree {self.bottom + t} has shape "
                     f"{d.shape}, expected {(lo.dim, hi.dim)}")
+
+    @cached_property
+    def _class(self) -> "ComplexClass":
+        # kept in the instance dict, not a field: equality ignores it
+        return _classify(self)
 
     # -- window access -------------------------------------------------------
 
@@ -514,28 +520,34 @@ class ComplexClass:
 
 def classify(x: ComplexPoint) -> ComplexClass:
     """Projectivity pattern of the terms; almost projective means every
-    term is projective except possibly the leftmost nonzero one."""
-    flags = []
-    for i in range(x.top, x.bottom - 1, -1):
-        flags.append(is_projective(x.term(i)) if x.dim_at(i) else True)
+    term is projective except possibly the leftmost nonzero one.  A point
+    is classified once: the result is kept on the point."""
+    return x._class
+
+
+def _classify(x: ComplexPoint) -> ComplexClass:
+    degrees = range(x.top, x.bottom - 1, -1)
+    flags = tuple(not x.dim_at(i) or is_projective(x.term(i)) for i in degrees)
     ld = x.left_degree()
-    all_proj = all(flags)
-    if ld is None:
-        return ComplexClass(None, True, True, tuple(flags))
-    almost = all_proj or all(
-        flag for i, flag in zip(range(x.top, x.bottom - 1, -1), flags) if i != ld)
-    return ComplexClass(ld, all_proj, almost, tuple(flags))
+    almost = all(flag for i, flag in zip(degrees, flags) if i != ld)
+    return ComplexClass(ld, all(flags), almost, flags)
 
 
 # -- projective replacement -----------------------------------------------------------
 
+# Extension steps one projective replacement may take (over an algebra of
+# infinite global dimension the tower need not end).
+MAX_TOWER_STEPS = 128
+
+
 def _extend_once(x: ComplexPoint) -> tuple:
     """Replace the top term by its projective cover and prepend the kernel;
-    returns (extended complex, canonical quasi-isomorphism onto x)."""
+    returns (extended complex, canonical quasi-isomorphism onto x), or
+    (x, identity) when that cover is an isomorphism (see is_projective)."""
     ld = x.left_degree()
-    if ld is None or is_projective(x.term(ld)):
+    cover = None if ld is None else projective_cover(x.term(ld))
+    if cover is None or cover.projective.dim == cover.module.dim:
         return x, identity_chain_map(x)
-    cover = projective_cover(x.term(ld))
     k_mod, k_inc = submodule(cover.projective, cover.pi.kernel())
     terms = [x.term(i) for i in range(x.bottom, ld)] + [cover.projective, k_mod]
     diffs = [x.diff(i) for i in range(x.bottom + 1, ld)]
@@ -568,18 +580,27 @@ def projective_extension(x: ComplexPoint, steps: int = 1) -> tuple:
 def replace_by_projective(x: ComplexPoint, top_degree: int) -> ComplexPoint:
     """Projective complex computing maps out of x in the derived category,
     truncated above ``top_degree`` (callers guarantee the truncation level
-    is beyond every target of interest)."""
+    is beyond every target of interest).  x must be almost projective, or
+    NotProjectiveComplex is raised before anything is built; it is
+    classified once, and each step of the tower then costs the one cover of
+    its top term.  More than MAX_TOWER_STEPS steps raise BudgetExceeded."""
     cls = classify(x)
     if cls.is_projective_complex:
         return x
-    current = x
-    while True:
-        ld = current.left_degree()
-        if ld is not None and ld >= top_degree + 1:
-            break
-        if classify(current).is_projective_complex:
+    if not cls.is_almost_projective:
+        raise NotProjectiveComplex(
+            "projective replacement needs an almost projective complex")
+    current, steps = x, 0
+    while current.left_degree() <= top_degree:
+        nxt, _ = _extend_once(current)
+        if nxt is current:
             return current
-        current, _ = _extend_once(current)
+        steps += 1
+        if steps > MAX_TOWER_STEPS:
+            raise BudgetExceeded(
+                f"projective replacement needs more than {MAX_TOWER_STEPS} "
+                f"extension steps", count=steps)
+        current = nxt
     # drop the top (kernel) term, keeping the cover tower below it
     terms = current.terms[:-1]
     diffs = current.diffs[:-1]

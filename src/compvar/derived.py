@@ -34,14 +34,10 @@ def derived_hom(x: ComplexPoint, y: ComplexPoint, n: int):
     if not cls.is_almost_projective:
         raise NotAlmostProjective(
             "derived homs are computed only out of almost projective complexes")
-    if cls.is_projective_complex:
-        return x, homotopy_hom(x, y, n)
     ldy = y.left_degree()
-    if ldy is None:
-        return x, homotopy_hom(x, y, n)
-    top = max(ldy + n + 1, x.left_degree())
-    p = replace_by_projective(x, top)
-    return p, homotopy_hom(p, y, n)
+    if not cls.is_projective_complex and ldy is not None:
+        x = replace_by_projective(x, max(ldy + n + 1, x.left_degree()))
+    return x, homotopy_hom(x, y, n)
 
 
 def derived_hom_dim(x: ComplexPoint, y: ComplexPoint, n: int) -> int:

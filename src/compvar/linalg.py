@@ -18,6 +18,7 @@ echelon forms (and hence subspace representations) are canonical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import FieldMismatch, ShapeMismatch
 from .fields import Field
@@ -497,6 +498,10 @@ class Subspace:
         return not self.basis
 
     def pivots(self) -> tuple:
+        return self._pivots
+
+    @cached_property
+    def _pivots(self) -> tuple:  # scanned once per subspace
         return tuple(next(j for j, x in enumerate(row) if x) for row in self.basis)
 
     def reduce(self, v: tuple) -> tuple:
@@ -564,8 +569,9 @@ class Subspace:
         Reducing e_j leaves it alone for a non-pivot j and subtracts the
         basis row with pivot j otherwise."""
         field = self.field
-        rows = [{k: field.one()} for k in self._free()]
-        for row, k in zip(rows, self._free()):
+        free = self._free()
+        rows = [{k: field.one()} for k in free]
+        for row, k in zip(rows, free):
             for b, pc in zip(self.basis, self.pivots()):
                 if b[k]:
                     row[pc] = field.neg(b[k])

@@ -23,8 +23,7 @@ from .complexes import (ChainMap, ComplexPoint, chain_map_from_components,
                         classify, homotopy_hom, is_variety_point, make_complex,
                         stalk, validate_point)
 from .derived import derived_hom_dim
-from .errors import (NotAlmostProjective, NotProjectiveComplex, ShapeMismatch,
-                     ValidationFailure)
+from .errors import NotProjectiveComplex, ShapeMismatch, ValidationFailure
 from .linalg import LinearSolver, Matrix, Subspace, linear_system, vec_combination
 from .modules import ext1_dim_oracle, make_module
 
@@ -273,14 +272,21 @@ def orbit_map_matrix(x: ComplexPoint, layout: TangentLayout) -> Matrix:
     return linear_system(x.field, [(d, d) for _, d in blocks], equations)
 
 
-def orbit_tangent(x: ComplexPoint):
-    """(layout, orbit subspace, stabilizer Lie dimension)."""
+def tangent_and_orbit(x: ComplexPoint):
+    """(layout, tangent subspace, orbit subspace, stabilizer Lie dimension)
+    from one build of each system; the orbit directions are checked to lie
+    in the tangent space."""
     layout, tspace = tangent_space(x)
-    m = orbit_map_matrix(x, layout)
-    orbit = m.column_space()
+    orbit = orbit_map_matrix(x, layout).column_space()
     if not tspace.contains_subspace(orbit):
         raise ValidationFailure("orbit directions escape the tangent space")
-    return layout, orbit, lie_dim(x) - orbit.dim
+    return layout, tspace, orbit, lie_dim(x) - orbit.dim
+
+
+def orbit_tangent(x: ComplexPoint):
+    """(layout, orbit subspace, stabilizer Lie dimension)."""
+    layout, _, orbit, stab = tangent_and_orbit(x)
+    return layout, orbit, stab
 
 
 def orbit_tangent_basis(x: ComplexPoint):
@@ -289,10 +295,17 @@ def orbit_tangent_basis(x: ComplexPoint):
     return orbit, stab
 
 
-def quotient_dim(x: ComplexPoint) -> int:
+def _tangent_dims(x: ComplexPoint) -> dict:
+    """Tangent, orbit and quotient dimensions at x, from one build of each
+    system."""
     layout, tspace = tangent_space(x)
-    m = orbit_map_matrix(x, layout)
-    return tspace.dim - m.rank()
+    orbit_dim = orbit_map_matrix(x, layout).rank()
+    return {"tangent_dim": tspace.dim, "orbit_dim": orbit_dim,
+            "quotient": tspace.dim - orbit_dim}
+
+
+def quotient_dim(x: ComplexPoint) -> int:
+    return _tangent_dims(x)["quotient"]
 
 
 # -- extensions from tangent vectors --------------------------------------------------
@@ -440,16 +453,11 @@ def eta_kernel(x: ComplexPoint):
 def verify_theorem7(x: ComplexPoint) -> dict:
     """Compare dim T/O with dim Hom of X into its shift in the derived
     category; equality is enforced for projective complexes, the inequality
-    for almost projective ones."""
-    cls = classify(x)
-    if not cls.is_almost_projective:
-        raise NotAlmostProjective("the comparison needs an almost projective complex")
-    layout, tspace = tangent_space(x)
-    m = orbit_map_matrix(x, layout)
-    orbit_dim = m.rank()
-    quotient = tspace.dim - orbit_dim
+    for almost projective ones (derived_hom refuses any other X)."""
     dh = derived_hom_dim(x, x, 1)
-    if cls.is_projective_complex:
+    dims = _tangent_dims(x)
+    quotient = dims["quotient"]
+    if classify(x).is_projective_complex:
         verdict = "equality"
         if quotient != dh:
             raise ValidationFailure(
@@ -460,19 +468,12 @@ def verify_theorem7(x: ComplexPoint) -> dict:
         if quotient > dh:
             raise ValidationFailure(
                 f"tangent quotient {quotient} exceeds derived hom {dh}")
-    return {
-        "tangent_dim": tspace.dim,
-        "orbit_dim": orbit_dim,
-        "quotient": quotient,
-        "derived_hom_dim": dh,
-        "verdict": verdict,
-    }
+    return {**dims, "derived_hom_dim": dh, "verdict": verdict}
 
 
 def is_rigid(x: ComplexPoint) -> bool:
-    if not classify(x).is_almost_projective:
-        raise NotAlmostProjective("rigidity is defined here for almost "
-                                  "projective complexes")
+    """Hom_{D^b}(X, X[1]) = 0; like derived_hom, raises NotAlmostProjective
+    when X is not almost projective."""
     return derived_hom_dim(x, x, 1) == 0
 
 
@@ -488,21 +489,11 @@ def voigt_check(m, degree: int = 0) -> dict:
     bounded by (and generically equals) the self-extension dimension."""
     if degree < 0:
         raise ValidationFailure("stalk degree must be non-negative")
-    x = stalk(m, degree)
-    layout, tspace = tangent_space(x)
-    omatrix = orbit_map_matrix(x, layout)
-    orbit_dim = omatrix.rank()
-    quotient = tspace.dim - orbit_dim
+    dims = _tangent_dims(stalk(m, degree))
+    quotient = dims["quotient"]
     ext = ext1_dim_oracle(m, m)
     if quotient > ext:
         raise ValidationFailure(
             f"tangent quotient {quotient} exceeds self-extension count {ext}")
-    return {
-        "module_dim": m.dim,
-        "degree": degree,
-        "tangent_dim": tspace.dim,
-        "orbit_dim": orbit_dim,
-        "quotient": quotient,
-        "ext1_dim": ext,
-        "equality": quotient == ext,
-    }
+    return {"module_dim": m.dim, "degree": degree, **dims, "ext1_dim": ext,
+            "equality": quotient == ext}

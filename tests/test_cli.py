@@ -202,6 +202,45 @@ def test_huge_census_inputs_exit_3_at_once(command, algebra, dims, capsys):
     assert elapsed < 1.0
 
 
+def test_unbounded_replacement_tower_exits_3(capsys):
+    # the simple over dual numbers has an infinite projective resolution
+    start = time.perf_counter()
+    code = run_cli("derived-hom",
+                   "--algebra", fx("algebra_q_dual_numbers_quiver.json"),
+                   "--complex", fx("complex_stalk_simple_q.json"),
+                   "--shift", "1000000000")
+    elapsed = time.perf_counter() - start
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: budget exceeded")
+    assert elapsed < 10.0
+
+
+def test_projective_complex_answers_any_shift(capsys):
+    code = run_cli("derived-hom",
+                   "--algebra", fx("algebra_q_a2_quiver.json"),
+                   "--complex", fx("complex_p2_p1_a2.json"),
+                   "--shift", "1000000000", "--json")
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["derived_hom_dim"] == 0
+
+
+def test_tangent_command_builds_the_tangent_system_once(monkeypatch, capsys):
+    import compvar.tangent as tangent_module
+    built = []
+    build = tangent_module.tangent_system_matrix
+    monkeypatch.setattr(tangent_module, "tangent_system_matrix",
+                        lambda x, layout: (built.append(x), build(x, layout))[1])
+    code = run_cli("tangent",
+                   "--algebra", fx("algebra_q_dual_numbers_quiver.json"),
+                   "--complex", fx("complex_axa_q.json"), "--json")
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["tangent_dim"] == 6
+    assert len(built) == 1
+
+
 def test_bad_usage_exits_4(capsys):
     assert run_cli("census", "--algebra", fx("algebra_f2.json")) == 4
     assert run_cli("census", "--algebra", fx("algebra_f2.json"),

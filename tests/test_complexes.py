@@ -12,7 +12,7 @@ from compvar.complexes import (ChainMap, GroupElement, act,
                                mapping_cone, projective_extension,
                                replace_by_projective, shift, stalk,
                                validate_point, with_bottom_zero)
-from compvar.errors import ValidationFailure
+from compvar.errors import NotProjectiveComplex, ValidationFailure
 from compvar.fields import GF, QQ
 from compvar.linalg import Matrix
 from compvar.modules import (ext1_dim_oracle, regular_module, simple_modules,
@@ -310,6 +310,22 @@ def test_classify_projective_patterns():
     assert classify(z).is_projective_complex
 
 
+def test_classification_is_kept_on_the_point(monkeypatch):
+    import compvar.complexes as complexes_module
+    seen = []
+    compute = complexes_module._classify
+    monkeypatch.setattr(complexes_module, "_classify",
+                        lambda x: (seen.append(x), compute(x))[1])
+    s = stalk(simple_over_dual(QQ), 0)
+    assert classify(s) is classify(s)
+    assert seen == [s]
+    # the memo is not part of the value: an equal point compares and hashes
+    # equal, and is classified on its own
+    fresh = stalk(simple_over_dual(QQ), 0)
+    assert fresh == s and hash(fresh) == hash(s)
+    assert classify(fresh) == classify(s) and len(seen) == 2
+
+
 # -- projective replacement ---------------------------------------------------------------
 
 
@@ -341,6 +357,22 @@ def test_replace_simple_stalk_dual_numbers():
     assert homotopy_hom(p, s, 1).hom_dim == 1
     assert homotopy_hom(p, s, 1).hom_dim == ext1_dim_oracle(
         simple_over_dual(QQ), simple_over_dual(QQ))
+
+
+def test_replace_refuses_complex_that_is_not_almost_projective(monkeypatch):
+    import compvar.complexes as complexes_module
+
+    def no_tower(x):
+        raise AssertionError("a tower step was built")
+
+    monkeypatch.setattr(complexes_module, "_extend_once", no_tower)
+    a = dual_numbers(QQ)
+    simple = simple_over_dual(QQ)
+    # the non-projective simple sits below the leftmost nonzero degree
+    bad = make_complex(a, 0, (simple, regular_module(a)),
+                       (Matrix.zeros(QQ, 1, 2),))
+    with pytest.raises(NotProjectiveComplex):
+        replace_by_projective(bad, top_degree=3)
 
 
 def test_replacement_truncation_is_stable():

@@ -7,8 +7,9 @@ from compvar.complexes import (GroupElement, act, direct_sum, homology_dims,
                                homotopy_hom, identity_chain_map, is_acyclic,
                                make_complex, mapping_cone,
                                projective_extension, stalk)
-from compvar.derived import (acyclic_splitter, derived_hom_dim, end_algebra,
-                             lift_idempotent, semisplit_ext_dim, verdier_xi)
+from compvar.derived import (acyclic_splitter, derived_hom, derived_hom_dim,
+                             end_algebra, lift_idempotent, semisplit_ext_dim,
+                             verdier_xi)
 from compvar.errors import NotAlmostProjective, ValidationFailure
 from compvar.fields import QQ
 from compvar.linalg import Matrix, Subspace
@@ -73,6 +74,36 @@ def test_requires_almost_projective():
                        (Matrix.zeros(QQ, 1, 2),))
     with pytest.raises(NotAlmostProjective):
         derived_hom_dim(bad, bad, 1)
+
+
+def test_replacement_makes_one_cover_per_tower_step(monkeypatch):
+    import compvar.complexes as complexes_module
+    import compvar.modules as modules_module
+    covered = []
+    cover = modules_module.projective_cover
+
+    def counting(m):
+        covered.append(m)
+        return cover(m)
+
+    # is_projective looks the cover up in modules, the tower in complexes
+    monkeypatch.setattr(modules_module, "projective_cover", counting)
+    monkeypatch.setattr(complexes_module, "projective_cover", counting)
+    s = stalk(simple_over_dual(QQ), 0)
+    p, hom = derived_hom(s, s, 3)
+    assert hom.hom_dim == 1
+    # the tower runs from degree 0 until its kernel term passes degree 4
+    steps = 5
+    assert p.dims() == (2,) * steps
+    # one cover for classifying the input, one per step, and one per term
+    # of the truncated tower when it is checked to be projective
+    assert len(covered) == 1 + steps + len(p.terms)
+
+
+def test_finite_tower_is_not_refused_at_a_huge_shift():
+    # the tower bound counts the steps taken: S1 over A2 needs one
+    s1, _ = simple_modules(a2_algebra(QQ))
+    assert derived_hom_dim(stalk(s1, 0), stalk(s1, 0), 10 ** 9) == 0
 
 
 # -- endomorphism algebras ----------------------------------------------------------

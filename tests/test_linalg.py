@@ -115,6 +115,24 @@ def test_quotient_and_section():
     assert (q @ s).is_identity()
 
 
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+def test_subspace_pivots_are_stored_once(field):
+    rng = random.Random(7)
+    n = 6
+    spans = [Subspace.zero(field, n),
+             Subspace.from_vectors(field, n, [[int(i == j) for j in range(n)]
+                                              for i in range(n)])]
+    for k in (1, 3, 5):
+        spans.append(Subspace.from_vectors(
+            field, n, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]))
+    spans.append(spans[2].intersection(spans[3]))
+    for s in spans:
+        scan = tuple(next(j for j, x in enumerate(row) if x) for row in s.basis)
+        assert s.pivots() == scan
+        assert s.pivots() is s.pivots()
+    assert spans[0].pivots() == () and spans[1].pivots() == tuple(range(n))
+
+
 def test_zero_dimensional_edges():
     m = Matrix.zeros(QQ, 0, 3)
     assert m.rank() == 0

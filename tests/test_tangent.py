@@ -244,6 +244,18 @@ def test_theorem7_embedding_cases():
     assert report["quotient"] == 1 and report["derived_hom_dim"] == 1
 
 
+def test_theorem7_classifies_its_point_once(monkeypatch):
+    import compvar.complexes as complexes_module
+    seen = []
+    compute = complexes_module._classify
+    monkeypatch.setattr(complexes_module, "_classify",
+                        lambda x: (seen.append(x), compute(x))[1])
+    s = stalk(simple_over_dual(QQ), 0)
+    assert verify_theorem7(s)["verdict"] == "embedding"
+    # verify_theorem7, derived_hom and replace_by_projective all ask
+    assert sum(1 for x in seen if x is s) == 1
+
+
 @pytest.mark.parametrize("field", [QQ, GF(101)], ids=str)
 def test_theorem7_on_l4(field):
     """L_4 = A^4 --x--> A^4 --x--> A^4 over A = k[x]/(x^2), x acting
