@@ -288,11 +288,11 @@ def _census_report(command, args, inputs, algebra, dims, pinned, census):
 def _cmd_census(args):
     inputs, algebra, dims, budget, pinned = _census_common(args)
     points = enumerate_points(algebra, dims, budget, pinned_modules=pinned)
-    census = orbit_census(points, algebra, dims, budget)
+    census = orbit_census(points, algebra, dims, budget, pinned_modules=pinned)
     report, header = _census_report("census", args, inputs, algebra, dims,
                                     pinned, census)
-    check = ("agrees with brute-force G-orbits" if census.group_checked
-             else "group too large for the brute-force cross-check")
+    check = ("agrees with G-orbits by generator closure" if census.group_checked
+             else "group too large for the generator-closure check")
     text = [
         header,
         f"points: {census.point_count}",
@@ -394,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-points", type=int, default=10 ** 4,
                        help="candidate-point budget (default 10000)")
         p.add_argument("--max-group-elements", type=int, default=10 ** 4,
-                       help="brute-force group budget (default 10000)")
+                       help="largest |G| for the G-orbit check (default 10000)")
     return parser
 
 

@@ -323,17 +323,21 @@ def act(g: GroupElement, x: ComplexPoint,
         _inverse: GroupElement | None = None) -> ComplexPoint:
     """Transport of structure: modules by conjugation, differentials by
     g_{i-1} d_i g_i^{-1}.  A caller that applies g many times passes
-    ``g.inverse()`` once as ``_inverse``."""
+    ``g.inverse()`` once as ``_inverse``.  Terms and differentials at
+    degrees that g leaves alone are reused as they are."""
     ginv = _inverse if _inverse is not None else g.inverse()
-    gs = {i: g.component(i, x.dim_at(i), x.field) for i in x.degrees()}
-    invs = {i: ginv.component(i, x.dim_at(i), x.field) for i in x.degrees()}
-    terms = tuple(ModuleRep(t.algebra, t.dim,
-                            tuple(gs[i] @ a @ invs[i] for a in t.action))
-                  if t.dim else t
-                  for i, t in zip(x.degrees(), x.terms))
-    diffs = tuple(gs[i - 1] @ x.diff(i) @ invs[i]
-                  for i in range(x.bottom + 1, x.top + 1))
-    return ComplexPoint(x.algebra, x.bottom, terms, diffs)
+    terms, diffs = list(x.terms), list(x.diffs)
+    for i in {i for i, _ in g.comps + ginv.comps if x.bottom <= i <= x.top}:
+        gi, gi_inv = (h.component(i, x.dim_at(i), x.field) for h in (g, ginv))
+        t = i - x.bottom
+        if terms[t].dim:
+            terms[t] = ModuleRep(terms[t].algebra, terms[t].dim,
+                                 tuple(gi @ a @ gi_inv for a in terms[t].action))
+        if t < len(diffs):  # the differential into degree i
+            diffs[t] = gi @ diffs[t]
+        if t:  # the differential out of degree i
+            diffs[t - 1] = diffs[t - 1] @ gi_inv
+    return ComplexPoint(x.algebra, x.bottom, tuple(terms), tuple(diffs))
 
 
 # -- chain map spaces and homotopies ----------------------------------------------

@@ -142,10 +142,10 @@ def _check_ideal_and_homology_kill(x, bhat, h_sub, basis_vectors, cms):
             if not h_sub.contains(bhat.mul_vec(bhat.basis_vec(k), hv)):
                 raise ValidationFailure("null-homotopic maps fail left ideal closure")
     # each null-homotopic map sends cycles into boundaries in every degree
+    homologies = {i: homology(x, i) for i in x.degrees()}
     for hv in h_sub.basis:
         f = cms.unflatten(vec_combination(field, cms.ambient_dim, zip(hv, basis_vectors)))
-        for i in x.degrees():
-            data = homology(x, i)
+        for i, data in homologies.items():
             for cyc in data.cycles.basis:
                 if not data.boundaries.contains(f.component(i).mat_vec(cyc)):
                     raise ValidationFailure(

@@ -237,6 +237,29 @@ def enumerate_group(field: Field, dims, budget: ScanBudget) -> list:
     return out
 
 
+def _group_generators(field: Field, dims) -> list:
+    """Pairs (g, g^-1) generating the acting group, each moving one degree:
+    the transvections I + E_ab (a != b), which generate SL_d over a prime
+    field as I + c E_ab = (I + E_ab)^c, and diag(w, 1, ..., 1) for a
+    generator w of F_p^x (none over F_2), whose determinant gives the rest
+    of GL_d.  The search for w is bounded as p - 1 <= |G|."""
+    def element(degree, d, at, c):  # the identity with flat entry `at` = c
+        flat = list(Matrix.identity(field, d).flat())
+        flat[at] = c
+        return GroupElement(((degree, Matrix.from_flat(field, d, d, flat)),))
+
+    p, top, out = field.p, len(dims) - 1, []
+    for k, d in enumerate(dims):
+        moves = [(a * d + b, 1, p - 1) for a in range(d) for b in range(d) if a != b]
+        if d and p > 2:
+            w = next(w for w in range(2, p)
+                     if len({pow(w, e, p) for e in range(p - 1)}) == p - 1)
+            moves.append((0, w, field.inv(w)))
+        out += [(element(top - k, d, at, c), element(top - k, d, at, cinv))
+                for at, c, cinv in moves]
+    return out
+
+
 # -- censuses ------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -246,8 +269,9 @@ class OrbitCensus:
     ``classes`` holds sorted index tuples into the input list, ordered by
     first member; ``representatives`` is the first point of each class.
     ``group_checked`` records whether the partition was independently
-    recomputed by brute-forcing the group action (done whenever the group
-    fits the budget); the two partitions are required to agree."""
+    checked against the literal group action (done whenever the group fits
+    the budget): each orbit is rebuilt as a closure under generators of the
+    group, and the orbits must agree with the classes."""
 
     point_count: int
     classes: tuple
@@ -290,35 +314,45 @@ def _iso_partition(points, seed: int) -> list:
     return [tuple(c) for c in classes]
 
 
-def _orbit_partition(points, group) -> list:
-    """Partition by explicit group action: i ~ j iff some g carries point i
-    to point j on the nose."""
-    n = len(points)
-    assigned = [None] * n
-    classes = []
-    inverse = {m: None for g in group for _, m in g.comps}
-    inverse = {m: m.inverse() for m in inverse}
-    acting = [(g, GroupElement(tuple((d, inverse[m]) for d, m in g.comps)))
-              for g in group]
-    for i in range(n):
-        if assigned[i] is not None:
+def _closure_partition(points, generators) -> list:
+    """Orbits as closures under the generators, cut to the point list and
+    ordered by first member.  An enumeration holds every point with a module
+    choice it makes, so a closure point outside the list means that it is
+    incomplete, unless the list may be pinned (one module choice, then
+    orbits are cut to it) and the point carries other modules."""
+    index = {}
+    for i, p in enumerate(points):
+        index.setdefault(p, []).append(i)
+    cut = all(p.terms == points[0].terms for p in points)
+    assigned, classes = set(), []
+    for i, p in enumerate(points):
+        if i in assigned:
             continue
-        images = {act(g, points[i], _inverse=ginv) for g, ginv in acting}
-        members = [j for j in range(n)
-                   if assigned[j] is None and points[j] in images]
-        label = len(classes)
-        for j in members:
-            assigned[j] = label
-        classes.append(tuple(members))
+        orbit, frontier = {p}, [p]
+        while frontier:
+            y = frontier.pop()
+            for g, ginv in generators:
+                z = act(g, y, _inverse=ginv)
+                if z in orbit:
+                    continue
+                if z not in index and not (cut and z.terms != points[0].terms):
+                    raise ValidationFailure(f"the orbit of point {i} leaves the "
+                                            "list: the enumeration is incomplete")
+                orbit.add(z)
+                frontier.append(z)
+        classes.append(tuple(sorted(j for z in orbit for j in index.get(z, ()))))
+        assigned.update(classes[-1])
     return classes
 
 
-def orbit_census(points, algebra: FDAlgebra, dims, budget: ScanBudget) -> OrbitCensus:
+def orbit_census(points, algebra: FDAlgebra, dims, budget: ScanBudget,
+                 pinned_modules=None) -> OrbitCensus:
     """Group the points into isomorphism classes; isomorphism witnesses are
     exactly group elements carrying one point to the other, so the classes
     are the orbits.  When the acting group fits ``max_group_elements`` the
-    partition is re-derived by brute force over the group and the two must
-    coincide."""
+    classes must coincide with the orbits, built as generator closures, and
+    an unpinned list must hold them whole.  Each point must carry the
+    ``pinned_modules`` (same order as ``dims``), if given."""
     points = list(points)
     dims = tuple(int(d) for d in dims)
     for p in points:
@@ -326,16 +360,18 @@ def orbit_census(points, algebra: FDAlgebra, dims, budget: ScanBudget) -> OrbitC
             raise ValidationFailure("census point over the wrong algebra")
         if p.dims() != dims:
             raise ValidationFailure("census point with the wrong dimension vector")
+    if pinned_modules is not None and any(
+            p.terms != tuple(pinned_modules)[::-1] for p in points):
+        raise ValidationFailure("census point without the pinned modules")
     classes = _iso_partition(points, budget.seed)
     order = group_order(algebra.field, dims)
     checked = order <= budget.max_group_elements
     if checked and points:
-        group = enumerate_group(algebra.field, dims, budget)
-        brute = _orbit_partition(points, group)
-        if {frozenset(c) for c in classes} != {frozenset(c) for c in brute}:
+        orbits = _closure_partition(points, _group_generators(algebra.field, dims))
+        if {frozenset(c) for c in classes} != {frozenset(c) for c in orbits}:
             raise ValidationFailure(
-                "isomorphism classes disagree with brute-force orbits "
-                f"({len(classes)} vs {len(brute)})")
+                "isomorphism classes disagree with the G-orbits "
+                f"({len(classes)} vs {len(orbits)})")
     reps = tuple(points[c[0]] for c in classes)
     return OrbitCensus(len(points), tuple(classes), reps, order, checked)
 
@@ -364,7 +400,7 @@ def rigid_census(algebra: FDAlgebra, dims, budget: ScanBudget,
     classes.  Rigidity and projectivity are isomorphism invariants, so they
     are decided on class representatives."""
     points = enumerate_points(algebra, dims, budget, pinned_modules)
-    census = orbit_census(points, algebra, dims, budget)
+    census = orbit_census(points, algebra, dims, budget, pinned_modules)
     almost = []
     rigid = []
     for c, rep in enumerate(census.representatives):

@@ -14,8 +14,8 @@ from compvar.errors import NotAlmostProjective, ValidationFailure
 from compvar.fields import QQ
 from compvar.linalg import Matrix, Subspace
 from compvar.modules import ext1_dim_oracle, regular_module, simple_modules
-from compvar.samples import (a2_algebra, axa_complex, dual_numbers,
-                             simple_over_dual)
+from compvar.samples import (a2_algebra, axa_complex, contractible_pair,
+                             dual_numbers, simple_over_dual)
 
 
 # -- derived hom dimensions ------------------------------------------------------
@@ -143,6 +143,18 @@ def test_end_algebra_rejects_zero_complex():
     a = dual_numbers(QQ)
     with pytest.raises(ValidationFailure):
         end_algebra(stalk(zero_module(a), 0))
+
+
+def test_end_algebra_computes_homology_once_per_degree(monkeypatch):
+    import compvar.derived as derived_module
+    calls = []
+    homology = derived_module.homology
+    monkeypatch.setattr(derived_module, "homology",
+                        lambda x, i: (calls.append(i), homology(x, i))[1])
+    x = direct_sum(axa_complex(QQ), contractible_pair(QQ))
+    pkg = end_algebra(x)
+    assert pkg.H.dim > 1  # several null-homotopic basis maps to check
+    assert sorted(calls) == sorted(set(calls)) == list(x.degrees())
 
 
 # -- idempotent lifting ----------------------------------------------------------------

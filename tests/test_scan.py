@@ -8,17 +8,19 @@ import pytest
 
 from compvar.algebra import algebra_from_constants
 from compvar.cli import main as cli_main
-from compvar.complexes import ComplexPoint, classify, stalk, validate_point
+from compvar.complexes import (ComplexPoint, GroupElement, act, classify,
+                               stalk, validate_point)
 from compvar.errors import (BudgetExceeded, UnsupportedCharacteristic,
                             ValidationFailure)
 from compvar.fields import GF, Field
 from compvar.linalg import Matrix
 from compvar.modules import ModuleRep, regular_module, validate_module
 from compvar.samples import a2_algebra, base_field_algebra, dual_numbers
-from compvar.scan import (OrbitCensus, ScanBudget, _iso_partition,
-                          _orbit_partition, enumerate_group, enumerate_points,
-                          free_coordinate_count, general_linear_order,
-                          group_order, orbit_census, rigid_census)
+from compvar.scan import (OrbitCensus, ScanBudget, _closure_partition,
+                          _group_generators, _iso_partition, enumerate_group,
+                          enumerate_points, free_coordinate_count,
+                          general_linear_order, group_order, orbit_census,
+                          rigid_census)
 
 F2 = GF(2)
 Q = Field(None)
@@ -154,7 +156,57 @@ def test_enumerate_group_members_are_invertible():
         enumerate_group(GF(5), (3, 3), small_budget(max_group_elements=100))
 
 
+@pytest.mark.parametrize("p, d", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2),
+                                  (5, 1), (5, 2)])
+def test_group_generators_generate_the_general_linear_group(p, d):
+    field = GF(p)
+    gens = _group_generators(field, (d,))
+    for g, ginv in gens:
+        assert g.comps[0][0] == 0
+        assert g.comps[0][1] @ ginv.comps[0][1] == Matrix.identity(field, d)
+    found, frontier = {Matrix.identity(field, d)}, [Matrix.identity(field, d)]
+    while frontier:
+        m = frontier.pop()
+        for g, _ in gens:
+            image = g.comps[0][1] @ m
+            if image not in found:
+                found.add(image)
+                frontier.append(image)
+    assert len(found) == general_linear_order(p, d)
+
+
+def test_group_generators_move_one_degree_each():
+    # F_3, dims (2, 1, 0): two transvections and one diag(w) in degree 2,
+    # one diag(w) in degree 1, nothing in degree 0
+    gens = _group_generators(GF(3), (2, 1, 0))
+    assert [g.comps[0][0] for g, _ in gens] == [2, 2, 2, 1]
+    assert all(len(g.comps) == 1 for g, _ in gens)
+
+
 # -- orbit census ----------------------------------------------------------
+
+def _orbit_partition(points, group) -> list:
+    """Oracle: i ~ j iff some element of the whole group carries point i to
+    point j on the nose."""
+    n = len(points)
+    assigned = [None] * n
+    classes = []
+    inverse = {m: None for g in group for _, m in g.comps}
+    inverse = {m: m.inverse() for m in inverse}
+    acting = [(g, GroupElement(tuple((d, inverse[m]) for d, m in g.comps)))
+              for g in group]
+    for i in range(n):
+        if assigned[i] is not None:
+            continue
+        images = {act(g, points[i], _inverse=ginv) for g, ginv in acting}
+        members = [j for j in range(n)
+                   if assigned[j] is None and points[j] in images]
+        label = len(classes)
+        for j in members:
+            assigned[j] = label
+        classes.append(tuple(members))
+    return classes
+
 
 def test_base_field_line_census_two_orbits():
     a = base_field_algebra(F2)
@@ -189,6 +241,33 @@ def test_census_rejects_foreign_points():
         orbit_census(pts, dual_numbers(F2), (1, 1), b)
     with pytest.raises(ValidationFailure):
         orbit_census(pts, a, (1, 1, 1), b)
+
+
+def test_census_refuses_an_incomplete_point_list():
+    a = dual_numbers(GF(3))
+    b = small_budget()
+    pts = enumerate_points(a, (2, 1), b)
+    census = orbit_census(pts, a, (2, 1), b)
+    assert census.group_checked
+    orbits = census.classes
+    gens = _group_generators(a.field, (2, 1))
+    # a point that is not fixed by G is reached from the rest of its orbit
+    for missing in (j for c in orbits if len(c) > 1 for j in c):
+        with pytest.raises(ValidationFailure, match="enumeration is incomplete"):
+            _closure_partition(pts[:missing] + pts[missing + 1:], gens)
+    with pytest.raises(ValidationFailure, match="enumeration is incomplete"):
+        orbit_census(pts[:missing] + pts[missing + 1:], a, (2, 1), b)
+    # a pinned list is only part of the variety: orbits may leave it
+    reg = regular_module(a)
+    pinned = enumerate_points(a, (2, 2), b, pinned_modules=(reg, reg))
+    census = orbit_census(pinned, a, (2, 2), b, pinned_modules=(reg, reg))
+    assert census.group_checked
+    unit = next(c[1] for c in census.classes if len(c) > 1)
+    with pytest.raises(ValidationFailure, match="enumeration is incomplete"):
+        orbit_census(pinned[:unit] + pinned[unit + 1:], a, (2, 2), b,
+                     pinned_modules=(reg, reg))
+    with pytest.raises(ValidationFailure, match="pinned modules"):
+        orbit_census(pts, a, (2, 1), b, pinned_modules=(reg, pts[0].term(0)))
 
 
 def test_census_without_group_check_when_budget_small():
@@ -317,7 +396,9 @@ def test_enumeration_and_partition_match_the_grid_walk(make, p, dims, pin):
     points = enumerate_points(a, dims, budget, pinned)
     assert points == grid_points(a, dims, pinned)
     group = enumerate_group(a.field, dims, budget)
-    assert _iso_partition(points, budget.seed) == _orbit_partition(points, group)
+    closure = _closure_partition(points, _group_generators(a.field, dims))
+    assert _iso_partition(points, budget.seed) == closure \
+        == _orbit_partition(points, group)
 
 
 def test_large_single_degree_rigid_scan_is_fast(capsys):
