@@ -288,7 +288,7 @@ def _census_report(command, args, inputs, algebra, dims, pinned, census):
 def _cmd_census(args):
     inputs, algebra, dims, budget, pinned = _census_common(args)
     points = enumerate_points(algebra, dims, budget, pinned_modules=pinned)
-    census = orbit_census(points, algebra, dims, budget, pinned_modules=pinned)
+    census = orbit_census(points, algebra, dims, budget)
     report, header = _census_report("census", args, inputs, algebra, dims,
                                     pinned, census)
     check = ("agrees with G-orbits by generator closure" if census.group_checked

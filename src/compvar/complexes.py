@@ -327,7 +327,7 @@ def act(g: GroupElement, x: ComplexPoint,
     degrees that g leaves alone are reused as they are."""
     ginv = _inverse if _inverse is not None else g.inverse()
     terms, diffs = list(x.terms), list(x.diffs)
-    for i in {i for i, _ in g.comps + ginv.comps if x.bottom <= i <= x.top}:
+    for i in {i for i, _ in g.comps if x.bottom <= i <= x.top}:
         gi, gi_inv = (h.component(i, x.dim_at(i), x.field) for h in (g, ginv))
         t = i - x.bottom
         if terms[t].dim:

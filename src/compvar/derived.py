@@ -142,7 +142,9 @@ def _check_ideal_and_homology_kill(x, bhat, h_sub, basis_vectors, cms):
             if not h_sub.contains(bhat.mul_vec(bhat.basis_vec(k), hv)):
                 raise ValidationFailure("null-homotopic maps fail left ideal closure")
     # each null-homotopic map sends cycles into boundaries in every degree
-    homologies = {i: homology(x, i) for i in x.degrees() if h_sub.dim}
+    if not h_sub.dim:
+        return
+    homologies = {i: homology(x, i) for i in x.degrees()}
     for hv in h_sub.basis:
         f = cms.unflatten(vec_combination(field, cms.ambient_dim, zip(hv, basis_vectors)))
         for i, data in homologies.items():

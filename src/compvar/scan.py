@@ -345,14 +345,12 @@ def _closure_partition(points, generators) -> list:
     return classes
 
 
-def orbit_census(points, algebra: FDAlgebra, dims, budget: ScanBudget,
-                 pinned_modules=None) -> OrbitCensus:
+def orbit_census(points, algebra: FDAlgebra, dims, budget: ScanBudget) -> OrbitCensus:
     """Group the points into isomorphism classes; isomorphism witnesses are
     exactly group elements carrying one point to the other, so the classes
     are the orbits.  When the acting group fits ``max_group_elements`` the
     classes must coincide with the orbits, built as generator closures, and
-    an unpinned list must hold them whole.  Each point must carry the
-    ``pinned_modules`` (same order as ``dims``), if given."""
+    an unpinned list must hold them whole."""
     points = list(points)
     dims = tuple(int(d) for d in dims)
     for p in points:
@@ -360,9 +358,6 @@ def orbit_census(points, algebra: FDAlgebra, dims, budget: ScanBudget,
             raise ValidationFailure("census point over the wrong algebra")
         if p.dims() != dims:
             raise ValidationFailure("census point with the wrong dimension vector")
-    if pinned_modules is not None and any(
-            p.terms != tuple(pinned_modules)[::-1] for p in points):
-        raise ValidationFailure("census point without the pinned modules")
     classes = _iso_partition(points, budget.seed)
     order = group_order(algebra.field, dims)
     checked = order <= budget.max_group_elements
@@ -400,7 +395,7 @@ def rigid_census(algebra: FDAlgebra, dims, budget: ScanBudget,
     classes.  Rigidity and projectivity are isomorphism invariants, so they
     are decided on class representatives."""
     points = enumerate_points(algebra, dims, budget, pinned_modules)
-    census = orbit_census(points, algebra, dims, budget, pinned_modules)
+    census = orbit_census(points, algebra, dims, budget)
     almost = []
     rigid = []
     for c, rep in enumerate(census.representatives):
