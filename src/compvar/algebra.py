@@ -16,8 +16,8 @@ from dataclasses import dataclass, field as dataclass_field
 from .errors import (MissingIdempotents, ShapeMismatch,
                      UnsupportedCharacteristic, ValidationFailure)
 from .fields import Field
-from .linalg import (LinearSolver, Matrix, Subspace, linear_system, vec_add,
-                     vec_combination, vec_zero)
+from .linalg import (Matrix, Subspace, linear_system, vec_add, vec_combination,
+                     vec_zero)
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,7 +55,7 @@ class FDAlgebra:
             (other.field, other.dim, other.labels, other.products)
 
     def __hash__(self):
-        return hash((self.field, self.dim, self.labels, self.products))
+        return self.cached("hash", lambda a: hash((a.field, a.dim, a.labels, a.products)))
 
     # -- element arithmetic --------------------------------------------------
 
@@ -355,43 +355,28 @@ def path_algebra(q: QuiverPresentation, field: Field) -> FDAlgebra:
     # the remaining vertices, then the arrows-and-longer paths in order
     trivial_pos = [key_pos[("e", v)] for v in range(q.vertices)]
     rest_pos = [i for i, k in enumerate(basis_keys) if k[0] != "e"]
-    one_vec = [field.zero()] * nb
-    for tp in trivial_pos:
-        one_vec[tp] = field.one()
-    new_basis_vectors = [tuple(one_vec)]
-    new_labels = ["1"]
-    for v in range(1, q.vertices):
-        new_basis_vectors.append(unit_axis(field, nb, key_pos[("e", v)]))
-        new_labels.append(f"e{v + 1}")
-    for i in rest_pos:
-        new_basis_vectors.append(unit_axis(field, nb, i))
-        new_labels.append(key_label(basis_keys[i]))
+    one_vec = tuple(field.one() if i in trivial_pos else field.zero() for i in range(nb))
+    new_basis_vectors = [one_vec] + [unit_axis(field, nb, i)
+                                     for i in trivial_pos[1:] + rest_pos]
+    new_labels = (["1"] + [f"e{v + 1}" for v in range(1, q.vertices)]
+                  + [key_label(basis_keys[i]) for i in rest_pos])
 
-    s_mat = Matrix(field, nb, nb, tuple(zip(*new_basis_vectors)))  # columns = new basis
-    solver = LinearSolver(s_mat)
+    def new_coords(x):
+        """Coordinates in the new basis of the path-basis vector x: the
+        change of basis is unitriangular, so they are x[e1], then
+        x[e_v] - x[e1], then the coordinates of the other paths."""
+        first = x[trivial_pos[0]]
+        return ((first,) + tuple(field.sub(x[i], first) for i in trivial_pos[1:])
+                + tuple(x[i] for i in rest_pos))
 
-    products = []
-    for j in range(nb):
-        row = []
-        for k in range(nb):
-            prod_old = _bilinear(field, new_basis_vectors[j], new_basis_vectors[k], raw)
-            coords = solver.solve(prod_old)
-            row.append(tuple(coords))
-        products.append(tuple(row))
-    products = tuple(products)
-
-    idem_vectors = []
-    for v in range(q.vertices):
-        coords = solver.solve(unit_axis(field, nb, key_pos[("e", v)]))
-        idem_vectors.append(tuple(coords))
-    radical_coords = []
-    for i in rest_pos:
-        coords = solver.solve(unit_axis(field, nb, i))
-        radical_coords.append(tuple(coords))
-
+    products = tuple(
+        tuple(new_coords(_bilinear(field, bj, bk, raw)) for bk in new_basis_vectors)
+        for bj in new_basis_vectors)
     alg = FDAlgebra(field, nb, tuple(new_labels), products,
-                    idempotents=tuple(idem_vectors),
-                    radical_vectors=tuple(radical_coords))
+                    idempotents=tuple(new_coords(unit_axis(field, nb, i))
+                                      for i in trivial_pos),
+                    radical_vectors=tuple(new_coords(unit_axis(field, nb, i))
+                                          for i in rest_pos))
     return _revalidate(alg)
 
 

@@ -558,11 +558,18 @@ def _extend_once(x: ComplexPoint) -> tuple:
     if ld > x.bottom:
         diffs.append(x.diff(ld) @ cover.pi)
     diffs.append(k_inc)
-    ext = make_complex(x.algebra, x.bottom, terms, diffs)
+    ext = make_complex(x.algebra, x.bottom, terms, diffs, check=False)
     comps = {i: Matrix.identity(x.field, x.dim_at(i))
              for i in range(x.bottom, ld) if x.dim_at(i)}
     comps[ld] = cover.pi
-    f = chain_map_from_components(ext, x, 0, comps)
+    f = chain_map_from_components(ext, x, 0, comps, check=False)
+    # only degrees ld-1..ld+1 change: check the new terms and maps, their
+    # composite and pi . k = 0 there, at a cost that does not grow with x
+    lo = max(x.bottom, ld - 1)
+    window = make_complex(x.algebra, lo, terms[lo - x.bottom:], diffs[lo - x.bottom:])
+    below = ComplexPoint(x.algebra, lo, tuple(x.term(i) for i in range(lo, ld + 2)),
+                         tuple(x.diff(i) for i in range(lo + 1, ld + 2)))
+    chain_map_from_components(window, below, 0, {i: m for i, m in comps.items() if i >= lo})
     return ext, f
 
 

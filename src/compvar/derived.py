@@ -86,47 +86,46 @@ class EndAlgebraPackage:
                                                zip(coords, self.basis_vectors)))
 
 
-def _identity_first_basis(field, ambient_vectors, id_vec):
-    """Greedy echelon selection starting from the identity vector."""
-    chosen = [id_vec]
-    span = Subspace.from_vectors(field, len(id_vec), [id_vec])
-    for v in ambient_vectors:
-        if not span.contains(v):
-            chosen.append(v)
-            span = Subspace.from_vectors(field, len(id_vec), chosen)
-    return chosen
-
-
 def end_algebra(x: ComplexPoint) -> EndAlgebraPackage:
+    """End(x) in the identity-first basis: the identity, then every echelon
+    row of the chain-map space but row k*, the last one on which the
+    identity has a nonzero coordinate."""
     if x.total_dim() == 0:
         raise ValidationFailure("the zero complex has no unital endomorphism algebra")
     field = x.field
     hom = homotopy_hom(x, x, 0)
     cms = hom.space
+    space = cms.subspace
     id_vec = cms.flatten(identity_chain_map(x))
-    if not cms.subspace.contains(id_vec):
+    c = space.coordinates(id_vec)
+    if c is None:
         raise ValidationFailure("identity map missing from the chain map space")
-    basis_vectors = _identity_first_basis(field, cms.subspace.basis, id_vec)
-    if len(basis_vectors) != cms.subspace.dim:
-        raise ValidationFailure("identity-first basis selection lost rank")
+    kstar = max(k for k, ck in enumerate(c) if ck)
+    others = [k for k in range(space.dim) if k != kstar]
+    basis_vectors = [id_vec] + [space.basis[k] for k in others]
+    inv_ck = field.inv(c[kstar])
+
+    def bhat_coords(v, what):
+        """Identity-first coordinates of v: with a = its echelon
+        coordinates and t = a[k*] / c[k*], they are t, then a[k] - t c[k]."""
+        a = space.coordinates(v)
+        if a is None:
+            raise ValidationFailure(f"{what} outside the chain map space")
+        t = field.mul(a[kstar], inv_ck)
+        return (t,) + tuple(field.sub(a[k], field.mul(t, c[k])) for k in others)
+
     basis_maps = tuple(cms.unflatten(v) for v in basis_vectors)
-    dim = len(basis_vectors)
-    columns = Matrix.from_rows(field, [list(v) for v in basis_vectors]).transpose()
-    solver = LinearSolver(columns)
-    products = []
-    for j in range(dim):
-        row = []
-        for k in range(dim):
-            composite = basis_maps[j].then(basis_maps[k])  # opposite order
-            row.append(tuple(solver.solve(cms.flatten(composite))))
-        products.append(tuple(row))
-    labels = ("1",) + tuple(f"b{k}" for k in range(1, dim))
-    bhat = FDAlgebra(field, dim, labels, tuple(products))
+    products = tuple(
+        tuple(bhat_coords(cms.flatten(bj.then(bk)), "composite")  # opposite order
+              for bk in basis_maps)
+        for bj in basis_maps)
+    labels = ("1",) + tuple(f"b{k}" for k in range(1, space.dim))
+    bhat = FDAlgebra(field, space.dim, labels, products)
     witness = validate_algebra(bhat)
     if witness is not None:
         raise ValidationFailure(f"endomorphism table fails algebra axioms: {witness}")
-    h_coords = [tuple(solver.solve(v)) for v in hom.nullhomotopic.basis]
-    h_sub = Subspace.from_vectors(field, dim, h_coords)
+    h_coords = [bhat_coords(v, "null-homotopic map") for v in hom.nullhomotopic.basis]
+    h_sub = Subspace.from_vectors(field, space.dim, h_coords)
     _check_ideal_and_homology_kill(x, bhat, h_sub, basis_vectors, cms)
     rad = algebra_radical(bhat)
     return EndAlgebraPackage(x, bhat, basis_maps, tuple(basis_vectors),
@@ -271,16 +270,14 @@ def acyclic_splitter(x: ComplexPoint) -> SplitterResult:
 def _cut_along_idempotent(x: ComplexPoint, e_map: ChainMap):
     """Complex on the images of the components of a chain idempotent,
     with inclusion and projection maps."""
-    field = x.field
+    images = {i: e_map.component(i).column_space() for i in x.degrees()}
     terms, incs = [], {}
     for i in x.degrees():
-        image = e_map.component(i).column_space()
-        mod, inc = submodule(x.term(i), image)
+        mod, incs[i] = submodule(x.term(i), images[i])
         terms.append(mod)
-        incs[i] = inc
     diffs = []
     for i in range(x.bottom + 1, x.top + 1):
-        restricted = LinearSolver(incs[i - 1]).solve_matrix(x.diff(i) @ incs[i])
+        restricted = images[i - 1].coordinate_matrix(x.diff(i) @ incs[i])
         if restricted is None:
             raise ValidationFailure("idempotent image is not differential-stable")
         diffs.append(restricted)
@@ -290,7 +287,7 @@ def _cut_along_idempotent(x: ComplexPoint, e_map: ChainMap):
     projs = {}
     for i in x.degrees():
         if incs[i].ncols:
-            p = LinearSolver(incs[i]).solve_matrix(e_map.component(i))
+            p = images[i].coordinate_matrix(e_map.component(i))
             if p is None:
                 raise ValidationFailure("idempotent image lost its projection")
             projs[i] = p

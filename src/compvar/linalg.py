@@ -115,7 +115,7 @@ class Matrix:
     ``data`` is a tuple of row tuples of canonical field values.  A matrix
     made as ``Matrix(field, nrows, ncols, None, rows)`` from sparse rows
     (dicts column -> nonzero canonical value, never modified afterwards)
-    builds ``data`` when it is first read.
+    builds ``data`` when it is first read.  The hash is kept once taken.
     """
 
     field: Field
@@ -123,6 +123,7 @@ class Matrix:
     ncols: int
     _data: tuple | None
     _rows: list | None = None
+    _hash: int | None = None
 
     @property
     def data(self) -> tuple:
@@ -142,7 +143,9 @@ class Matrix:
         return (self.field, self.shape, self.data) == (other.field, other.shape, other.data)
 
     def __hash__(self):
-        return hash((self.field, self.shape, self.data))
+        if self._hash is None:
+            _set(self, "_hash", hash((self.field, self.shape, self.data)))
+        return self._hash
 
     # -- construction ------------------------------------------------------
 
@@ -448,17 +451,6 @@ class LinearSolver:
             x[pc] = y[r]
         return tuple(x)
 
-    def solve_matrix(self, b: Matrix):
-        """Solve M X = B column by column; None if any column inconsistent."""
-        cols = []
-        for j in range(b.ncols):
-            x = self.solve(b.col(j))
-            if x is None:
-                return None
-            cols.append(x)
-        return Matrix(self.m.field, self.m.ncols, b.ncols, tuple(zip(*cols))) \
-            if cols else Matrix.zeros(self.m.field, self.m.ncols, 0)
-
 
 @dataclass(frozen=True)
 class Subspace:
@@ -502,26 +494,46 @@ class Subspace:
 
     @cached_property
     def _pivots(self) -> tuple:  # scanned once per subspace
-        return tuple(next(j for j, x in enumerate(row) if x) for row in self.basis)
+        return tuple(min(row) for row in self._rows)
+
+    @cached_property
+    def _rows(self) -> list:  # the basis as sparse rows, never modified
+        return _sparse_rows(self.basis)
 
     def reduce(self, v: tuple) -> tuple:
-        """Canonical representative of v modulo this subspace."""
+        """Canonical representative of v modulo this subspace: v minus v[p]
+        times the basis row with pivot p, for every pivot p (basis rows
+        vanish at each other's pivots, so each v[p] is read unchanged)."""
         if len(v) != self.ambient:
             raise ShapeMismatch(f"vector length {len(v)} vs ambient {self.ambient}")
-        field = self.field
-        v = list(field.coerce(x) for x in v)
-        p = field.p
-        for row, pc in zip(self.basis, self.pivots()):
+        p = self.field.p
+        v = [self.field.coerce(x) for x in v]
+        for row, pc in zip(self._rows, self._pivots):
             f = v[pc]
             if f:
-                if p is None:
-                    v = [a - f * b for a, b in zip(v, row)]
-                else:
-                    v = [(a - f * b) % p for a, b in zip(v, row)]
+                for j, b in row.items():
+                    v[j] = v[j] - f * b if p is None else (v[j] - f * b) % p
         return tuple(v)
 
     def contains(self, v: tuple) -> bool:
         return not any(self.reduce(v))
+
+    def coordinates(self, v: tuple):
+        """Coordinates of v in the canonical basis, or None for v outside
+        the span: the entries of v at the pivot columns, certified by
+        reducing v to zero."""
+        if not self.contains(v):
+            return None
+        return tuple(self.field.coerce(v[pc]) for pc in self._pivots)
+
+    def coordinate_matrix(self, m: Matrix):
+        """The dim x m.ncols matrix X with ``column_matrix() @ X == m``,
+        column by column through ``coordinates``; None if a column of m
+        lies outside the span."""
+        cols = [self.coordinates(c) for c in m.transpose().data]
+        if None in cols:
+            return None
+        return Matrix(self.field, len(cols), self.dim, tuple(cols)).transpose()
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return self.sum(other).dim == self.dim

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .algebra import FDAlgebra, radical as algebra_radical
 from .errors import (AlgebraMismatch, MissingIdempotents, ShapeMismatch,
                      ValidationFailure)
-from .linalg import LinearSolver, Matrix, Subspace, linear_system, vec_combination
+from .linalg import Matrix, Subspace, linear_system, vec_combination
 
 
 @dataclass(frozen=True)
@@ -120,21 +120,18 @@ def conjugate_module(m: ModuleRep, g: Matrix) -> ModuleRep:
     return ModuleRep(m.algebra, m.dim, tuple(g @ mat @ ginv for mat in m.action))
 
 
-def submodule(m: ModuleRep, space: Subspace, check: bool = True) -> tuple:
+def submodule(m: ModuleRep, space: Subspace) -> tuple:
     """Module structure on an invariant subspace; returns (module, inclusion).
 
-    The inclusion matrix has the subspace basis as columns.
+    The inclusion matrix has the subspace basis as columns, and each action
+    matrix holds the coordinates of the images of those columns.
     """
     b = space.column_matrix()  # dim x k
-    solver = LinearSolver(b)
     action = []
     for mat in m.action:
-        image = mat @ b
-        coords = solver.solve_matrix(image)
+        coords = space.coordinate_matrix(mat @ b)
         if coords is None:
-            if check:
-                raise ValidationFailure("subspace is not invariant under the action")
-            coords = Matrix.zeros(m.field, space.dim, space.dim)
+            raise ValidationFailure("subspace is not invariant under the action")
         action.append(coords)
     return ModuleRep(m.algebra, space.dim, tuple(action)), b
 

@@ -277,8 +277,8 @@ def test_criterion_6_finite_field_censuses():
     assert pinned_report.census.class_count == 3
     assert pinned_report.rigid_class_count == 1
     print(f"\nPASS criterion 6: censuses over F2 and F2[x]/(x^2) "
-          f"({len(instances)} instances, {checked_groups} with brute-force "
-          f"orbit cross-check, {rigid_total} rigid classes all with open "
+          f"({len(instances)} instances, {checked_groups} with generator-closure "
+          f"orbit check, {rigid_total} rigid classes all with open "
           f"orbits; d=(1,1) gives 2 orbits / 1 rigid class)")
 
 

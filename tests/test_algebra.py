@@ -12,7 +12,7 @@ from compvar.algebra import (FDAlgebra, QuiverPresentation, algebra_from_constan
 from compvar.errors import (MissingIdempotents, UnsupportedCharacteristic,
                             ValidationFailure)
 from compvar.fields import GF, QQ
-from compvar.linalg import LinearSolver, Matrix
+from compvar.linalg import LinearSolver, Matrix, vec_combination
 from compvar.samples import (a2_algebra, base_field_algebra, dual_numbers,
                              two_loop_truncated)
 
@@ -150,6 +150,30 @@ def test_longer_relation_path_algebra():
     q2 = QuiverPresentation(3, ((0, 1, "a"), (1, 2, "b")), (), 3)
     a2 = path_algebra(q2, QQ)
     assert a2.dim == 6
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=str)
+def test_multi_vertex_basis_is_identity_first(field):
+    # cyclic quiver 1 -> 2 -> 3 -> 4 -> 1 with two length-two paths killed
+    arrows = ((0, 1, "a"), (1, 2, "b"), (2, 3, "c"), (3, 0, "d"))
+    q = QuiverPresentation(4, arrows, ((((0, 1), 1),), (((2, 3), 1),)), 4)
+    a = path_algebra(q, field)
+    assert a.labels[:4] == ("1", "e2", "e3", "e4")
+    one, minus = field.one(), field.neg(field.one())
+    # e1 = 1 - e2 - e3 - e4, the other vertices and paths are basis vectors
+    assert a.idempotents[0] == (one, minus, minus, minus) + a.zero_vec()[4:]
+    assert a.idempotents[1:] == tuple(a.basis_vec(i) for i in (1, 2, 3))
+    assert a.radical_vectors == tuple(a.basis_vec(i) for i in range(4, a.dim))
+    assert vec_combination(field, a.dim, ((one, e) for e in a.idempotents)) == a.unit_vec()
+    for i, e in enumerate(a.idempotents):
+        for j, f in enumerate(a.idempotents):
+            assert a.mul_vec(e, f) == (e if i == j else a.zero_vec())
+
+
+def test_hash_is_kept_and_follows_equality():
+    a, b = dual_numbers(QQ), dual_numbers_table(QQ)
+    assert a == b and hash(a) == hash(b)
+    assert a._memo["hash"] == hash(a)
 
 
 def test_noncomposable_relation_is_rejected():

@@ -375,6 +375,45 @@ def test_replace_refuses_complex_that_is_not_almost_projective(monkeypatch):
         replace_by_projective(bad, top_degree=3)
 
 
+def test_tower_validation_grows_linearly(monkeypatch):
+    import compvar.complexes as complexes_module
+    import compvar.modules as modules_module
+    calls = []
+    validate = modules_module.validate_module
+
+    def counting(m):
+        calls.append(m)
+        return validate(m)
+
+    monkeypatch.setattr(modules_module, "validate_module", counting)
+    monkeypatch.setattr(complexes_module, "validate_module", counting)
+    s = stalk(simple_over_dual(QQ), 0)
+    counts = {}
+    for steps in (16, 32):
+        calls.clear()
+        assert len(replace_by_projective(s, top_degree=steps - 1).terms) == steps
+        counts[steps] = len(calls)
+    # each step checks the three degrees it changes, however high it sits
+    assert counts[32] - counts[16] == 3 * 16
+
+
+def test_tower_step_checks_its_kernel_inclusion(monkeypatch):
+    import compvar.complexes as complexes_module
+    submodule = complexes_module.submodule
+    calls = []
+
+    def whole_cover_on_third_step(m, space):
+        calls.append(space)
+        if len(calls) == 3:  # the whole cover instead of the kernel of pi
+            space = Matrix.identity(m.field, m.dim).row_space()
+        return submodule(m, space)
+
+    monkeypatch.setattr(complexes_module, "submodule", whole_cover_on_third_step)
+    with pytest.raises(ValidationFailure):
+        replace_by_projective(stalk(simple_over_dual(QQ), 0), top_degree=5)
+    assert len(calls) == 3
+
+
 def test_replacement_truncation_is_stable():
     s = stalk(simple_over_dual(QQ), 0)
     for n in (0, 1, 2):

@@ -1,9 +1,12 @@
 """Derived homs, endomorphism algebras, idempotent lifting, splitter."""
 
+import random
+from dataclasses import replace
+
 import pytest
 
-from compvar.algebra import center
-from compvar.complexes import (GroupElement, act, direct_sum, homology_dims,
+from compvar.algebra import FDAlgebra, center, radical
+from compvar.complexes import (ChainMap, GroupElement, act, direct_sum, homology_dims,
                                homotopy_hom, identity_chain_map, is_acyclic,
                                make_complex, mapping_cone,
                                projective_extension, stalk)
@@ -11,8 +14,8 @@ from compvar.derived import (acyclic_splitter, derived_hom, derived_hom_dim,
                              end_algebra, lift_idempotent, semisplit_ext_dim,
                              verdier_xi)
 from compvar.errors import NotAlmostProjective, ValidationFailure
-from compvar.fields import QQ
-from compvar.linalg import Matrix, Subspace
+from compvar.fields import GF, QQ
+from compvar.linalg import LinearSolver, Matrix, Subspace
 from compvar.modules import ext1_dim_oracle, regular_module, simple_modules
 from compvar.samples import (a2_algebra, axa_complex, contractible_pair,
                              dual_numbers, simple_over_dual)
@@ -155,6 +158,90 @@ def test_end_algebra_computes_homology_once_per_degree(monkeypatch):
     pkg = end_algebra(x)
     assert pkg.H.dim > 1  # several null-homotopic basis maps to check
     assert sorted(calls) == sorted(set(calls)) == list(x.degrees())
+
+
+def test_end_algebra_refuses_a_composite_outside_the_space(monkeypatch):
+    then = ChainMap.then
+    # not QQ[x]/(x^2)-linear on the regular module, so not a chain map
+    junk = Matrix.from_rows(QQ, [[1, 0], [0, 0]])
+
+    def off_the_space(f, g):
+        return then(f, g).add(ChainMap(f.source, g.target, 0, ((0, junk),)))
+
+    monkeypatch.setattr(ChainMap, "then", off_the_space)
+    with pytest.raises(ValidationFailure, match="composite outside"):
+        end_algebra(axa_complex(QQ))
+
+
+def test_end_algebra_refuses_a_null_homotopic_map_outside_the_space(monkeypatch):
+    import compvar.derived as derived_module
+    hom = derived_module.homotopy_hom
+
+    def everything_null(x, y, n):
+        h = hom(x, y, n)
+        whole = Matrix.identity(x.field, h.space.ambient_dim).row_space()
+        return replace(h, nullhomotopic=whole)
+
+    monkeypatch.setattr(derived_module, "homotopy_hom", everything_null)
+    with pytest.raises(ValidationFailure, match="null-homotopic map outside"):
+        end_algebra(axa_complex(QQ))
+
+
+def _moved(x, seed):
+    """x moved by random invertible matrices with entries in [-2, 2]."""
+    rng = random.Random(seed)
+    comps = []
+    for i in x.degrees():
+        while True:
+            d = x.dim_at(i)
+            g = Matrix.from_rows(x.field, [[rng.randint(-2, 2) for _ in range(d)]
+                                           for _ in range(d)])
+            if g.is_invertible():
+                break
+        comps.append((i, g))
+    return act(GroupElement(tuple(comps)), x)
+
+
+def _greedy_end_algebra(x):
+    """Structure constants and null-homotopic ideal of End(x) in the basis
+    chosen greedily (the identity, then each echelon row of the chain-map
+    space outside the span so far), with coordinates from a solver."""
+    field = x.field
+    hom = homotopy_hom(x, x, 0)
+    cms = hom.space
+    chosen = [cms.flatten(identity_chain_map(x))]
+    for v in cms.subspace.basis:
+        if not Subspace.from_vectors(field, cms.ambient_dim, chosen).contains(v):
+            chosen.append(v)
+    maps = [cms.unflatten(v) for v in chosen]
+    solver = LinearSolver(Matrix.from_rows(field, chosen).transpose())
+    products = tuple(tuple(solver.solve(cms.flatten(f.then(g))) for g in maps)
+                     for f in maps)
+    ideal = Subspace.from_vectors(field, len(chosen),
+                                  [solver.solve(v) for v in hom.nullhomotopic.basis])
+    return products, ideal
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(101)], ids=str)
+@pytest.mark.parametrize("k", [1, 2])
+def test_end_algebra_matches_the_greedy_basis(field, k, monkeypatch):
+    """End(axa + (A --1--> A)^k), moved by a base change: the closed-form
+    identity-first basis gives the greedy basis's tables exactly."""
+    import compvar.derived as derived_module
+    if field.p == 3:  # the trace-form radical needs p > dim End(x)
+        monkeypatch.setattr(derived_module, "algebra_radical", lambda a: None)
+    x = axa_complex(field)
+    for _ in range(k):
+        x = direct_sum(x, contractible_pair(field))
+    x = _moved(x, seed=k)
+    pkg = end_algebra(x)
+    products, ideal = _greedy_end_algebra(x)
+    assert pkg.bhat.products == products
+    assert pkg.H == ideal
+    if field.p != 3:
+        assert pkg.radical == radical(FDAlgebra(field, pkg.bhat.dim, pkg.bhat.labels,
+                                                products))
+    assert pkg.H.dim > 1 and pkg.bhat.dim > 2 * k
 
 
 # -- idempotent lifting ----------------------------------------------------------------

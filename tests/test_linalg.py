@@ -393,3 +393,68 @@ def test_subspace_ops_match_sympy(field):
         assert meet.dim == u.dim + w.dim - stacked.rank()
         assert u.contains_subspace(meet) and w.contains_subspace(meet)
         assert meet == Subspace.from_vectors(field, ambient, meet.basis)
+
+
+def _sympy_coordinates(rows: Matrix, v: tuple):
+    """Coordinates of v in the reduced echelon basis of the row space of
+    ``rows``, from a sympy solve, or None when v is outside that space."""
+    field = rows.field
+    red, pivots = _to_dm(rows).rref()
+    dim = len(pivots)
+    if dim == 0:
+        return None if any(v) else ()
+    basis = _from_dm(field, red)[:dim]
+    aug = Matrix.from_rows(field, [[b[j] for b in basis] + [v[j]]
+                                   for j in range(rows.ncols)])
+    solved, aug_pivots = _to_dm(aug).rref()
+    if dim in aug_pivots:
+        return None
+    return tuple(r[dim] for r in _from_dm(field, solved)[:dim])
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
+def test_coordinates_match_sympy(field):
+    """``coordinates`` agrees with a sympy solve against the echelon basis
+    for vectors in the span and outside it, on the oracle cases, the zero
+    subspace and the full space; ``coordinate_matrix`` reads them column
+    by column."""
+    rng = random.Random(3300 + field.characteristic)
+    cases = _oracle_cases(field, 3400 + field.characteristic)
+    cases += [Matrix.zeros(field, 2, 5), Matrix.identity(field, 5),
+              rand_matrix(field, 5, 5, rng)]
+    outside = 0
+    for m in cases:
+        space = m.row_space()
+        n = space.ambient
+        inside = (field.zero(),) * n
+        if m.nrows:
+            coeffs = Matrix.from_rows(field, [[_random_entry(field, rng)
+                                               for _ in range(m.nrows)]])
+            inside = _from_dm(field, _to_dm(coeffs) * _to_dm(m))[0]
+        other = tuple(_random_entry(field, rng) for _ in range(n))
+        assert space.coordinates(inside) == _sympy_coordinates(m, inside) is not None
+        want = _sympy_coordinates(m, other)
+        assert space.coordinates(other) == want
+        outside += want is None
+        assert (want is None) != space.contains(other)
+        if want is not None:
+            assert space.column_matrix().mat_vec(want) == other
+        cols = Matrix.from_rows(field, [inside, other] if n else []).transpose()
+        coords = space.coordinate_matrix(cols)
+        assert (coords is None) == (want is None)
+        if coords is not None:
+            assert space.column_matrix() @ coords == cols
+    assert outside > 5
+    full = Matrix.identity(field, 4).row_space()
+    v = tuple(_random_entry(field, rng) for _ in range(4))
+    assert full.coordinates(v) == v
+    assert Subspace.zero(field, 4).coordinates(v) is None
+    assert Subspace.zero(field, 4).coordinates((field.zero(),) * 4) == ()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+def test_hash_is_kept_and_ignores_the_stored_form(field):
+    dense = Matrix.from_rows(field, [[0, 2, 0], [1, 0, 0]])
+    sparse = Matrix(field, 2, 3, None, [{1: field.coerce(2)}, {0: field.one()}])
+    assert dense == sparse and hash(dense) == hash(sparse)
+    assert sparse._hash == hash(sparse) and sparse._data is not None
