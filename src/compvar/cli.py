@@ -291,8 +291,10 @@ def _cmd_census(args):
     census = orbit_census(points, algebra, dims, budget)
     report, header = _census_report("census", args, inputs, algebra, dims,
                                     pinned, census)
-    check = ("agrees with G-orbits by generator closure" if census.group_checked
-             else "group too large for the generator-closure check")
+    check = ("classes are G-orbits by generator closure, representatives "
+             "pairwise non-isomorphic" if census.group_checked
+             else "group too large for the generator closure; classes by "
+                  "isomorphism search")
     text = [
         header,
         f"points: {census.point_count}",

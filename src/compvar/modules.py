@@ -13,6 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import FDAlgebra, radical as algebra_radical
 from .errors import (AlgebraMismatch, MissingIdempotents, ShapeMismatch,
@@ -35,6 +36,11 @@ class ModuleRep:
         for m in self.action:
             if m.shape != (self.dim, self.dim):
                 raise ShapeMismatch("action matrix shape mismatch")
+
+    @cached_property
+    def _witness(self) -> tuple | None:
+        # kept in the instance dict, not a field: equality ignores it
+        return _module_witness(self)
 
     @property
     def field(self):
@@ -69,7 +75,12 @@ def zero_module(algebra: FDAlgebra) -> ModuleRep:
 
 
 def validate_module(m: ModuleRep) -> tuple | None:
-    """Identity acts as identity; products follow the structure constants."""
+    """Identity acts as identity; products follow the structure constants.
+    A module is checked once: the witness is kept on the instance."""
+    return m._witness
+
+
+def _module_witness(m: ModuleRep) -> tuple | None:
     if not m.action[0].is_identity():
         return ("identity",)
     a = m.algebra

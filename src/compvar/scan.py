@@ -13,6 +13,12 @@ candidates that satisfy (alpha) and (beta) are built: module structures
 are pruned while their action matrices are chosen, and each differential
 is drawn from the Hom_A space between its terms, so only (gamma) is left
 to filter.  Every returned point is still validated in full.
+
+A census partitions the points into G-orbits.  When the acting group fits
+the budget, the orbits are walked as closures under generators of G, and
+each step of the walk is its own isomorphism witness; the class
+representatives are then shown pairwise non-isomorphic.  Beyond the budget,
+the points are partitioned by isomorphism search.
 """
 
 from __future__ import annotations
@@ -268,10 +274,12 @@ class OrbitCensus:
 
     ``classes`` holds sorted index tuples into the input list, ordered by
     first member; ``representatives`` is the first point of each class.
-    ``group_checked`` records whether the partition was independently
-    checked against the literal group action (done whenever the group fits
-    the budget): each orbit is rebuilt as a closure under generators of the
-    group, and the orbits must agree with the classes."""
+    ``group_checked`` records whether the classes come from the literal
+    group action (whenever the group fits the budget): each is an orbit
+    walked as a closure under generators of the group, every step checked
+    as a chain isomorphism, and the representatives are proven pairwise
+    non-isomorphic.  Otherwise the classes come from isomorphism search
+    over all points."""
 
     point_count: int
     classes: tuple
@@ -314,12 +322,47 @@ def _iso_partition(points, seed: int) -> list:
     return [tuple(c) for c in classes]
 
 
+def _transports(m: Matrix, i: int, y: ComplexPoint, z: ComplexPoint) -> bool:
+    """Whether the map that is m in degree i and the identity elsewhere is
+    a chain map y -> z: m rho_y(a_j) = rho_z(a_j) m for every j,
+    z.d_{i+1} = m y.d_{i+1}, z.d_i m = y.d_i, and every other term and
+    differential is unchanged.  For an invertible m it is an isomorphism."""
+    t = i - y.bottom
+    same = (z.algebra, z.bottom, len(z.terms)) == (y.algebra, y.bottom, len(y.terms))
+    if not (same and 0 <= t < len(y.terms)):
+        return False
+    keep = max(t - 1, 0)  # the differentials below d_i
+    if (z.terms[:t], z.terms[t + 1:], z.diffs[:keep], z.diffs[t + 1:]) != \
+            (y.terms[:t], y.terms[t + 1:], y.diffs[:keep], y.diffs[t + 1:]):
+        return False
+    ty, tz = y.terms[t], z.terms[t]
+    if (tz.algebra, tz.dim) != (ty.algebra, ty.dim) or any(
+            m @ a != b @ m for a, b in zip(ty.action, tz.action)):
+        return False
+    if t < len(y.diffs) and z.diffs[t] != m @ y.diffs[t]:
+        return False
+    return not t or z.diffs[t - 1] @ m == y.diffs[t - 1]
+
+
 def _closure_partition(points, generators) -> list:
     """Orbits as closures under the generators, cut to the point list and
-    ordered by first member.  An enumeration holds every point with a module
-    choice it makes, so a closure point outside the list means that it is
-    incomplete, unless the list may be pinned (one module choice, then
-    orbits are cut to it) and the point carries other modules."""
+    ordered by first member.  Each generator moves one degree, and its
+    component there must be inverted by the one given with it.  A step to a
+    new point z = g.y is accepted only once that component is seen to
+    carry y to z (``_transports``, which does not apply g again), so each
+    class lies in one orbit.  An enumeration holds every point with a
+    module choice it makes, so a closure point outside the list means that
+    it is incomplete, unless the list may be pinned (one module choice,
+    then orbits are cut to it) and the point carries other modules."""
+    moves = []
+    for g, ginv in generators:
+        if len(g.comps) != 1 or [d for d, _ in ginv.comps] != [g.comps[0][0]]:
+            raise ValidationFailure("a generator must move exactly one degree")
+        (degree, m), (_, minv) = g.comps[0], ginv.comps[0]
+        if m @ minv != Matrix.identity(m.field, m.nrows):
+            raise ValidationFailure(f"a generator at degree {degree} is not "
+                                    "inverted by the matrix given with it")
+        moves.append((g, ginv, degree, m))
     index = {}
     for i, p in enumerate(points):
         index.setdefault(p, []).append(i)
@@ -331,10 +374,14 @@ def _closure_partition(points, generators) -> list:
         orbit, frontier = {p}, [p]
         while frontier:
             y = frontier.pop()
-            for g, ginv in generators:
+            for g, ginv, degree, m in moves:
                 z = act(g, y, _inverse=ginv)
                 if z in orbit:
                     continue
+                if not _transports(m, degree, y, z):
+                    raise ValidationFailure(
+                        f"a closure step from the orbit of point {i} is not "
+                        f"a chain isomorphism at degree {degree}")
                 if z not in index and not (cut and z.terms != points[0].terms):
                     raise ValidationFailure(f"the orbit of point {i} leaves the "
                                             "list: the enumeration is incomplete")
@@ -349,8 +396,12 @@ def orbit_census(points, algebra: FDAlgebra, dims, budget: ScanBudget) -> OrbitC
     """Group the points into isomorphism classes; isomorphism witnesses are
     exactly group elements carrying one point to the other, so the classes
     are the orbits.  When the acting group fits ``max_group_elements`` the
-    classes must coincide with the orbits, built as generator closures, and
-    an unpinned list must hold them whole."""
+    classes are the orbits walked as generator closures (every merge has a
+    checked witness, and an unpinned list must hold each orbit whole), and
+    the class representatives must be pairwise non-isomorphic: they are
+    searched against each other only when their rank keys agree, and a
+    search that finds a witness raises ValidationFailure.  A larger group
+    leaves the isomorphism search over all points."""
     points = list(points)
     dims = tuple(int(d) for d in dims)
     for p in points:
@@ -358,16 +409,15 @@ def orbit_census(points, algebra: FDAlgebra, dims, budget: ScanBudget) -> OrbitC
             raise ValidationFailure("census point over the wrong algebra")
         if p.dims() != dims:
             raise ValidationFailure("census point with the wrong dimension vector")
-    classes = _iso_partition(points, budget.seed)
     order = group_order(algebra.field, dims)
     checked = order <= budget.max_group_elements
-    if checked and points:
-        orbits = _closure_partition(points, _group_generators(algebra.field, dims))
-        if {frozenset(c) for c in classes} != {frozenset(c) for c in orbits}:
-            raise ValidationFailure(
-                "isomorphism classes disagree with the G-orbits "
-                f"({len(classes)} vs {len(orbits)})")
+    if checked:
+        classes = _closure_partition(points, _group_generators(algebra.field, dims))
+    else:
+        classes = _iso_partition(points, budget.seed)
     reps = tuple(points[c[0]] for c in classes)
+    if checked and len(_iso_partition(reps, budget.seed)) < len(reps):
+        raise ValidationFailure("two generator closures hold isomorphic points")
     return OrbitCensus(len(points), tuple(classes), reps, order, checked)
 
 

@@ -14,8 +14,8 @@ from compvar.fields import GF, QQ
 from compvar.modules import regular_module
 from compvar.samples import (a2_algebra, axa_complex, base_field_algebra,
                              dual_numbers, simple_over_dual)
-from compvar.schemas import (algebra_to_json, complex_to_json, parse_algebra,
-                             parse_complex, parse_complex_file)
+from compvar.schemas import (algebra_to_json, complex_to_json, load_json,
+                             parse_algebra, parse_complex, parse_complex_file)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -33,14 +33,13 @@ def test_algebra_table_round_trip():
 
 
 def test_quiver_fixture_matches_table_fixture_semantics():
-    table = parse_algebra(json.load(open(fx("algebra_q_dual_numbers.json"))))
-    quiver = parse_algebra(
-        json.load(open(fx("algebra_q_dual_numbers_quiver.json"))))
+    table = parse_algebra(load_json(fx("algebra_q_dual_numbers.json")))
+    quiver = parse_algebra(load_json(fx("algebra_q_dual_numbers_quiver.json")))
     assert table == quiver == dual_numbers(QQ)
 
 
 def test_a2_quiver_fixture():
-    a = parse_algebra(json.load(open(fx("algebra_q_a2_quiver.json"))))
+    a = parse_algebra(load_json(fx("algebra_q_a2_quiver.json")))
     assert a == a2_algebra(QQ)
     assert a.dim == 3
 

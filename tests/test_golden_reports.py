@@ -75,6 +75,9 @@ def _cases() -> dict:
                                       "--dims", "2,1"]
         cases[f"{cmd}-f2dual-pinned"] = [cmd, "--algebra", F2_DUAL,
                                          "--dims", "2,2", "--pin", PIN]
+    cases["rigid-scan-f2dual-2-2-2"] = ["rigid-scan", "--algebra", F2_DUAL,
+                                        "--dims", "2,2,2",
+                                        "--max-points", "2000000"]
     return cases
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from compvar import scan
 from compvar.algebra import algebra_from_constants
 from compvar.cli import main as cli_main
 from compvar.complexes import (ComplexPoint, GroupElement, act, classify,
@@ -275,6 +276,46 @@ def test_census_without_group_check_when_budget_small():
     assert census.class_count == 1
 
 
+def test_census_rejects_a_closure_step_without_a_witness(monkeypatch):
+    # dual numbers over F_2, dims (2, 1): the two transvections of degree 1
+    # are the only generators; each step is made with the other one
+    a = dual_numbers(F2)
+    b = small_budget()
+    pts = enumerate_points(a, (2, 1), b)
+    gens = _group_generators(a.field, (2, 1))
+    assert len(gens) == 2
+    other = {g: gens[1 - k] for k, (g, _) in enumerate(gens)}
+
+    def wrong_act(g, x, _inverse=None):
+        h, hinv = other[g]
+        return act(h, x, _inverse=hinv)
+
+    monkeypatch.setattr(scan, "act", wrong_act)
+    with pytest.raises(ValidationFailure, match="not a chain isomorphism"):
+        orbit_census(pts, a, (2, 1), b)
+
+
+def test_census_rejects_generators_that_miss_part_of_the_group(monkeypatch):
+    a = dual_numbers(F2)
+    b = small_budget()
+    pts = enumerate_points(a, (2, 1), b)
+    gens = _group_generators(a.field, (2, 1))
+    monkeypatch.setattr(scan, "_group_generators", lambda field, dims: gens[1:])
+    with pytest.raises(ValidationFailure, match="isomorphic points"):
+        orbit_census(pts, a, (2, 1), b)
+
+
+def test_closure_checks_each_generator_against_its_inverse():
+    a = dual_numbers(F2)
+    pts = enumerate_points(a, (2, 1), small_budget())
+    (g, ginv), (h, _) = _group_generators(a.field, (2, 1))
+    with pytest.raises(ValidationFailure, match="not inverted"):
+        _closure_partition(pts, [(g, h)])
+    both = GroupElement(g.comps + ((0, Matrix.identity(F2, 1)),))
+    with pytest.raises(ValidationFailure, match="exactly one degree"):
+        _closure_partition(pts, [(both, ginv)])
+
+
 # -- rigid census ------------------------------------------------------------
 
 def test_base_field_line_rigid_census():
@@ -394,8 +435,9 @@ def test_enumeration_and_partition_match_the_grid_walk(make, p, dims, pin):
     assert points == grid_points(a, dims, pinned)
     group = enumerate_group(a.field, dims, budget)
     closure = _closure_partition(points, _group_generators(a.field, dims))
+    census = orbit_census(points, a, dims, budget)
     assert _iso_partition(points, budget.seed) == closure \
-        == _orbit_partition(points, group)
+        == _orbit_partition(points, group) == list(census.classes)
 
 
 def test_large_single_degree_rigid_scan_is_fast(capsys):
