@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 validation failure, 2 unsupported characteristic,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -341,7 +342,9 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = _Parser(
         prog="compvar",
         description="Exact-arithmetic geometry of chain-complex varieties "

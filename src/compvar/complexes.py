@@ -16,7 +16,7 @@ from functools import cached_property
 from .algebra import FDAlgebra
 from .errors import (AlgebraMismatch, BudgetExceeded, NotProjectiveComplex,
                      ShapeMismatch, ValidationFailure)
-from .linalg import Matrix, Subspace, linear_system
+from .linalg import Blocks, Matrix, Subspace, linear_system
 from .modules import (ModuleRep, WitnessSearch, direct_sum_modules,
                       hom_matrices, is_projective, projective_cover,
                       search_invertible_combination, submodule,
@@ -246,10 +246,6 @@ class ChainMap:
         return ChainMap(self.source, self.target, self.shift,
                         tuple(sorted(comps, reverse=True)))
 
-    def scale(self, c) -> "ChainMap":
-        comps = tuple((i, m.scale(c)) for i, m in self.comps)
-        return ChainMap(self.source, self.target, self.shift, comps)
-
     def is_zero(self) -> bool:
         return all(m.is_zero() for _, m in self.comps)
 
@@ -345,63 +341,44 @@ def act(g: GroupElement, x: ComplexPoint,
 @dataclass(frozen=True)
 class ChainMapSpace:
     """All chain maps X -> Y of a given shift, as a subspace of the
-    row-major flattening of the nonzero components (source degree
-    descending)."""
+    flattening of the nonzero-sized components f_i, keyed by source
+    degree i, descending."""
 
     source: ComplexPoint
     target: ComplexPoint
     shift: int
-    layout: tuple  # ((degree, rows, cols), ...)
+    layout: Blocks
     subspace: Subspace
 
     @property
     def ambient_dim(self) -> int:
-        return sum(r * c for _, r, c in self.layout)
+        return self.layout.ambient_dim
 
     @property
     def dim(self) -> int:
         return self.subspace.dim
 
     def unflatten(self, vec: tuple) -> ChainMap:
-        comps = []
-        pos = 0
-        for i, r, c in self.layout:
-            block = vec[pos:pos + r * c]
-            pos += r * c
-            m = Matrix.from_flat(self.source.field, r, c, block)
-            if not m.is_zero():
-                comps.append((i, m))
-        return ChainMap(self.source, self.target, self.shift,
-                        tuple(sorted(comps, reverse=True)))
+        comps = tuple((i, m) for i, m in self.layout.unflatten(vec).items()
+                      if not m.is_zero())
+        return ChainMap(self.source, self.target, self.shift, comps)
 
     def flatten(self, f: ChainMap) -> tuple:
-        out = []
-        for i, r, c in self.layout:
-            out.extend(f.component(i).flat())
-        return tuple(out)
-
-    def basis_maps(self) -> list:
-        return [self.unflatten(v) for v in self.subspace.basis]
-
-
-def _map_layout(x: ComplexPoint, y: ComplexPoint, n: int) -> tuple:
-    layout = []
-    for i in range(x.top, x.bottom - 1, -1):
-        r, c = y.dim_at(i - n), x.dim_at(i)
-        if r and c:
-            layout.append((i, r, c))
-    return tuple(layout)
+        return self.layout.flatten(dict(f.comps))
 
 
 def chain_map_space(x: ComplexPoint, y: ComplexPoint, n: int) -> ChainMapSpace:
     """Solve the A-linearity and (signed) square conditions for shift-n maps."""
     if x.algebra != y.algebra:
         raise AlgebraMismatch("chain maps between complexes over different algebras")
-    layout = _map_layout(x, y, n)
-    index = {i: k for k, (i, _, _) in enumerate(layout)}
+    degrees = tuple(i for i in range(x.top, x.bottom - 1, -1)
+                    if y.dim_at(i - n) and x.dim_at(i))
+    layout = Blocks(x.field, degrees,
+                    tuple((y.dim_at(i - n), x.dim_at(i)) for i in degrees))
+    index = layout.index
     equations = []
     # A-linearity per component: f_i rhoX_i(a_j) = rhoY_{i-n}(a_j) f_i
-    for i, r, c in layout:
+    for i, (r, c) in zip(degrees, layout.shapes):
         for a, b in zip(x.term(i).action[1:], y.term(i - n).action[1:]):
             equations.append((r, c, [(1, None, index[i], a),
                                      (-1, b, index[i], None)]))
@@ -413,7 +390,7 @@ def chain_map_space(x: ComplexPoint, y: ComplexPoint, n: int) -> ChainMapSpace:
         if i - 1 in index:
             terms.append((-1, None, index[i - 1], x.diff(i)))
         equations.append((y.dim_at(i - n - 1), x.dim_at(i), terms))
-    system = linear_system(x.field, [(r, c) for _, r, c in layout], equations)
+    system = linear_system(x.field, layout.shapes, equations)
     return ChainMapSpace(x, y, n, layout, system.kernel())
 
 
@@ -441,16 +418,10 @@ def homotopy_hom(x: ComplexPoint, y: ComplexPoint, n: int) -> HomotopyHom:
         if not x.dim_at(i) or not y.dim_at(i - n + 1):
             continue
         for h in hom_matrices(x.term(i), y.term(i - n + 1)):
-            comps = {}
-            upper = (y.diff(i - n + 1) @ h).scale(sign)
-            if not upper.is_zero():
-                comps[i] = upper
-            if x.dim_at(i + 1) and y.dim_at(i + 1 - n):
-                lower = h @ x.diff(i + 1)
-                if not lower.is_zero():
-                    comps[i + 1] = lower
-            f = ChainMap(x, y, n, tuple(sorted(comps.items(), reverse=True)))
-            boundaries.append(cms.flatten(f))
+            comps = {i: (y.diff(i - n + 1) @ h).scale(sign)}
+            if i + 1 in cms.layout.index:
+                comps[i + 1] = h @ x.diff(i + 1)
+            boundaries.append(cms.layout.flatten(comps))
     null = Subspace.from_vectors(field, cms.ambient_dim, boundaries)
     if not cms.subspace.contains_subspace(null):
         raise ValidationFailure("null-homotopic maps escaped the chain map space")

@@ -197,20 +197,14 @@ class SplitterResult:
 
 def _ideal_identity(field, quot_dim, ideal, q_mul):
     """Identity element of a (necessarily unital) two-sided ideal in a
-    semisimple quotient: prefer an echelon basis element that already works,
-    otherwise solve e*x = x linearly inside the ideal."""
-    basis = list(ideal.basis)
-    for cand in basis:
-        if q_mul(cand, cand) != cand:
-            continue
-        if all(q_mul(cand, b) == b and q_mul(b, cand) == b for b in basis):
-            return cand
-    nb = len(basis)
+    semisimple quotient: the unique e in the ideal with e*x = x for every x
+    there, solved linearly, then checked to be a two-sided identity."""
+    basis = ideal.basis
     rows, rhs = [], []
     for b in basis:
         cols = [q_mul(bk, b) for bk in basis]
         for coord in range(quot_dim):
-            rows.append([cols[k][coord] for k in range(nb)])
+            rows.append([col[coord] for col in cols])
             rhs.append(b[coord])
     coeffs = LinearSolver(Matrix.from_rows(field, rows)).solve(tuple(rhs))
     if coeffs is None:

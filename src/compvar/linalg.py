@@ -1,6 +1,8 @@
-"""Exact linear algebra: matrices, echelon forms, subspaces, solvers, and
+"""Exact linear algebra: matrices, echelon forms, subspaces, solvers,
 ``linear_system``, the one builder that turns linear equations in unknown
-matrices (sums of terms ``c * L @ X_k @ R``) into a coefficient matrix.
+matrices (sums of terms ``c * L @ X_k @ R``) into a coefficient matrix, and
+``Blocks``, the one order in which such unknowns (tangent, Lie and
+chain-map blocks) are flattened to coordinates and read back.
 
 A matrix keeps its entries as dense row tuples or as sparse rows (dicts
 from column to nonzero value), whichever it was built from, and derives the
@@ -415,6 +417,41 @@ def linear_system(field: Field, shapes, equations) -> Matrix:
         rows.extend(block)
     p = field.p
     return Matrix(field, len(rows), ncols, None, [_canonical(r, p) for r in rows])
+
+
+@dataclass(frozen=True)
+class Blocks:
+    """Flattening of block matrices into one vector: the blocks in ``keys``
+    order, each row-major.  ``shapes`` are the unknowns of ``linear_system``
+    in that order, so ``index[key]`` names a block as an unknown."""
+
+    field: Field
+    keys: tuple
+    shapes: tuple  # (rows, cols) per key
+
+    @cached_property
+    def index(self) -> dict:
+        return {key: k for k, key in enumerate(self.keys)}
+
+    @property
+    def ambient_dim(self) -> int:
+        return sum(r * c for r, c in self.shapes)
+
+    def flatten(self, blocks: dict) -> tuple:
+        """Coordinates of the blocks; a missing key is a zero block."""
+        out = []
+        zero = self.field.zero()
+        for key, (r, c) in zip(self.keys, self.shapes):
+            m = blocks.get(key)
+            out.extend(m.flat() if m is not None else (zero,) * (r * c))
+        return tuple(out)
+
+    def unflatten(self, vec) -> dict:
+        out, pos = {}, 0
+        for key, (r, c) in zip(self.keys, self.shapes):
+            out[key] = Matrix.from_flat(self.field, r, c, vec[pos:pos + r * c])
+            pos += r * c
+        return out
 
 
 class LinearSolver:

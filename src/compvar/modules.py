@@ -42,6 +42,11 @@ class ModuleRep:
         # kept in the instance dict, not a field: equality ignores it
         return _module_witness(self)
 
+    @cached_property
+    def _projective(self) -> bool:
+        # the verdict only: a kept cover would point back at this module
+        return self.dim == 0 or projective_cover(self).projective.dim == self.dim
+
     @property
     def field(self):
         return self.algebra.field
@@ -382,8 +387,9 @@ def simple_modules(a: FDAlgebra) -> list:
 def is_projective(m: ModuleRep) -> bool:
     """M is projective iff its cover P -> M (checked surjective, with kernel
     K inside rad P) is an isomorphism: if M is projective the cover splits,
-    so K is a summand of P inside rad P, hence zero by Nakayama."""
-    return m.dim == 0 or projective_cover(m).projective.dim == m.dim
+    so K is a summand of P inside rad P, hence zero by Nakayama.  A module
+    is decided once: the verdict is kept on the instance."""
+    return m._projective
 
 
 def ext1_dim_oracle(m: ModuleRep, n: ModuleRep) -> int:

@@ -10,9 +10,11 @@ d_{i-1} x d_i), subject to the linearized defining conditions:
   (c)  v_{i-1} del_i + del_{i-1} v_i = 0
 
 with A_ij the action of a_j on X_i, del_i the differential, and out-of-range
-symbols zero.  Unknowns are ordered: all deltas (degrees descending, then j
-ascending, matrices row-major), then all sigmas (degrees descending); this
-fixed layout makes every reported basis reproducible.
+symbols zero.  Tangent coordinates are one ``Blocks`` layout: the blocks
+("delta", i, j) (degrees descending, then j ascending), then ("sigma", i)
+(degrees descending), zero-sized ones left out.  The Lie coordinates t_i
+of the orbit map are another, keyed by degree, descending.  This fixed
+order makes every reported basis reproducible.
 """
 
 from __future__ import annotations
@@ -24,77 +26,62 @@ from .complexes import (ChainMap, ComplexPoint, chain_map_from_components,
                         stalk, validate_point)
 from .derived import derived_hom_dim
 from .errors import NotProjectiveComplex, ShapeMismatch, ValidationFailure
-from .linalg import LinearSolver, Matrix, Subspace, linear_system, vec_combination
+from .linalg import (Blocks, LinearSolver, Matrix, Subspace, linear_system,
+                     vec_combination)
 from .modules import ext1_dim_oracle, make_module
 
 
 @dataclass(frozen=True, eq=False)
 class TangentVector:
-    """deltas: per listed degree the s matrices delta_i(a_j); sigmas: the
-    blocks sigma_i mapping degree i to degree i-1."""
+    """The blocks of a tangent vector at ``complex``: delta_i(a_j) under
+    ("delta", i, j) and sigma_i, mapping degree i to degree i-1, under
+    ("sigma", i).  An absent key is a zero block."""
 
     complex: ComplexPoint
-    deltas: tuple  # ((i, (m_0, ..., m_{s-1})), ...) degrees descending
-    sigmas: tuple  # ((i, matrix), ...) degrees descending
+    blocks: dict
 
     def delta(self, i: int, j: int) -> Matrix:
-        for deg, mats in self.deltas:
-            if deg == i:
-                return mats[j]
-        d = self.complex.dim_at(i)
-        return Matrix.zeros(self.complex.field, d, d)
+        m = self.blocks.get(("delta", i, j))
+        if m is None:
+            d = self.complex.dim_at(i)
+            return Matrix.zeros(self.complex.field, d, d)
+        return m
 
     def sigma(self, i: int) -> Matrix:
-        for deg, m in self.sigmas:
-            if deg == i:
-                return m
-        return Matrix.zeros(self.complex.field,
-                            self.complex.dim_at(i - 1), self.complex.dim_at(i))
+        m = self.blocks.get(("sigma", i))
+        if m is None:
+            return Matrix.zeros(self.complex.field,
+                                self.complex.dim_at(i - 1), self.complex.dim_at(i))
+        return m
 
     def is_zero(self) -> bool:
-        return (all(m.is_zero() for _, mats in self.deltas for m in mats)
-                and all(m.is_zero() for _, m in self.sigmas))
+        return all(m.is_zero() for m in self.blocks.values())
 
     def add(self, other: "TangentVector") -> "TangentVector":
-        deltas = tuple((i, tuple(a + b for a, b in zip(ms, other_ms)))
-                       for (i, ms), (_, other_ms) in zip(self.deltas, other.deltas))
-        sigmas = tuple((i, a + other.sigma(i)) for i, a in self.sigmas)
-        return TangentVector(self.complex, deltas, sigmas)
-
-    def scale(self, c) -> "TangentVector":
-        deltas = tuple((i, tuple(m.scale(c) for m in ms)) for i, ms in self.deltas)
-        sigmas = tuple((i, m.scale(c)) for i, m in self.sigmas)
-        return TangentVector(self.complex, deltas, sigmas)
+        return TangentVector(self.complex, {key: m + other.blocks[key]
+                                            for key, m in self.blocks.items()})
 
 
 def tangent_vector(x: ComplexPoint, deltas: dict, sigmas: dict) -> TangentVector:
-    """Assemble a tangent vector from matrices keyed by degree; shapes are
-    checked, the linear invariants are checked by membership or by chi."""
-    dts = []
-    for i in range(x.top, x.bottom - 1, -1):
-        if x.dim_at(i) == 0:
-            continue
-        mats = deltas.get(i)
-        if mats is None:
-            mats = tuple(Matrix.zeros(x.field, x.dim_at(i), x.dim_at(i))
-                         for _ in range(x.algebra.dim))
+    """Assemble a tangent vector from matrices keyed by degree (``deltas``
+    holds the s matrices delta_i(a_j) per degree); shapes are checked, the
+    linear invariants are checked by membership or by chi."""
+    given = {("sigma", i): m for i, m in sigmas.items()}
+    for i, mats in deltas.items():
         mats = tuple(mats)
         if len(mats) != x.algebra.dim:
             raise ShapeMismatch(f"need {x.algebra.dim} delta matrices at degree {i}")
-        for m in mats:
-            if m.shape != (x.dim_at(i), x.dim_at(i)):
-                raise ShapeMismatch(f"delta block at degree {i} has shape {m.shape}")
-        dts.append((i, mats))
-    sgs = []
-    for i in range(x.top, x.bottom, -1):
-        rows, cols = x.dim_at(i - 1), x.dim_at(i)
-        if rows == 0 or cols == 0:
-            continue
-        m = sigmas.get(i, Matrix.zeros(x.field, rows, cols))
-        if m.shape != (rows, cols):
-            raise ShapeMismatch(f"sigma block at degree {i} has shape {m.shape}")
-        sgs.append((i, m))
-    return TangentVector(x, tuple(dts), tuple(sgs))
+        given.update((("delta", i, j), m) for j, m in enumerate(mats))
+    layout = tangent_layout(x).coords
+    blocks = {}
+    for key, shape in zip(layout.keys, layout.shapes):
+        m = given.get(key)
+        if m is None:
+            m = Matrix.zeros(x.field, *shape)
+        elif m.shape != shape:
+            raise ShapeMismatch(f"{key[0]} block at degree {key[1]} has shape {m.shape}")
+        blocks[key] = m
+    return TangentVector(x, blocks)
 
 
 def zero_tangent_vector(x: ComplexPoint) -> TangentVector:
@@ -103,63 +90,40 @@ def zero_tangent_vector(x: ComplexPoint) -> TangentVector:
 
 @dataclass(frozen=True, eq=False)
 class TangentLayout:
-    """Frozen flattening of tangent coordinates: delta blocks first
-    (degrees descending, j ascending, row-major), then sigma blocks."""
+    """The tangent coordinates at ``complex``: ``blocks`` are the block
+    keys in flattening order."""
 
     complex: ComplexPoint
-    blocks: tuple  # ("delta", i, j, d) or ("sigma", i, rows, cols)
+    coords: Blocks
+
+    @property
+    def blocks(self) -> tuple:
+        return self.coords.keys
 
     @property
     def ambient_dim(self) -> int:
-        total = 0
-        for b in self.blocks:
-            if b[0] == "delta":
-                total += b[3] * b[3]
-            else:
-                total += b[2] * b[3]
-        return total
+        return self.coords.ambient_dim
 
     def flatten(self, v: TangentVector) -> tuple:
-        out = []
-        for b in self.blocks:
-            if b[0] == "delta":
-                out.extend(v.delta(b[1], b[2]).flat())
-            else:
-                out.extend(v.sigma(b[1]).flat())
-        return tuple(out)
+        return self.coords.flatten(v.blocks)
 
     def unflatten(self, vec: tuple) -> TangentVector:
-        field = self.complex.field
-        deltas, sigmas = {}, {}
-        pos = 0
-        for b in self.blocks:
-            if b[0] == "delta":
-                _, i, j, d = b
-                m = Matrix.from_flat(field, d, d, vec[pos:pos + d * d])
-                pos += d * d
-                deltas.setdefault(i, [None] * self.complex.algebra.dim)[j] = m
-            else:
-                _, i, rows, cols = b
-                sigmas[i] = Matrix.from_flat(field, rows, cols,
-                                             vec[pos:pos + rows * cols])
-                pos += rows * cols
-        return tangent_vector(self.complex, deltas, sigmas)
+        return TangentVector(self.complex, self.coords.unflatten(vec))
 
 
 def tangent_layout(x: ComplexPoint) -> TangentLayout:
-    blocks = []
-    s = x.algebra.dim
+    keys, shapes = [], []
     for i in range(x.top, x.bottom - 1, -1):
         d = x.dim_at(i)
-        if d == 0:
-            continue
-        for j in range(s):
-            blocks.append(("delta", i, j, d))
+        if d:
+            keys += [("delta", i, j) for j in range(x.algebra.dim)]
+            shapes += [(d, d)] * x.algebra.dim
     for i in range(x.top, x.bottom, -1):
         rows, cols = x.dim_at(i - 1), x.dim_at(i)
         if rows and cols:
-            blocks.append(("sigma", i, rows, cols))
-    return TangentLayout(x, tuple(blocks))
+            keys.append(("sigma", i))
+            shapes.append((rows, cols))
+    return TangentLayout(x, Blocks(x.field, tuple(keys), tuple(shapes)))
 
 
 def _require_point(x: ComplexPoint) -> None:
@@ -171,24 +135,10 @@ def _require_point(x: ComplexPoint) -> None:
                                 witness=witness)
 
 
-def _unknowns(layout: TangentLayout) -> tuple:
-    """(shapes, index) of the layout blocks as unknown matrices, keyed
-    ("delta", i, j) and ("sigma", i)."""
-    shapes, index = [], {}
-    for b in layout.blocks:
-        if b[0] == "delta":
-            key, shape = b[:3], (b[3], b[3])
-        else:
-            key, shape = b[:2], b[2:]
-        index[key] = len(shapes)
-        shapes.append(shape)
-    return shapes, index
-
-
 def tangent_system_matrix(x: ComplexPoint, layout: TangentLayout) -> Matrix:
     """Coefficient matrix of the linear system (a), (b), (c)."""
     s = x.algebra.dim
-    shapes, unk = _unknowns(layout)
+    unk = layout.coords.index
     equations = []
     # (a): derivation rule per degree and basis pair
     for i in x.degrees():
@@ -221,7 +171,7 @@ def tangent_system_matrix(x: ComplexPoint, layout: TangentLayout) -> Matrix:
             equations.append((x.dim_at(i - 2), x.dim_at(i), [
                 (1, None, unk["sigma", i - 1], x.diff(i)),
                 (1, x.diff(i - 1), unk["sigma", i], None)]))
-    return linear_system(x.field, shapes, equations)
+    return linear_system(x.field, layout.coords.shapes, equations)
 
 
 def tangent_space(x: ComplexPoint):
@@ -239,13 +189,10 @@ def tangent_space_basis(x: ComplexPoint) -> list:
 # -- orbit tangent space ------------------------------------------------------------
 
 
-def _lie_blocks(x: ComplexPoint) -> tuple:
-    return tuple((i, x.dim_at(i)) for i in range(x.top, x.bottom - 1, -1)
-                 if x.dim_at(i))
-
-
-def lie_dim(x: ComplexPoint) -> int:
-    return sum(d * d for _, d in _lie_blocks(x))
+def _lie_layout(x: ComplexPoint) -> Blocks:
+    """Lie coordinates t_i, keyed by degree."""
+    degrees = tuple(i for i in range(x.top, x.bottom - 1, -1) if x.dim_at(i))
+    return Blocks(x.field, degrees, tuple((x.dim_at(i),) * 2 for i in degrees))
 
 
 def _commutator(k: int, a: Matrix) -> list:
@@ -256,20 +203,19 @@ def _commutator(k: int, a: Matrix) -> list:
 def orbit_map_matrix(x: ComplexPoint, layout: TangentLayout) -> Matrix:
     """Matrix of t = (t_i) |-> (delta_i(a_j) = t_i A_ij - A_ij t_i,
     sigma_i = t_{i-1} del_i - del_i t_i), columns indexed by Lie coordinates
-    (degrees descending, row-major)."""
-    blocks = _lie_blocks(x)
-    t = {deg: k for k, (deg, _) in enumerate(blocks)}
+    (the Lie layout)."""
+    lie = _lie_layout(x)
+    t = lie.index
     equations = []
-    for b in layout.blocks:
-        if b[0] == "delta":
-            _, i, j, d = b
-            equations.append((d, d, _commutator(t[i], x.term(i).action[j])))
+    for key, (rows, cols) in zip(layout.blocks, layout.coords.shapes):
+        i = key[1]
+        if key[0] == "delta":
+            equations.append((rows, cols, _commutator(t[i], x.term(i).action[key[2]])))
         else:
-            _, i, rows, cols = b
             di = x.diff(i)
             equations.append((rows, cols, [(1, None, t[i - 1], di),
                                            (-1, di, t[i], None)]))
-    return linear_system(x.field, [(d, d) for _, d in blocks], equations)
+    return linear_system(x.field, lie.shapes, equations)
 
 
 def tangent_and_orbit(x: ComplexPoint):
@@ -277,10 +223,11 @@ def tangent_and_orbit(x: ComplexPoint):
     from one build of each system; the orbit directions are checked to lie
     in the tangent space."""
     layout, tspace = tangent_space(x)
-    orbit = orbit_map_matrix(x, layout).column_space()
+    orbit_map = orbit_map_matrix(x, layout)
+    orbit = orbit_map.column_space()
     if not tspace.contains_subspace(orbit):
         raise ValidationFailure("orbit directions escape the tangent space")
-    return layout, tspace, orbit, lie_dim(x) - orbit.dim
+    return layout, tspace, orbit, orbit_map.ncols - orbit.dim
 
 
 def orbit_tangent(x: ComplexPoint):
@@ -368,13 +315,7 @@ def chi_splitting(x: ComplexPoint, v: TangentVector):
     coeffs = LinearSolver(m).solve(layout.flatten(v))
     if coeffs is None:
         return None
-    field = x.field
-    ts = {}
-    pos = 0
-    for deg, d in _lie_blocks(x):
-        ts[deg] = Matrix.from_flat(field, d, d, coeffs[pos:pos + d * d])
-        pos += d * d
-    return ts
+    return _lie_layout(x).unflatten(coeffs)
 
 
 # -- the comparison map eta -------------------------------------------------------------
@@ -397,30 +338,21 @@ def eta(x: ComplexPoint, v: TangentVector, _solvers: dict | None = None) -> Chai
     homotopy class is the image of v."""
     if not classify(x).is_projective_complex:
         raise NotProjectiveComplex("eta needs every term projective")
-    field = x.field
     s = x.algebra.dim
     solvers = _solvers if _solvers is not None else _derivation_solvers(x)
     ts = {}
-    for i in x.degrees():
-        d = x.dim_at(i)
-        if d == 0:
-            continue
-        rhs = tuple(e for j in range(1, s) for e in v.delta(i, j).flat())
-        sol = solvers[i].solve(rhs)
+    for i, solver in solvers.items():
+        sol = solver.solve(tuple(e for j in range(1, s) for e in v.delta(i, j).flat()))
         if sol is None:
             raise ValidationFailure(
                 f"inner-derivation solve infeasible at degree {i}; "
                 f"term is not projective")
-        ts[i] = Matrix.from_flat(field, d, d, sol)
+        ts[i] = Matrix.from_flat(x.field, x.dim_at(i), x.dim_at(i), sol)
     comps = {}
     for i in range(x.bottom + 1, x.top + 1):
-        dlo, dhi = x.dim_at(i - 1), x.dim_at(i)
-        if dlo == 0 or dhi == 0:
-            continue
-        t_lo = ts.get(i - 1, Matrix.zeros(field, dlo, dlo))
-        t_hi = ts.get(i, Matrix.zeros(field, dhi, dhi))
-        inner = t_lo @ x.diff(i) - x.diff(i) @ t_hi
-        comps[i] = v.sigma(i) - inner
+        if i - 1 in ts and i in ts:
+            di = x.diff(i)
+            comps[i] = v.sigma(i) - (ts[i - 1] @ di - di @ ts[i])
     return chain_map_from_components(x, x, 1, comps)
 
 

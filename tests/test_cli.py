@@ -246,6 +246,21 @@ def test_bad_usage_exits_4(capsys):
                    "--dims", "one,two") == 4
 
 
+def test_parser_is_built_once_and_reused(capsys):
+    from compvar.cli import build_parser
+    assert build_parser() is build_parser()
+    assert run_cli("validate",
+                   "--algebra", fx("algebra_q_dual_numbers_quiver.json"),
+                   "--complex", fx("complex_axa_q.json")) == 0
+    # the shared parser still rejects bad usage after a successful run
+    assert run_cli("validate", "--algebra", fx("algebra_f2.json")) == 4
+    assert run_cli("census", "--algebra", fx("algebra_f2.json")) == 4
+    assert run_cli("validate",
+                   "--algebra", fx("algebra_q_dual_numbers_quiver.json"),
+                   "--complex", fx("complex_axa_q.json")) == 0
+    capsys.readouterr()
+
+
 # -- CLI reports -----------------------------------------------------------------
 
 def test_theorem7_json_report(capsys):

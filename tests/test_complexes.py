@@ -129,7 +129,7 @@ def test_chain_map_square_violation_detected():
 def test_chain_map_space_flatten_round_trip():
     x = axa_complex(QQ)
     space = chain_map_space(x, x, 0)
-    assert space.layout == ((1, 2, 2), (0, 2, 2))
+    assert (space.layout.keys, space.layout.shapes) == ((1, 0), ((2, 2), (2, 2)))
     assert space.ambient_dim == 8
     for vec in space.subspace.basis:
         f = space.unflatten(vec)
@@ -324,6 +324,30 @@ def test_classification_is_kept_on_the_point(monkeypatch):
     fresh = stalk(simple_over_dual(QQ), 0)
     assert fresh == s and hash(fresh) == hash(s)
     assert classify(fresh) == classify(s) and len(seen) == 2
+
+
+def test_points_sharing_terms_cover_each_term_once(monkeypatch):
+    import compvar.modules as modules_module
+    covered = []
+    cover = modules_module.projective_cover
+    monkeypatch.setattr(modules_module, "projective_cover",
+                        lambda m: (covered.append(m), cover(m))[1])
+    a = dual_numbers(QQ)
+    reg, simple = regular_module(a), simple_over_dual(QQ)
+    zero = Matrix.zeros(QQ, 2, 1)
+    x = make_complex(a, 0, (reg, simple), (zero,))
+    y = make_complex(a, 2, (reg, simple), (zero,))
+    assert classify(x).projective_terms == classify(y).projective_terms == (False, True)
+    assert len(covered) == 2
+    assert covered[0] is simple and covered[1] is reg
+    # the verdict is not part of the value: an equal module compares and
+    # hashes equal, and is decided on its own
+    fresh = simple_over_dual(QQ)
+    assert fresh == simple and hash(fresh) == hash(simple)
+    assert "_projective" in vars(simple) and "_projective" not in vars(fresh)
+    assert make_complex(a, 0, (reg, fresh), (zero,)) == x
+    assert not classify(stalk(fresh, 0)).is_projective_complex
+    assert len(covered) == 3 and covered[2] is fresh
 
 
 # -- projective replacement ---------------------------------------------------------------

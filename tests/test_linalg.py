@@ -10,7 +10,8 @@ import pytest
 
 from compvar.errors import ShapeMismatch
 from compvar.fields import GF, QQ, Field
-from compvar.linalg import LinearSolver, Matrix, Subspace, linear_system
+from compvar.linalg import (Blocks, LinearSolver, Matrix, Subspace,
+                            linear_system)
 
 F2 = GF(2)
 F5 = GF(5)
@@ -271,6 +272,67 @@ def test_linear_system_matches_direct_products(field):
         assert all(v == field.coerce(v) and type(v) is type(field.zero())
                    for row in m.data for v in row)
     assert min(seen.values()) > 0
+
+
+# -- block layouts ---------------------------------------------------------------
+
+def _random_blocks(field: Field, rng: random.Random, low: int = 0) -> Blocks:
+    n = rng.randint(1, 4)
+    keys = tuple(rng.sample([("delta", 1, 0), ("sigma", 2), 3, 0, "t"], n))
+    return Blocks(field, keys,
+                  tuple((rng.randint(low, 3), rng.randint(low, 3)) for _ in keys))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=str)
+def test_blocks_unflatten_inverts_flatten(field):
+    rng = random.Random(31 + field.characteristic)
+    for _ in range(30):
+        layout = _random_blocks(field, rng)
+        blocks = {key: rand_matrix(field, r, c, rng)
+                  for key, (r, c) in zip(layout.keys, layout.shapes)}
+        vec = layout.flatten(blocks)
+        assert len(vec) == layout.ambient_dim
+        assert layout.unflatten(vec) == blocks
+        assert list(layout.unflatten(vec)) == list(layout.keys)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=str)
+def test_blocks_absent_keys_flatten_to_zeros(field):
+    rng = random.Random(41 + field.characteristic)
+    for _ in range(30):
+        layout = _random_blocks(field, rng)
+        assert layout.flatten({}) == (field.zero(),) * layout.ambient_dim
+        kept = {key: rand_matrix(field, r, c, rng)
+                for key, (r, c) in zip(layout.keys, layout.shapes)
+                if rng.random() < 0.5}
+        full = {key: kept.get(key, Matrix.zeros(field, r, c))
+                for key, (r, c) in zip(layout.keys, layout.shapes)}
+        assert layout.flatten(kept) == layout.flatten(full)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=str)
+def test_blocks_columns_match_linear_system(field):
+    """A single entry of block k at (i, j) lands in the column that
+    linear_system gives X_k[i, j]: the equation e_i^T X_k e_j reads it."""
+    rng = random.Random(51 + field.characteristic)
+    one = field.one()
+    for _ in range(40):
+        layout = _random_blocks(field, rng, low=1)
+        k = rng.randrange(len(layout.keys))
+        key, (r, c) = layout.keys[k], layout.shapes[k]
+        i, j = rng.randrange(r), rng.randrange(c)
+        value = _random_entry(field, rng)
+        block = Matrix(field, r, c, None,
+                       [{j: field.coerce(value)} if a == i else {} for a in range(r)])
+        vec = layout.flatten({key: block})
+        cols = [col for col, x in enumerate(vec) if x]
+        assert len(cols) == 1 and vec[cols[0]] == field.coerce(value)
+        assert layout.index[key] == k
+        left = Matrix(field, 1, r, None, [{i: one}])
+        right = Matrix(field, c, 1, None, [{0: one} if b == j else {} for b in range(c)])
+        row = linear_system(field, layout.shapes, [(1, 1, [(1, left, k, right)])])
+        assert row.data == (tuple(one if col == cols[0] else field.zero()
+                                  for col in range(layout.ambient_dim)),)
 
 
 # -- oracle: sympy DomainMatrix ------------------------------------------------
