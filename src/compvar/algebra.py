@@ -78,10 +78,6 @@ class FDAlgebra:
             raise ShapeMismatch("element coordinate length mismatch")
         return _bilinear(self.field, x, y, self.products)
 
-    def c(self, j: int, k: int, l: int):
-        """Structure constant c_{jkl} (0-based indices)."""
-        return self.products[j][k][l]
-
     def left_mult_matrix(self, x: tuple) -> Matrix:
         """Matrix of y -> x*y in the basis (columns are x * a_k)."""
         cols = [self.mul_vec(x, self.basis_vec(k)) for k in range(self.dim)]
@@ -107,12 +103,11 @@ class FDAlgebra:
 
 
 def algebra_from_constants(field: Field, dim: int, labels, constants,
-                           idempotents=None, radical_vectors=None,
-                           check: bool = True) -> FDAlgebra:
+                           idempotents=None, radical_vectors=None) -> FDAlgebra:
     """Assemble an algebra from a sparse {(j, k, l): scalar} map (0-based).
 
     Products by the identity (index 0) are filled in automatically; explicit
-    entries for them must agree.  With ``check`` the result is validated.
+    entries for them must agree.  The result is validated.
     """
     if dim < 1:
         raise ValidationFailure("algebra must contain the identity (dim >= 1)")
@@ -136,11 +131,10 @@ def algebra_from_constants(field: Field, dim: int, labels, constants,
     products = tuple(tuple(tuple(cell) for cell in row) for row in table)
     alg = FDAlgebra(field, dim, labels, products,
                     idempotents=idempotents, radical_vectors=radical_vectors)
-    if check:
-        witness = validate_algebra(alg)
-        if witness is not None:
-            raise ValidationFailure(f"structure constants invalid: {witness}",
-                                    witness=witness)
+    witness = validate_algebra(alg)
+    if witness is not None:
+        raise ValidationFailure(f"structure constants invalid: {witness}",
+                                witness=witness)
     return alg
 
 
@@ -345,7 +339,7 @@ def path_algebra(q: QuiverPresentation, field: Field) -> FDAlgebra:
         labels = ["1"] + [key_label(k) for k in basis_keys[1:]]
         products = tuple(tuple(raw[j][k] for k in range(nb)) for j in range(nb))
         alg = FDAlgebra(field, nb, tuple(labels), products,
-                        idempotents=(algebra_unit_vec(field, nb),),
+                        idempotents=(unit_axis(field, nb, 0),),
                         radical_vectors=tuple(unit_axis(field, nb, i)
                                               for i in range(1, nb)))
         return _revalidate(alg)
@@ -392,10 +386,6 @@ def unit_axis(field: Field, n: int, i: int) -> tuple:
     v = [field.zero()] * n
     v[i] = field.one()
     return tuple(v)
-
-
-def algebra_unit_vec(field: Field, n: int) -> tuple:
-    return unit_axis(field, n, 0)
 
 
 def _revalidate(alg: FDAlgebra) -> FDAlgebra:

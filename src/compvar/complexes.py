@@ -18,7 +18,7 @@ from .errors import (AlgebraMismatch, BudgetExceeded, NotProjectiveComplex,
                      ShapeMismatch, ValidationFailure)
 from .linalg import Blocks, Matrix, Subspace, linear_system
 from .modules import (ModuleRep, WitnessSearch, direct_sum_modules,
-                      hom_matrices, is_projective, projective_cover,
+                      hom_matrices, is_projective,
                       search_invertible_combination, submodule,
                       validate_module, zero_module)
 
@@ -104,14 +104,12 @@ class ComplexPoint:
                 f"dims {self.dims()} over {self.field}>")
 
 
-def make_complex(algebra: FDAlgebra, bottom: int, terms, diffs,
-                 check: bool = True) -> ComplexPoint:
+def make_complex(algebra: FDAlgebra, bottom: int, terms, diffs) -> ComplexPoint:
     x = ComplexPoint(algebra, bottom, tuple(terms), tuple(diffs))
-    if check:
-        witness = validate_point(x)
-        if witness is not None:
-            raise ValidationFailure(f"complex conditions fail: {witness}",
-                                    witness=witness)
+    witness = validate_point(x)
+    if witness is not None:
+        raise ValidationFailure(f"complex conditions fail: {witness}",
+                                witness=witness)
     return x
 
 
@@ -257,14 +255,13 @@ def identity_chain_map(x: ComplexPoint) -> ChainMap:
 
 
 def chain_map_from_components(x: ComplexPoint, y: ComplexPoint, n: int,
-                              comps: dict, check: bool = True) -> ChainMap:
+                              comps: dict) -> ChainMap:
     items = tuple(sorted(((i, m) for i, m in comps.items() if not m.is_zero()),
                          reverse=True))
     f = ChainMap(x, y, n, items)
-    if check:
-        witness = f.validate()
-        if witness is not None:
-            raise ValidationFailure(f"not a chain map: {witness}", witness=witness)
+    witness = f.validate()
+    if witness is not None:
+        raise ValidationFailure(f"not a chain map: {witness}", witness=witness)
     return f
 
 
@@ -516,12 +513,12 @@ MAX_TOWER_STEPS = 128
 
 
 def _extend_once(x: ComplexPoint) -> tuple:
-    """Replace the top term by its projective cover and prepend the kernel;
-    returns (extended complex, canonical quasi-isomorphism onto x), or
-    (x, identity) when that cover is an isomorphism (see is_projective)."""
+    """Replace the top term by the projective cover it keeps and prepend the
+    kernel; returns (extended complex, canonical quasi-isomorphism onto x),
+    or (x, identity) when that cover is an isomorphism (see is_projective)."""
     ld = x.left_degree()
-    cover = None if ld is None else projective_cover(x.term(ld))
-    if cover is None or cover.projective.dim == cover.module.dim:
+    cover = None if ld is None else x.term(ld).cover
+    if cover is None or cover.projective.dim == x.dim_at(ld):
         return x, identity_chain_map(x)
     k_mod, k_inc = submodule(cover.projective, cover.pi.kernel())
     terms = [x.term(i) for i in range(x.bottom, ld)] + [cover.projective, k_mod]
@@ -529,11 +526,11 @@ def _extend_once(x: ComplexPoint) -> tuple:
     if ld > x.bottom:
         diffs.append(x.diff(ld) @ cover.pi)
     diffs.append(k_inc)
-    ext = make_complex(x.algebra, x.bottom, terms, diffs, check=False)
+    ext = ComplexPoint(x.algebra, x.bottom, tuple(terms), tuple(diffs))
     comps = {i: Matrix.identity(x.field, x.dim_at(i))
              for i in range(x.bottom, ld) if x.dim_at(i)}
     comps[ld] = cover.pi
-    f = chain_map_from_components(ext, x, 0, comps, check=False)
+    f = ChainMap(ext, x, 0, tuple(sorted(comps.items(), reverse=True)))
     # only degrees ld-1..ld+1 change: check the new terms and maps, their
     # composite and pi . k = 0 there, at a cost that does not grow with x
     lo = max(x.bottom, ld - 1)

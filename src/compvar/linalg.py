@@ -10,7 +10,10 @@ other form on first use.  Products and elimination read the sparse rows, so
 their cost follows the nonzeros: the linear systems behind tangent spaces,
 orbit maps and hom spaces are more than 99% zeros.  ``_eliminate`` is the
 one elimination routine; every echelon form, rank, kernel, inverse, solver
-and subspace basis comes from it.
+and subspace basis comes from it.  ``Subspace._residue`` is the one
+reduction of a vector modulo a cached echelon basis; membership,
+containment of a subspace, coordinates and canonical representatives come
+from it, with no second elimination.
 
 Everything is immutable and deterministic: row reduction always picks the
 leftmost available pivot and the first nonzero row below it, so reduced
@@ -509,11 +512,14 @@ class Subspace:
 
     @staticmethod
     def _span(field: Field, ambient: int, rows: list) -> "Subspace":
-        """Span of sparse rows of canonical values, which it consumes."""
+        """Span of sparse rows of canonical values, which it consumes; the
+        reduced rows are kept as the subspace's sparse basis."""
         rows = [r for r in rows if r]
         pivots = _eliminate(rows, field.p, ambient)
-        return Subspace(field, ambient,
+        span = Subspace(field, ambient,
                         _dense_rows(rows[:len(pivots)], ambient, field.zero()))
+        span.__dict__["_by_pivot"] = dict(zip(pivots, rows))
+        return span
 
     @staticmethod
     def zero(field: Field, ambient: int) -> "Subspace":
@@ -531,37 +537,44 @@ class Subspace:
 
     @cached_property
     def _pivots(self) -> tuple:  # scanned once per subspace
-        return tuple(min(row) for row in self._rows)
+        return tuple(self._by_pivot)
 
     @cached_property
-    def _rows(self) -> list:  # the basis as sparse rows, never modified
-        return _sparse_rows(self.basis)
+    def _by_pivot(self) -> dict:  # pivot column -> basis row, never modified
+        return {min(row): row for row in _sparse_rows(self.basis)}
 
-    def reduce(self, v: tuple) -> tuple:
-        """Canonical representative of v modulo this subspace: v minus v[p]
-        times the basis row with pivot p, for every pivot p (basis rows
-        vanish at each other's pivots, so each v[p] is read unchanged)."""
+    def _residue(self, v: dict) -> dict:
+        """The one reduction: the sparse row v minus v[c] times the basis row
+        with pivot c, for each pivot c of v in order.  Basis rows vanish at
+        each other's pivots, so v[c] is read unchanged; the canonical
+        residue is empty exactly when v lies in the span.  Consumes v."""
+        rows = self._by_pivot
+        for c in sorted(c for c in v if c in rows):
+            f = v[c]
+            for j, b in rows[c].items():
+                v[j] = v.get(j, 0) - f * b
+        return _canonical(v, self.field.p)
+
+    def _row(self, v: tuple) -> dict:
         if len(v) != self.ambient:
             raise ShapeMismatch(f"vector length {len(v)} vs ambient {self.ambient}")
-        p = self.field.p
-        v = [self.field.coerce(x) for x in v]
-        for row, pc in zip(self._rows, self._pivots):
-            f = v[pc]
-            if f:
-                for j, b in row.items():
-                    v[j] = v[j] - f * b if p is None else (v[j] - f * b) % p
-        return tuple(v)
+        return {j: x for j, x in enumerate(map(self.field.coerce, v)) if x}
+
+    def reduce(self, v: tuple) -> tuple:
+        """Canonical representative of v modulo this subspace."""
+        return _dense_rows([self._residue(self._row(v))], self.ambient,
+                           self.field.zero())[0]
 
     def contains(self, v: tuple) -> bool:
-        return not any(self.reduce(v))
+        return not self._residue(self._row(v))
 
     def coordinates(self, v: tuple):
         """Coordinates of v in the canonical basis, or None for v outside
         the span: the entries of v at the pivot columns, certified by
         reducing v to zero."""
-        if not self.contains(v):
-            return None
-        return tuple(self.field.coerce(v[pc]) for pc in self._pivots)
+        row = self._row(v)
+        coords = tuple(row.get(c, self.field.zero()) for c in self._pivots)
+        return None if self._residue(row) else coords
 
     def coordinate_matrix(self, m: Matrix):
         """The dim x m.ncols matrix X with ``column_matrix() @ X == m``,
@@ -573,7 +586,9 @@ class Subspace:
         return Matrix(self.field, len(cols), self.dim, tuple(cols)).transpose()
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return self.sum(other).dim == self.dim
+        """Every basis row of ``other`` reduces to zero."""
+        self._check_compatible(other)
+        return not any(self._residue(dict(row)) for row in other._by_pivot.values())
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
@@ -600,13 +615,9 @@ class Subspace:
         if self.ambient != other.ambient:
             raise ShapeMismatch("subspaces of different ambient spaces")
 
-    def basis_matrix(self) -> Matrix:
-        """Matrix whose rows are the canonical basis vectors."""
-        return Matrix(self.field, self.dim, self.ambient, self.basis)
-
     def column_matrix(self) -> Matrix:
         """Matrix whose columns are the canonical basis vectors."""
-        return self.basis_matrix().transpose()
+        return Matrix(self.field, self.dim, self.ambient, self.basis).transpose()
 
     def _free(self) -> list:
         pivots = set(self.pivots())

@@ -3,8 +3,8 @@
 A module is the tuple of action matrices of the algebra basis on K^d (the
 identity acts as the identity matrix).  Homomorphism spaces, isomorphism
 witnesses, tops/radicals, projective covers, projectivity tests and the
-first self-extension oracle all live here; they are the workhorses behind
-the complex-level geometry.
+first self-extension oracle live here.  A module keeps its one cover,
+``ModuleRep.cover``, which projectivity, Ext^1 and replacement towers read.
 """
 
 from __future__ import annotations
@@ -43,9 +43,9 @@ class ModuleRep:
         return _module_witness(self)
 
     @cached_property
-    def _projective(self) -> bool:
-        # the verdict only: a kept cover would point back at this module
-        return self.dim == 0 or projective_cover(self).projective.dim == self.dim
+    def cover(self) -> "ProjectiveCover":
+        # kept like _witness; the cover holds no reference back to the module
+        return projective_cover(self)
 
     @property
     def field(self):
@@ -59,18 +59,17 @@ class ModuleRep:
         return Matrix.from_flat(self.field, n, n, flat)
 
 
-def make_module(algebra: FDAlgebra, matrices, check: bool = True) -> ModuleRep:
+def make_module(algebra: FDAlgebra, matrices) -> ModuleRep:
     mats = []
     for m in matrices:
         mats.append(m if isinstance(m, Matrix)
                     else Matrix.from_rows(algebra.field, m))
     dim = mats[0].nrows if mats else 0
     mod = ModuleRep(algebra, dim, tuple(mats))
-    if check:
-        witness = validate_module(mod)
-        if witness is not None:
-            raise ValidationFailure(f"module relations fail: {witness}",
-                                    witness=witness)
+    witness = validate_module(mod)
+    if witness is not None:
+        raise ValidationFailure(f"module relations fail: {witness}",
+                                witness=witness)
     return mod
 
 
@@ -307,14 +306,13 @@ def _projectives(a: FDAlgebra) -> tuple:
 
 
 @dataclass(frozen=True)
-class ProjectiveCover(object):
+class ProjectiveCover:
     """Projective cover data: P -> M with P = sum of A e_i copies.
 
     ``pi`` is the cover matrix (m.dim x p.dim); ``summand_indices`` lists
     the vertex index of each indecomposable summand of P in order.
     """
 
-    module: ModuleRep
     projective: ModuleRep
     pi: Matrix
     summand_indices: tuple
@@ -322,13 +320,14 @@ class ProjectiveCover(object):
 
 def projective_cover(m: ModuleRep) -> ProjectiveCover:
     """Projective cover via the top: choose generators of e_i(M/radM) and
-    map the corresponding copies of A e_i onto them."""
+    map the corresponding copies of A e_i onto them.  Callers read the
+    cover a module keeps, ``m.cover``, which comes from here."""
     a = m.algebra
     idems = a.primitive_idempotents()
     projs = indecomposable_projectives(a)
     radm = radical_submodule(m)
     if m.dim == 0:
-        return ProjectiveCover(m, zero_module(a), Matrix.zeros(m.field, 0, 0), ())
+        return ProjectiveCover(zero_module(a), Matrix.zeros(m.field, 0, 0), ())
 
     generators = []  # (vertex index, vector in M)
     for vi, e in enumerate(idems):
@@ -353,14 +352,13 @@ def projective_cover(m: ModuleRep) -> ProjectiveCover:
     else:
         p_total = zero_module(a)
         pi = Matrix.zeros(m.field, m.dim, 0)
-    cover = ProjectiveCover(m, p_total, pi,
-                            tuple(vi for vi, _ in generators))
-    _check_cover(cover, radm)
+    cover = ProjectiveCover(p_total, pi, tuple(vi for vi, _ in generators))
+    _check_cover(m, cover)
     return cover
 
 
-def _check_cover(cover: ProjectiveCover, radm: Subspace):
-    m, p, pi = cover.module, cover.projective, cover.pi
+def _check_cover(m: ModuleRep, cover: ProjectiveCover):
+    p, pi = cover.projective, cover.pi
     # A-linear
     for j in range(m.algebra.dim):
         if pi @ p.action[j] != m.action[j] @ pi:
@@ -387,9 +385,9 @@ def simple_modules(a: FDAlgebra) -> list:
 def is_projective(m: ModuleRep) -> bool:
     """M is projective iff its cover P -> M (checked surjective, with kernel
     K inside rad P) is an isomorphism: if M is projective the cover splits,
-    so K is a summand of P inside rad P, hence zero by Nakayama.  A module
-    is decided once: the verdict is kept on the instance."""
-    return m._projective
+    so K is a summand of P inside rad P, hence zero by Nakayama.  It reads
+    the cover the module keeps."""
+    return m.dim == 0 or m.cover.projective.dim == m.dim
 
 
 def ext1_dim_oracle(m: ModuleRep, n: ModuleRep) -> int:
@@ -397,7 +395,7 @@ def ext1_dim_oracle(m: ModuleRep, n: ModuleRep) -> int:
     coker(Hom(P0, N) -> Hom(K, N)) with K = ker(P0 -> M)."""
     if m.dim == 0 or n.dim == 0:
         return 0
-    cover = projective_cover(m)
+    cover = m.cover
     k_mod, k_inc = submodule(cover.projective, cover.pi.kernel())
     hom_k = hom_space(k_mod, n)
     if k_mod.dim == 0:

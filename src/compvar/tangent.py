@@ -15,6 +15,9 @@ symbols zero.  Tangent coordinates are one ``Blocks`` layout: the blocks
 (degrees descending), zero-sized ones left out.  The Lie coordinates t_i
 of the orbit map are another, keyed by degree, descending.  This fixed
 order makes every reported basis reproducible.
+
+Every orbit dimension and tangent quotient comes from ``tangent_and_orbit``:
+the column space of the orbit map, certified to lie in the tangent space.
 """
 
 from __future__ import annotations
@@ -243,12 +246,11 @@ def orbit_tangent_basis(x: ComplexPoint):
 
 
 def _tangent_dims(x: ComplexPoint) -> dict:
-    """Tangent, orbit and quotient dimensions at x, from one build of each
-    system."""
-    layout, tspace = tangent_space(x)
-    orbit_dim = orbit_map_matrix(x, layout).rank()
-    return {"tangent_dim": tspace.dim, "orbit_dim": orbit_dim,
-            "quotient": tspace.dim - orbit_dim}
+    """Tangent, orbit and quotient dimensions at x, with the orbit certified
+    inside the tangent space by ``tangent_and_orbit``."""
+    _, tspace, orbit, _ = tangent_and_orbit(x)
+    return {"tangent_dim": tspace.dim, "orbit_dim": orbit.dim,
+            "quotient": tspace.dim - orbit.dim}
 
 
 def quotient_dim(x: ComplexPoint) -> int:

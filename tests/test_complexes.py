@@ -340,11 +340,11 @@ def test_points_sharing_terms_cover_each_term_once(monkeypatch):
     assert classify(x).projective_terms == classify(y).projective_terms == (False, True)
     assert len(covered) == 2
     assert covered[0] is simple and covered[1] is reg
-    # the verdict is not part of the value: an equal module compares and
+    # the cover is not part of the value: an equal module compares and
     # hashes equal, and is decided on its own
     fresh = simple_over_dual(QQ)
     assert fresh == simple and hash(fresh) == hash(simple)
-    assert "_projective" in vars(simple) and "_projective" not in vars(fresh)
+    assert "cover" in vars(simple) and "cover" not in vars(fresh)
     assert make_complex(a, 0, (reg, fresh), (zero,)) == x
     assert not classify(stalk(fresh, 0)).is_projective_complex
     assert len(covered) == 3 and covered[2] is fresh

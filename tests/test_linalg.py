@@ -514,6 +514,55 @@ def test_coordinates_match_sympy(field):
     assert Subspace.zero(field, 4).coordinates((field.zero(),) * 4) == ()
 
 
+def _sympy_residue(rows: Matrix, v: tuple) -> tuple:
+    """The vector congruent to v modulo the row space of ``rows`` that
+    vanishes at the sympy pivot columns: v minus v[c] times the sympy RREF
+    row with pivot c."""
+    field = rows.field
+    red, pivots = _to_dm(rows).rref()
+    out = _to_dm(Matrix.from_rows(field, [v]))
+    for row, c in zip(_from_dm(field, red), pivots):
+        out = out - _to_dm(Matrix.from_rows(field, [row])) * out.to_list()[0][c]
+    return _from_dm(field, out)[0]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=str)
+def test_reduction_matches_sympy(field):
+    """``contains_subspace``, ``contains``, ``reduce`` and ``coordinates``
+    agree with sympy ranks and solves on random subspaces, including the
+    zero and full spaces and subspaces that are not contained."""
+    rng = random.Random(3500 + field.characteristic)
+    verdicts = set()
+    for _ in range(30):
+        ambient = rng.randint(1, 16)
+        make = _sparse_matrix if rng.random() < 0.5 else rand_matrix
+        u_rows = rng.choice([make(field, rng.randint(1, 8), ambient, rng),
+                             Matrix.zeros(field, 1, ambient),
+                             Matrix.identity(field, ambient)])
+        coeffs = rand_matrix(field, rng.randint(1, 4), u_rows.nrows, rng)
+        w_rows = rng.choice([make(field, rng.randint(1, 8), ambient, rng),
+                             coeffs @ u_rows,
+                             Matrix.zeros(field, 1, ambient),
+                             Matrix.identity(field, ambient)])
+        u, w = u_rows.row_space(), w_rows.row_space()
+        u_rank = _to_dm(u_rows).rank()
+        contained = _to_dm(Matrix.vstack([u_rows, w_rows])).rank() == u_rank
+        assert u.contains_subspace(w) == contained
+        verdicts.add(contained)
+        for v in (coeffs @ u_rows).data + w_rows.data:
+            inside = _to_dm(Matrix.vstack([u_rows, Matrix.from_rows(field, [v])])).rank() == u_rank
+            assert u.contains(v) == inside
+            assert u.reduce(v) == _sympy_residue(u_rows, v)
+            assert any(u.reduce(v)) != inside
+            assert u.coordinates(v) == _sympy_coordinates(u_rows, v)
+    assert verdicts == {True, False}
+    u = Matrix.identity(field, 3).row_space()
+    with pytest.raises(ShapeMismatch):
+        u.contains_subspace(Subspace.zero(field, 4))
+    with pytest.raises(ShapeMismatch):
+        u.reduce((field.one(),) * 4)
+
+
 @pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
 def test_hash_is_kept_and_ignores_the_stored_form(field):
     dense = Matrix.from_rows(field, [[0, 2, 0], [1, 0, 0]])

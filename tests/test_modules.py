@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -247,6 +249,37 @@ def test_radical_and_projectives_are_computed_once_per_algebra(monkeypatch):
     assert fresh == a and fresh is not a
     assert not is_projective(make_module(fresh, [[[1]], [[0]]]))
     assert len(checked) == 2 and checked[1] is fresh
+
+
+def test_kept_cover_makes_no_reference_cycle():
+    # with the cycle collector off, only reference counting can free the
+    # module: its kept cover must not point back at it
+    gc.disable()
+    try:
+        m = direct_sum_modules([simple_over_dual(), regular_module(dual_numbers(QQ))])[0]
+        assert not is_projective(m) and ext1_dim_oracle(m, m) == 1
+        p = m.cover.projective
+        assert is_projective(p)
+        assert "cover" in vars(m) and "cover" in vars(p)
+        refs = weakref.ref(m), weakref.ref(p)
+        del m, p
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_each_module_is_covered_once(monkeypatch):
+    import compvar.modules as modules_module
+    covered = []
+    cover = modules_module.projective_cover
+    monkeypatch.setattr(modules_module, "projective_cover",
+                        lambda m: (covered.append(m), cover(m))[1])
+    m = simple_over_dual()
+    for _ in range(2):
+        assert not is_projective(m)
+        assert ext1_dim_oracle(m, m) == 1
+        assert m.cover is m.cover
+    assert covered == [m]
 
 
 # -- Ext^1 oracle ----------------------------------------------------------------------

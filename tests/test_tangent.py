@@ -1,6 +1,7 @@
 """Tangent spaces, orbit tangent spaces, extensions, eta, verdicts."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -285,6 +286,49 @@ def test_rigidity_and_open_orbit():
     a = dual_numbers(QQ)
     assert is_rigid(stalk(regular_module(a), 0))
     assert corollary8_check(stalk(regular_module(a), 0))
+
+
+@pytest.fixture
+def escaping_orbit(monkeypatch):
+    """An orbit map with one extra column outside the tangent space."""
+    import compvar.tangent as tangent_module
+    build = tangent_module.orbit_map_matrix
+
+    def escaping(x, layout):
+        _, tspace = tangent_space(x)
+        n = layout.ambient_dim
+        units = (tuple(int(j == k) for j in range(n)) for k in range(n))
+        outside = next(e for e in units if not tspace.contains(e))
+        column = Matrix.from_rows(x.field, [[c] for c in outside])
+        return Matrix.hstack([build(x, layout), column])
+
+    monkeypatch.setattr(tangent_module, "orbit_map_matrix", escaping)
+
+
+@pytest.mark.parametrize("check", [
+    lambda: verify_theorem7(axa_complex(QQ)),
+    lambda: verify_theorem7(stalk(simple_over_dual(QQ), 0)),
+    lambda: quotient_dim(line_complex(GF(101), 1)),
+    lambda: corollary8_check(line_complex(QQ, 1)),
+    lambda: voigt_check(simple_over_dual(QQ)),
+], ids=["theorem7", "theorem7-embedding", "quotient_dim", "corollary8", "voigt"])
+def test_every_quotient_certifies_the_orbit(escaping_orbit, check):
+    with pytest.raises(ValidationFailure, match="escape the tangent space"):
+        check()
+
+
+def test_theorem7_cli_reports_an_escaping_orbit(escaping_orbit, capsys):
+    # an embedding verdict: a quotient made too small would still pass it
+    from compvar.cli import main
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    code = main(["theorem7",
+                 "--algebra", str(fixtures / "algebra_q_dual_numbers_quiver.json"),
+                 "--complex", str(fixtures / "complex_stalk_simple_q.json")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: validation failed")
 
 
 # -- group action invariance ------------------------------------------------------------
