@@ -418,8 +418,8 @@ def homotopy_hom(x: ComplexPoint, y: ComplexPoint, n: int) -> HomotopyHom:
             comps = {i: (y.diff(i - n + 1) @ h).scale(sign)}
             if i + 1 in cms.layout.index:
                 comps[i + 1] = h @ x.diff(i + 1)
-            boundaries.append(cms.layout.flatten(comps))
-    null = Subspace.from_vectors(field, cms.ambient_dim, boundaries)
+            boundaries.append(cms.layout.sparse_row(comps))
+    null = Subspace._span(field, cms.ambient_dim, boundaries)
     if not cms.subspace.contains_subspace(null):
         raise ValidationFailure("null-homotopic maps escaped the chain map space")
     return HomotopyHom(cms, cms.subspace, null)

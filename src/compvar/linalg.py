@@ -10,7 +10,9 @@ other form on first use.  Products and elimination read the sparse rows, so
 their cost follows the nonzeros: the linear systems behind tangent spaces,
 orbit maps and hom spaces are more than 99% zeros.  ``_eliminate`` is the
 one elimination routine; every echelon form, rank, kernel, inverse, solver
-and subspace basis comes from it.  ``Subspace._residue`` is the one
+and subspace basis comes from it.  It indexes each column to the rows that
+hold it, so a pivot touches only the rows it clears and elimination costs
+what the fill costs, not rows x rank.  ``Subspace._residue`` is the one
 reduction of a vector modulo a cached echelon basis; membership,
 containment of a subspace, coordinates and canonical representatives come
 from it, with no second elimination.
@@ -37,20 +39,48 @@ def _eliminate(rows: list, p, stop: int) -> list:
 
     Returns the pivot columns.  Afterwards ``rows[:rank]`` are the reduced
     pivot rows in pivot order, and the other rows hold no column below
-    ``stop``.  A row that is not a pivot row yet holds no column left of
-    the next pivot, so its leftmost column tells whether it takes part.
+    ``stop``.  Each pivot is the leftmost column held by a row that is not
+    yet a pivot row, taken from the first such row, which is swapped into
+    place.
+
+    ``holds`` maps each column to the positions of the rows that hold it,
+    kept up to date through swaps, fill-in and cancellation.  Rows that are
+    not pivot rows never gain a column left of the last pivot, so pivot
+    columns only increase and one upward walk over the columns finds them
+    all; a pivot clears exactly the rows in its column's index, and the
+    column then leaves the index.  The cost is one index entry per
+    nonzero plus, per pivot, one pass over the pivot row for each row it
+    clears: it follows the fill, not rows x rank.
     """
-    n = len(rows)
-    lead = [min(row) for row in rows]
+    holds = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            if j in holds:
+                holds[j].add(i)
+            else:
+                holds[j] = {i}
     pivots = []
-    for r in range(n):
-        c = min(lead[r:])
+    n = len(rows)
+    r = 0
+    for c in sorted(holds):
         if c >= stop:
             break
-        k = lead.index(c, r)
-        rows[r], rows[k] = rows[k], rows[r]
-        lead[k] = lead[r]
-        prow = rows[r]
+        targets = holds[c]
+        k = min(targets, default=-1)
+        if k < r:  # pivot rows hold c too: take the first row at or past r
+            k = min([i for i in targets if i >= r], default=-1)
+            if k < 0:
+                continue
+        prow = rows[k]
+        if k != r:
+            low = rows[r]
+            rows[r], rows[k] = prow, low
+            for row, other, was, now in ((low, prow, r, k), (prow, low, k, r)):
+                for j in row:
+                    if j not in other:
+                        moved = holds[j]
+                        moved.remove(was)
+                        moved.add(now)
         pv = prow[c]
         if pv != 1:
             if p is None:
@@ -61,29 +91,44 @@ def _eliminate(rows: list, p, stop: int) -> list:
                 inv = pow(pv, -1, p)
                 for j, x in prow.items():
                     prow[j] = x * inv % p
-        items = list(prow.items())
-        for i in range(n):
-            row = rows[i]
-            f = row.get(c)
-            if f is None or i == r:
-                continue
-            if p is None:
-                for j, b in items:
-                    v = row.get(j, 0) - f * b
-                    if v:
-                        row[j] = v
-                    else:
-                        del row[j]
-            else:
-                for j, b in items:
-                    v = (row.get(j, 0) - f * b) % p
-                    if v:
-                        row[j] = v
-                    else:
-                        del row[j]
-            if i > r:
-                lead[i] = min(row, default=stop)
+        del holds[c]  # no row gains c again
+        targets.remove(r)
+        if targets:
+            items = list(prow.items())
+            items.remove((c, prow[c]))
+            for i in targets:
+                row = rows[i]
+                f = row.pop(c)
+                if p is None:
+                    for j, b in items:
+                        x = row.get(j)
+                        if x is None:
+                            row[j] = -f * b
+                            holds[j].add(i)
+                        else:
+                            x -= f * b
+                            if x:
+                                row[j] = x
+                            else:
+                                del row[j]
+                                holds[j].remove(i)
+                else:
+                    for j, b in items:
+                        x = row.get(j)
+                        if x is None:
+                            row[j] = -f * b % p
+                            holds[j].add(i)
+                        else:
+                            x = (x - f * b) % p
+                            if x:
+                                row[j] = x
+                            else:
+                                del row[j]
+                                holds[j].remove(i)
         pivots.append(c)
+        r += 1
+        if r == n:
+            break
     return pivots
 
 
@@ -442,12 +487,22 @@ class Blocks:
 
     def flatten(self, blocks: dict) -> tuple:
         """Coordinates of the blocks; a missing key is a zero block."""
-        out = []
-        zero = self.field.zero()
+        return _dense_rows([self.sparse_row(blocks)], self.ambient_dim,
+                           self.field.zero())[0]
+
+    def sparse_row(self, blocks: dict) -> dict:
+        """The nonzero coordinates of the blocks, column -> value, taken
+        from their sparse rows as they are (already canonical)."""
+        out, pos = {}, 0
         for key, (r, c) in zip(self.keys, self.shapes):
             m = blocks.get(key)
-            out.extend(m.flat() if m is not None else (zero,) * (r * c))
-        return tuple(out)
+            if m is not None:
+                for i, row in enumerate(m._sparse()):
+                    at = pos + i * c
+                    for j, x in row.items():
+                        out[at + j] = x
+            pos += r * c
+        return out
 
     def unflatten(self, vec) -> dict:
         out, pos = {}, 0

@@ -1,9 +1,10 @@
-"""Exact linear algebra: frozen examples, randomized invariants and a sympy
-oracle."""
+"""Exact linear algebra: frozen examples, randomized invariants, the
+elimination core against the sweep it replaced, and a sympy oracle."""
 
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from compvar.errors import ShapeMismatch
 from compvar.fields import GF, QQ, Field
 from compvar.linalg import (Blocks, LinearSolver, Matrix, Subspace,
-                            linear_system)
+                            _eliminate, linear_system)
 
 F2 = GF(2)
 F5 = GF(5)
@@ -569,3 +570,151 @@ def test_hash_is_kept_and_ignores_the_stored_form(field):
     sparse = Matrix(field, 2, 3, None, [{1: field.coerce(2)}, {0: field.one()}])
     assert dense == sparse and hash(dense) == hash(sparse)
     assert sparse._hash == hash(sparse) and sparse._data is not None
+
+
+# -- oracle: the sweep the elimination core replaced ---------------------------
+
+def _sweep(rows: list, p, stop: int) -> list:
+    """Oracle: Gauss-Jordan elimination as ``_eliminate`` did it before it
+    kept a column index.  For each pivot it rescans the leading column of
+    every row past the pivot rows and looks the pivot column up in every
+    row, so its cost is rows x rank.  Same pivot rule: the leftmost column,
+    from the first row at or past the pivot rows that holds it."""
+    n = len(rows)
+    lead = [min(row) for row in rows]
+    pivots = []
+    for r in range(n):
+        c = min(lead[r:])
+        if c >= stop:
+            break
+        k = lead.index(c, r)
+        rows[r], rows[k] = rows[k], rows[r]
+        lead[k] = lead[r]
+        prow = rows[r]
+        pv = prow[c]
+        if pv != 1:
+            inv = 1 / pv if p is None else pow(pv, -1, p)
+            for j, x in prow.items():
+                prow[j] = x * inv if p is None else x * inv % p
+        items = list(prow.items())
+        for i in range(n):
+            row = rows[i]
+            f = row.get(c)
+            if f is None or i == r:
+                continue
+            for j, b in items:
+                v = row.get(j, 0) - f * b
+                if p is not None:
+                    v %= p
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+            if i > r:
+                lead[i] = min(row, default=stop)
+        pivots.append(c)
+    return pivots
+
+
+def _sweep_solver(m: Matrix) -> tuple:
+    """``(pivots, transform)`` of ``LinearSolver(m)``, eliminated by the
+    sweep: the transform's rows past the rank are rows the sweep left."""
+    n = m.ncols
+    rows = [{**row, n + i: m.field.one()} for i, row in enumerate(m._sparse())]
+    pivots = _sweep(rows, m.field.p, n)
+    return tuple(pivots), Matrix(m.field, m.nrows, m.nrows, None,
+                                 [{j - n: x for j, x in row.items() if j >= n}
+                                  for row in rows])
+
+
+def _assert_same_as_sweep(m: Matrix, stops):
+    """Pivots and every row, in order, of the core and of the sweep agree on
+    the nonzero rows of m for each stop, and so does ``LinearSolver``."""
+    field = m.field
+    for stop in stops:
+        core = [dict(row) for row in m._sparse() if row]
+        sweep = [dict(row) for row in core]
+        assert _eliminate(core, field.p, stop) == _sweep(sweep, field.p, stop)
+        assert core == sweep
+    solver = LinearSolver(m)
+    assert (solver.pivots, solver.transform) == _sweep_solver(m)
+
+
+def _sweep_cases(field: Field, seed: int) -> list:
+    rng = random.Random(seed)
+    low_rank = rand_matrix(field, 9, 3, rng) @ rand_matrix(field, 3, 8, rng)
+    sparse = _sparse_matrix(field, 30, 25, rng)
+    return [
+        Matrix.zeros(field, 3, 4),
+        Matrix.identity(field, 4),
+        # zero and duplicate rows between and below the pivot rows
+        Matrix.from_rows(field, [[0, 0, 1], [0, 0, 0], [1, 1, 0], [0, 0, 0], [1, 1, 0]]),
+        Matrix.from_rows(field, [[0, 1, 1], [0, 1, 1], [1, 0, 1], [0, 1, 1]]),
+        # every pivot row comes from the bottom: a swap at each pivot
+        Matrix.from_rows(field, [[0, 0, 0, 1], [0, 0, 1, 1], [0, 1, 1, 1], [1, 1, 1, 1]]),
+        # sparse rows, then the same rows in reverse order
+        sparse,
+        Matrix(field, sparse.nrows, sparse.ncols, None, sparse._sparse()[::-1]),
+        # dense: full fill, and rows past the rank cancelling to zero
+        rand_matrix(field, 12, 12, rng),
+        rand_matrix(field, 6, 15, rng),
+        rand_matrix(field, 15, 6, rng),
+        low_rank,
+        Matrix.vstack([low_rank, low_rank]),
+    ]
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
+def test_eliminate_matches_the_sweep(field):
+    """The column-indexed core makes the sweep's pivots, swaps and rows on
+    zero and duplicate rows, forced swaps, dense fill and every stop."""
+    for m in _sweep_cases(field, 3600 + field.characteristic):
+        _assert_same_as_sweep(m, range(m.ncols + 1))
+
+
+def test_eliminate_matches_the_sweep_on_drawn_systems(hypothesis):
+    """Drawn fields, shapes, rows (some repeated) and stops."""
+    from hypothesis import strategies as st
+
+    @st.composite
+    def systems(draw):
+        field = draw(st.sampled_from(ORACLE_FIELDS))
+        ncols = draw(st.integers(1, 10))
+        if field.p is None:
+            value = st.builds(Fraction, st.integers(-3, 3).filter(bool),
+                              st.integers(1, 3))
+        else:
+            value = st.integers(1, field.p - 1)
+        row = st.dictionaries(st.integers(0, ncols - 1), value,
+                              max_size=draw(st.integers(1, ncols)))
+        rows = draw(st.lists(row, max_size=10))
+        if rows:
+            rows += [dict(r) for r in draw(st.lists(st.sampled_from(rows), max_size=3))]
+            rows = draw(st.permutations(rows))
+        return Matrix(field, len(rows), ncols, None, rows), draw(st.integers(0, ncols))
+
+    @hypothesis.given(systems())
+    def check(system):
+        m, stop = system
+        _assert_same_as_sweep(m, [stop])
+
+    check()
+
+
+@pytest.mark.parametrize("field", [GF(101), QQ], ids=str)
+def test_elimination_cost_follows_the_fill(field):
+    """``rank()`` of a 20,000 x 20,000 bidiagonal system whose rows and
+    columns are permuted alike.  A pivot updates only the rows holding its
+    column, so this stays well inside the bound; a sweep over every row for
+    each pivot takes tens of seconds."""
+    n = 20_000
+    perm = list(range(n))
+    random.Random(3700).shuffle(perm)
+    one, minus = field.one(), field.neg(field.one())
+    rows = [{}] * n
+    for i in range(n):
+        rows[perm[i]] = {perm[i]: one, perm[i + 1]: minus} if i + 1 < n else {perm[i]: one}
+    m = Matrix(field, n, n, None, rows)
+    start = time.perf_counter()
+    assert m.rank() == n
+    assert time.perf_counter() - start < 2
