@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dataclass_field
 
-from .errors import (MissingIdempotents, ShapeMismatch,
+from .errors import (BudgetExceeded, MissingIdempotents, ShapeMismatch,
                      UnsupportedCharacteristic, ValidationFailure)
 from .fields import Field
 from .linalg import (Matrix, Subspace, linear_system, vec_add, vec_combination,
@@ -226,13 +226,24 @@ class QuiverPresentation:
         return (src, tgt)
 
 
+# Largest algebra an input may describe: a path algebra is built from its
+# paths of length < N, and the structure constants hold dim^3 entries.
+MAX_ALGEBRA_DIM = 64
+
+
 def _enumerate_paths(q: QuiverPresentation):
     """All paths of length < N, keyed ('e', v) for trivial paths or a tuple
-    of arrow indices; returns (ordered keys, key -> index, key -> (src, tgt))."""
-    ends = {}
-    by_length = [[("e", v) for v in range(q.vertices)]]
-    for v in range(q.vertices):
-        ends[("e", v)] = (v, v)
+    of arrow indices; returns (ordered keys, key -> index, key -> (src, tgt)).
+    Raises BudgetExceeded as soon as there are more than MAX_ALGEBRA_DIM."""
+    def count(paths):
+        if paths > MAX_ALGEBRA_DIM:
+            raise BudgetExceeded(
+                f"the quiver has more than {MAX_ALGEBRA_DIM} paths of length "
+                f"below its nilpotency bound {q.nilpotency_bound}")
+
+    count(q.vertices)
+    ends = {("e", v): (v, v) for v in range(q.vertices)}
+    by_length = [list(ends)]
     for length in range(1, q.nilpotency_bound):
         layer = []
         for prev in by_length[length - 1]:
@@ -242,6 +253,7 @@ def _enumerate_paths(q: QuiverPresentation):
                     key = (ai,) if prev[0] == "e" else prev + (ai,)
                     layer.append(key)
                     ends[key] = (src, a_tgt)
+                    count(len(ends))
         if not layer:
             break
         by_length.append(layer)

@@ -123,7 +123,7 @@ def validate_point(x: ComplexPoint) -> tuple | None:
     for i in range(x.bottom + 1, x.top + 1):
         d = x.diff(i)
         hi, lo = x.term(i), x.term(i - 1)
-        for j in range(x.algebra.dim):
+        for j in range(1, x.algebra.dim):  # (alpha) made a_0 act as 1
             if d @ hi.action[j] != lo.action[j] @ d:
                 return ("beta", i, j)
     for i in range(x.bottom + 2, x.top + 1):
@@ -317,15 +317,18 @@ def act(g: GroupElement, x: ComplexPoint,
     """Transport of structure: modules by conjugation, differentials by
     g_{i-1} d_i g_i^{-1}.  A caller that applies g many times passes
     ``g.inverse()`` once as ``_inverse``.  Terms and differentials at
-    degrees that g leaves alone are reused as they are."""
+    degrees that g leaves alone are reused as they are.  The identity
+    action ``action[0]`` is carried over, so a term on which only the
+    identity acts is reused whole, with the witness and cover it keeps."""
     ginv = _inverse if _inverse is not None else g.inverse()
     terms, diffs = list(x.terms), list(x.diffs)
     for i in {i for i, _ in g.comps if x.bottom <= i <= x.top}:
         gi, gi_inv = (h.component(i, x.dim_at(i), x.field) for h in (g, ginv))
         t = i - x.bottom
-        if terms[t].dim:
-            terms[t] = ModuleRep(terms[t].algebra, terms[t].dim,
-                                 tuple(gi @ a @ gi_inv for a in terms[t].action))
+        term = terms[t]
+        if term.dim and len(term.action) > 1:
+            terms[t] = ModuleRep(term.algebra, term.dim, term.action[:1] + tuple(
+                gi @ a @ gi_inv for a in term.action[1:]))
         if t < len(diffs):  # the differential into degree i
             diffs[t] = gi @ diffs[t]
         if t:  # the differential out of degree i

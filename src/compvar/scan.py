@@ -15,8 +15,12 @@ is drawn from the Hom_A space between its terms, so only (gamma) is left
 to filter.  Every returned point is still validated in full.
 
 A census partitions the points into G-orbits.  When the acting group fits
-the budget, the orbits are walked as closures under generators of G, and
-each step of the walk is its own isomorphism witness; the class
+the budget, the orbits are walked as closures under generators of G.  The
+walk keys each point by its flat F_p entries and applies a generator to a
+key with one row and one column operation per matrix, so that deciding
+whether a step reaches a new point costs a hash.  Each new point is still
+reached through ``act`` and checked as a chain isomorphism from the point it
+came from, which makes every step its own isomorphism witness; the class
 representatives are then shown pairwise non-isomorphic.  Beyond the budget,
 the points are partitioned by isomorphism search.
 """
@@ -24,6 +28,7 @@ the points are partitioned by isomorphism search.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .algebra import FDAlgebra
@@ -80,37 +85,43 @@ def free_coordinate_count(algebra: FDAlgebra, dims, pinned: bool = False) -> int
     return total
 
 
+def _flat_mul(a: tuple, b: tuple, n: int, p: int) -> tuple:
+    """Product of two n x n matrices over F_p, each a row-major flat tuple."""
+    cols = [b[j::n] for j in range(n)]
+    return tuple(sum(map(operator.mul, a[i:i + n], col)) % p
+                 for i in range(0, n * n, n) for col in cols)
+
+
 def _module_candidates(algebra: FDAlgebra, d: int) -> list:
     """Every valid module structure of dimension d, in enumeration order.
 
-    The action matrices are chosen in basis order, and a choice is dropped
-    as soon as an identity a_j a_k = sum c_jkl a_l whose indices all lie
-    among the matrices chosen so far fails; every complete choice is then
-    validated."""
+    The action matrices are chosen in basis order, as flat tuples, and a
+    choice is dropped as soon as an identity a_j a_k = sum c_jkl a_l whose
+    indices all lie among the matrices chosen so far fails; every complete
+    choice is then validated."""
     field = algebra.field
     if d == 0:
         return [zero_module(algebra)]
     s = algebra.dim
-    grid = [Matrix.from_flat(field, d, d, combo) for combo in
-            itertools.product(field.elements(), repeat=d * d)] if s > 1 else []
-    checks = [[] for _ in range(s)]  # identities decided once a_m is chosen
-    for j in range(s):
-        for k in range(s):
-            support = [l for l, c in enumerate(algebra.products[j][k]) if c]
-            checks[max([j, k] + support)].append((j, k))
-    prefixes = [[Matrix.identity(field, d)]]
+    grid = list(itertools.product(field.elements(), repeat=d * d)) if s > 1 else []
+    checks = [[] for _ in range(s)]  # identities decided once a_m is chosen;
+    for j in range(1, s):              # those with a_0 = 1 hold already
+        for k in range(1, s):
+            support = [(c, l) for l, c in enumerate(algebra.products[j][k]) if c]
+            checks[max([j, k] + [l for _, l in support])].append((j, k, support))
+    prefixes = [[Matrix.identity(field, d).flat()]]
     for m in range(1, s):  # choose a_m after every surviving prefix
         longer = []
         for prefix in prefixes:
             for a in grid:
                 chosen = prefix + [a]
-                flats = [x.flat() for x in chosen]
-                if all((chosen[j] @ chosen[k]).flat() == vec_combination(
-                        field, d * d, zip(algebra.products[j][k], flats))
-                       for j, k in checks[m]):
+                if all(_flat_mul(chosen[j], chosen[k], d, field.p) == vec_combination(
+                        field, d * d, ((c, chosen[l]) for c, l in support))
+                       for j, k, support in checks[m]):
                     longer.append(chosen)
         prefixes = longer
-    modules = (ModuleRep(algebra, d, tuple(p)) for p in prefixes)
+    modules = (ModuleRep(algebra, d, tuple(Matrix.from_flat(field, d, d, f)
+                                           for f in chosen)) for chosen in prefixes)
     return [m for m in modules if validate_module(m) is None]
 
 
@@ -156,8 +167,9 @@ def enumerate_points(algebra: FDAlgebra, dims, budget: ScanBudget,
             if validate_module(mod) is not None:
                 raise ValidationFailure("pinned module fails its conditions")
         per_degree = [[mod] for mod in pinned_modules]
-    else:
-        per_degree = [_module_candidates(algebra, d) for d in dims]
+    else:  # degrees of one dimension share the candidates and what they keep
+        candidates = {d: _module_candidates(algebra, d) for d in set(dims)}
+        per_degree = [candidates[d] for d in dims]
 
     # differential k (top-down) maps the term of dims[k] into the term of
     # dims[k+1]; it is drawn from Hom_A, listed in grid order, so that only
@@ -344,16 +356,75 @@ def _transports(m: Matrix, i: int, y: ComplexPoint, z: ComplexPoint) -> bool:
     return not t or z.diffs[t - 1] @ m == y.diffs[t - 1]
 
 
+def _blocks(x: ComplexPoint) -> list:
+    """The matrices of a point in packed order, each after the indices of
+    the terms it maps into and out of: the action matrices of the
+    non-identity basis elements of every term, then the differentials."""
+    return ([(u, u, a) for u, term in enumerate(x.terms) for a in term.action[1:]]
+            + [(u, u + 1, d) for u, d in enumerate(x.diffs)])
+
+
+def _pack(x: ComplexPoint) -> tuple:
+    """The flat F_p entries of a point's blocks, row-major.  Among points
+    of one algebra and window, on each of whose terms a_0 acts as the
+    identity, it determines the point."""
+    return tuple(v for _, _, a in _blocks(x) for row in a.data for v in row)
+
+
+def _flat_updates(x: ComplexPoint, degree: int, m: Matrix, minv: Matrix) -> tuple:
+    """The generator that is m at ``degree`` as updates of ``_pack(x)``:
+    left multiplication by m of each block into that degree, then right
+    multiplication by m^-1 of each block out of it.  Each pass lists
+    (dst, src, c) for out[dst] += c * before[src], one per nonzero entry of
+    m - I (or m^-1 - I) and row or column of a block, so a transvection is
+    one row and one column operation per block."""
+    def moved(g):  # nonzero entries of g - I
+        return [(r, k, c) for r, row in enumerate(g.data) for k, v in enumerate(row)
+                if (c := (v - (r == k)) % g.field.p)]
+
+    t, at, left, right = degree - x.bottom, 0, [], []
+    for into, out_of, a in _blocks(x):
+        if into == t:
+            left += [(at + r * a.ncols + c, at + k * a.ncols + c, v)
+                     for r, k, v in moved(m) for c in range(a.ncols)]
+        if out_of == t:
+            right += [(at + r * a.ncols + c, at + r * a.ncols + k, v)
+                      for k, c, v in moved(minv) for r in range(a.nrows)]
+        at += a.nrows * a.ncols
+    return left, right
+
+
+def _flat_step(key: tuple, updates: tuple, p: int) -> tuple:
+    """The packed image g.x of a packed point under one generator."""
+    left, right = updates
+    out = list(key)
+    for dst, src, c in left:
+        out[dst] = (out[dst] + c * key[src]) % p
+    before = tuple(out)
+    for dst, src, c in right:
+        out[dst] = (out[dst] + c * before[src]) % p
+    return tuple(out)
+
+
 def _closure_partition(points, generators) -> list:
     """Orbits as closures under the generators, cut to the point list and
     ordered by first member.  Each generator moves one degree, and its
-    component there must be inverted by the one given with it.  A step to a
-    new point z = g.y is accepted only once that component is seen to
-    carry y to z (``_transports``, which does not apply g again), so each
-    class lies in one orbit.  An enumeration holds every point with a
-    module choice it makes, so a closure point outside the list means that
-    it is incomplete, unless the list may be pinned (one module choice,
-    then orbits are cut to it) and the point carries other modules."""
+    component there must be inverted by the one given with it.  The orbit
+    is walked on packed points (``_pack``), so a step costs one
+    ``_flat_step`` and a hash.  A step to a new point is then made again
+    through ``act`` as z = g.y, and accepted only once that component is
+    seen to carry y to z (``_transports``, which does not apply g again) and
+    z packs to the packed image; so each class lies in one orbit.  An
+    enumeration holds every point with a module choice it makes, so a
+    closure point outside the list means that it is incomplete, unless the
+    list may be pinned (one module choice, then orbits are cut to it) and
+    the point carries other modules."""
+    if not points:
+        return []
+    x, q = points[0], points[0].field.p
+    if any((p.algebra, p.bottom, p.dims()) != (x.algebra, x.bottom, x.dims())
+           for p in points):
+        raise ValidationFailure("closure points lie in different varieties")
     moves = []
     for g, ginv in generators:
         if len(g.comps) != 1 or [d for d, _ in ginv.comps] != [g.comps[0][0]]:
@@ -362,32 +433,38 @@ def _closure_partition(points, generators) -> list:
         if m @ minv != Matrix.identity(m.field, m.nrows):
             raise ValidationFailure(f"a generator at degree {degree} is not "
                                     "inverted by the matrix given with it")
-        moves.append((g, ginv, degree, m))
+        moves.append((g, ginv, degree, m, _flat_updates(x, degree, m, minv)))
+    keys = [_pack(p) for p in points]
     index = {}
-    for i, p in enumerate(points):
-        index.setdefault(p, []).append(i)
-    cut = all(p.terms == points[0].terms for p in points)
+    for i, key in enumerate(keys):
+        index.setdefault(key, []).append(i)
+    cut = all(p.terms == x.terms for p in points)
     assigned, classes = set(), []
     for i, p in enumerate(points):
         if i in assigned:
             continue
-        orbit, frontier = {p}, [p]
+        orbit, frontier = {keys[i]}, [(keys[i], p)]
         while frontier:
-            y = frontier.pop()
-            for g, ginv, degree, m in moves:
-                z = act(g, y, _inverse=ginv)
-                if z in orbit:
+            key, y = frontier.pop()
+            for g, ginv, degree, m, updates in moves:
+                image = _flat_step(key, updates, q)
+                if image in orbit:
                     continue
+                z = act(g, y, _inverse=ginv)
                 if not _transports(m, degree, y, z):
                     raise ValidationFailure(
                         f"a closure step from the orbit of point {i} is not "
                         f"a chain isomorphism at degree {degree}")
-                if z not in index and not (cut and z.terms != points[0].terms):
+                if _pack(z) != image:
+                    raise ValidationFailure(
+                        f"a packed closure step from the orbit of point {i} "
+                        f"differs from the group action at degree {degree}")
+                if image not in index and not (cut and z.terms != x.terms):
                     raise ValidationFailure(f"the orbit of point {i} leaves the "
                                             "list: the enumeration is incomplete")
-                orbit.add(z)
-                frontier.append(z)
-        classes.append(tuple(sorted(j for z in orbit for j in index.get(z, ()))))
+                orbit.add(image)
+                frontier.append((image, z))
+        classes.append(tuple(sorted(j for key in orbit for j in index.get(key, ()))))
         assigned.update(classes[-1])
     return classes
 

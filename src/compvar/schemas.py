@@ -29,10 +29,11 @@ from __future__ import annotations
 
 import json
 
-from .algebra import (FDAlgebra, QuiverPresentation, algebra_from_constants,
-                      path_algebra)
+from .algebra import (MAX_ALGEBRA_DIM, FDAlgebra, QuiverPresentation,
+                      algebra_from_constants, path_algebra)
 from .complexes import ComplexPoint, validate_point, with_bottom_zero
-from .errors import SchemaError, UnsupportedCharacteristic, ValidationFailure
+from .errors import (BudgetExceeded, SchemaError, UnsupportedCharacteristic,
+                     ValidationFailure)
 from .fields import Field, GF, parse_scalar_string
 from .linalg import Matrix
 from .modules import ModuleRep, validate_module
@@ -171,6 +172,8 @@ def parse_algebra(obj) -> FDAlgebra:
     dim = _require(obj, "dim", "algebra")
     _expect(isinstance(dim, int) and dim >= 1,
             "algebra.dim must be a positive integer")
+    if dim > MAX_ALGEBRA_DIM:
+        raise BudgetExceeded(f"algebra.dim is {dim} (limit {MAX_ALGEBRA_DIM})")
     labels = obj.get("labels")
     if labels is not None:
         _expect(isinstance(labels, list) and len(labels) == dim

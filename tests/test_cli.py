@@ -1,6 +1,10 @@
 """JSON schemas and the command-line surface, exercised in-process."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -199,6 +203,38 @@ def test_huge_census_inputs_exit_3_at_once(command, algebra, dims, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: budget exceeded")
     assert elapsed < 1.0
+
+
+TWO_LOOPS = {"vertices": 1, "arrows": [[1, 1, "x"], [1, 1, "y"]],
+             "relations": []}
+
+
+@pytest.mark.parametrize("algebra", [
+    {"quiver": dict(TWO_LOOPS, nilpotency_bound=8)},   # 255 paths
+    {"quiver": dict(TWO_LOOPS, nilpotency_bound=40)},  # 2^40 - 1 paths
+    {"dim": 1000000, "identity_index": 1, "constants": []},
+])
+def test_oversized_algebras_exit_3_at_once(tmp_path, algebra):
+    # in a child process with bounded memory: before the parse was bounded,
+    # these ran for seconds or grew until the process was killed
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(dict(algebra, field={"type": "Fp", "p": 2})))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    done = subprocess.run(
+        [sys.executable, "-m", "compvar.cli", "census", "--algebra",
+         str(path), "--dims", "1"], capture_output=True, text=True,
+        env=env, preexec_fn=limit_memory, timeout=10)
+    assert done.returncode == 3
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: budget exceeded")
+    assert "64" in lines[0]
 
 
 def test_unbounded_replacement_tower_exits_3(capsys):

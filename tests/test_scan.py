@@ -295,6 +295,91 @@ def test_census_rejects_a_closure_step_without_a_witness(monkeypatch):
         orbit_census(pts, a, (2, 1), b)
 
 
+@pytest.mark.parametrize("wrong", ["shifted", "stuck"])
+def test_census_rejects_a_wrong_packed_step(monkeypatch, wrong):
+    # a packed image that is new is checked against the point act builds; one
+    # already in the orbit (here: the point itself) splits the orbit, and
+    # the representatives are then found isomorphic
+    a = dual_numbers(GF(3))
+    b = small_budget()
+    pts = enumerate_points(a, (2, 1), b)
+    step = scan._flat_step
+
+    def wrong_step(key, updates, p):
+        if wrong == "stuck":
+            return key
+        image = step(key, updates, p)
+        return image[:-1] + ((image[-1] + 1) % p,)
+
+    monkeypatch.setattr(scan, "_flat_step", wrong_step)
+    match = {"shifted": "differs from the group action",
+             "stuck": "isomorphic points"}[wrong]
+    with pytest.raises(ValidationFailure, match=match):
+        orbit_census(pts, a, (2, 1), b)
+
+
+@pytest.mark.parametrize("make, p, dims", [(dual_numbers, 2, (2, 1)),
+                                           (base_field_algebra, 3, (2, 2))])
+def test_closure_acts_once_per_new_point(monkeypatch, make, p, dims):
+    a = make(GF(p))
+    b = small_budget()
+    pts = enumerate_points(a, dims, b)
+    calls = []
+
+    def counted(g, x, _inverse=None):
+        calls.append(g)
+        return act(g, x, _inverse=_inverse)
+
+    monkeypatch.setattr(scan, "act", counted)
+    census = orbit_census(pts, a, dims, b)
+    assert census.group_checked and census.class_count > 1
+    assert len(calls) == len(pts) - census.class_count
+
+
+def test_closure_under_drawn_generators_stays_in_the_orbits(hypothesis):
+    """A closure under part of the generators splits orbits but never
+    joins two; ``orbit_census`` then either still finds the orbits or
+    refuses the split through its isomorphism searches."""
+    from hypothesis import strategies as st
+
+    budget = small_budget()
+    cases = [(make, p, dims) for make in (base_field_algebra, dual_numbers, a2_algebra)
+             for p in (2, 3) for dims in ((2,), (1, 1), (2, 1), (1, 2), (1, 1, 1))
+             if p ** free_coordinate_count(make(GF(p)), dims) <= budget.max_points]
+    known = {}
+
+    def case(make, p, dims):  # points, generators, orbits, oracle labels
+        if (make, p, dims) not in known:
+            a = make(GF(p))
+            points = enumerate_points(a, dims, budget)
+            gens = _group_generators(a.field, dims)
+            label = {j: c for c, orbit in enumerate(_orbit_partition(
+                points, enumerate_group(a.field, dims, budget))) for j in orbit}
+            census = orbit_census(points, a, dims, budget)
+            known[make, p, dims] = a, points, gens, census.classes, label
+        return known[make, p, dims]
+
+    @hypothesis.settings(max_examples=60)
+    @hypothesis.given(st.sampled_from(cases), st.data())
+    def check(drawn, data):
+        a, points, gens, orbits, label = case(*drawn)
+        if not gens:
+            return
+        subset = data.draw(st.lists(st.sampled_from(gens), min_size=1,
+                                    max_size=len(gens), unique_by=id))
+        for c in _closure_partition(points, subset):
+            assert len({label[j] for j in c}) == 1
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scan, "_group_generators", lambda field, dims: subset)
+            try:
+                census = orbit_census(points, a, drawn[2], budget)
+            except ValidationFailure:
+                return
+        assert census.classes == orbits
+
+    check()
+
+
 def test_census_rejects_generators_that_miss_part_of_the_group(monkeypatch):
     a = dual_numbers(F2)
     b = small_budget()
@@ -314,6 +399,10 @@ def test_closure_checks_each_generator_against_its_inverse():
     both = GroupElement(g.comps + ((0, Matrix.identity(F2, 1)),))
     with pytest.raises(ValidationFailure, match="exactly one degree"):
         _closure_partition(pts, [(both, ginv)])
+    # packed keys name points only within one variety
+    others = enumerate_points(a, (1, 2), small_budget())
+    with pytest.raises(ValidationFailure, match="different varieties"):
+        _closure_partition(pts + others, [(g, ginv)])
 
 
 # -- rigid census ------------------------------------------------------------
