@@ -515,44 +515,54 @@ def _classify(x: ComplexPoint) -> ComplexClass:
 MAX_TOWER_STEPS = 128
 
 
-def _extend_once(x: ComplexPoint) -> tuple:
-    """Replace the top term by the projective cover it keeps and prepend the
-    kernel; returns (extended complex, canonical quasi-isomorphism onto x),
-    or (x, identity) when that cover is an isomorphism (see is_projective)."""
+def _onto(x: ComplexPoint, lo: int) -> dict:
+    """The canonical map of a tower step onto x from degree lo up: the
+    identity below the top degree ld of x, the cover map of x_ld at ld."""
     ld = x.left_degree()
-    cover = None if ld is None else x.term(ld).cover
-    if cover is None or cover.projective.dim == x.dim_at(ld):
-        return x, identity_chain_map(x)
+    comps = {i: Matrix.identity(x.field, x.dim_at(i))
+             for i in range(lo, ld) if x.dim_at(i)}
+    comps[ld] = x.term(ld).cover.pi
+    return comps
+
+
+def _extend_once(x: ComplexPoint, met: dict) -> ComplexPoint:
+    """Replace the top term by the projective cover it keeps and prepend the
+    kernel; returns the extended complex, which ``_onto(x, x.bottom)`` maps
+    onto x, or x itself when the top term is projective.  ``met`` maps each
+    module value the tower has met to one instance: a new term equal to one
+    of them is that instance, with the witness and cover it keeps."""
+    ld = x.left_degree()
+    if ld is None or is_projective(x.term(ld)):
+        return x
+    cover = x.term(ld).cover
     k_mod, k_inc = submodule(cover.projective, cover.pi.kernel())
-    terms = [x.term(i) for i in range(x.bottom, ld)] + [cover.projective, k_mod]
-    diffs = [x.diff(i) for i in range(x.bottom + 1, ld)]
-    if ld > x.bottom:
+    t = ld - x.bottom
+    terms = x.terms[:t] + tuple(met.setdefault(m, m) for m in (cover.projective, k_mod))
+    diffs = list(x.diffs[:max(t - 1, 0)])
+    if t:
         diffs.append(x.diff(ld) @ cover.pi)
     diffs.append(k_inc)
-    ext = ComplexPoint(x.algebra, x.bottom, tuple(terms), tuple(diffs))
-    comps = {i: Matrix.identity(x.field, x.dim_at(i))
-             for i in range(x.bottom, ld) if x.dim_at(i)}
-    comps[ld] = cover.pi
-    f = ChainMap(ext, x, 0, tuple(sorted(comps.items(), reverse=True)))
+    ext = ComplexPoint(x.algebra, x.bottom, terms, tuple(diffs))
     # only degrees ld-1..ld+1 change: check the new terms and maps, their
     # composite and pi . k = 0 there, at a cost that does not grow with x
     lo = max(x.bottom, ld - 1)
     window = make_complex(x.algebra, lo, terms[lo - x.bottom:], diffs[lo - x.bottom:])
     below = ComplexPoint(x.algebra, lo, tuple(x.term(i) for i in range(lo, ld + 2)),
                          tuple(x.diff(i) for i in range(lo + 1, ld + 2)))
-    chain_map_from_components(window, below, 0, {i: m for i, m in comps.items() if i >= lo})
-    return ext, f
+    chain_map_from_components(window, below, 0, _onto(x, lo))
+    return ext
 
 
 def projective_extension(x: ComplexPoint, steps: int = 1) -> tuple:
     """Iterate the cover-and-prepend construction ``steps`` times; returns
     (extended complex, composite canonical map), a quasi-isomorphism."""
-    current, total = x, identity_chain_map(x)
+    current, total, met = x, identity_chain_map(x), {t: t for t in x.terms}
     for _ in range(steps):
-        nxt, f = _extend_once(current)
+        nxt = _extend_once(current, met)
         if nxt is current:
             break
-        total = f.then(total)
+        comps = sorted(_onto(current, current.bottom).items(), reverse=True)
+        total = ChainMap(nxt, current, 0, tuple(comps)).then(total)
         current = nxt
     if not is_acyclic(mapping_cone(total)):
         raise ValidationFailure("canonical replacement map is not a quasi-isomorphism")
@@ -564,17 +574,19 @@ def replace_by_projective(x: ComplexPoint, top_degree: int) -> ComplexPoint:
     truncated above ``top_degree`` (callers guarantee the truncation level
     is beyond every target of interest).  x must be almost projective, or
     NotProjectiveComplex is raised before anything is built; it is
-    classified once, and each step of the tower then costs the one cover of
-    its top term.  More than MAX_TOWER_STEPS steps raise BudgetExceeded."""
+    classified once.  A step covers its top term only when that module value
+    is new to the tower (a periodic tower covers each value once), and the
+    projectives of the covers need no further cover to be classified.  More
+    than MAX_TOWER_STEPS steps raise BudgetExceeded."""
     cls = classify(x)
     if cls.is_projective_complex:
         return x
     if not cls.is_almost_projective:
         raise NotProjectiveComplex(
             "projective replacement needs an almost projective complex")
-    current, steps = x, 0
+    current, steps, met = x, 0, {t: t for t in x.terms}
     while current.left_degree() <= top_degree:
-        nxt, _ = _extend_once(current)
+        nxt = _extend_once(current, met)
         if nxt is current:
             return current
         steps += 1

@@ -4,7 +4,9 @@ A module is the tuple of action matrices of the algebra basis on K^d (the
 identity acts as the identity matrix).  Homomorphism spaces, isomorphism
 witnesses, tops/radicals, projective covers, projectivity tests and the
 first self-extension oracle live here.  A module keeps its one cover,
-``ModuleRep.cover``, which projectivity, Ext^1 and replacement towers read.
+``ModuleRep.cover``, which projectivity, Ext^1 and replacement towers read,
+and its projectivity verdict, which is preset on the projective of every
+cover: a sum of indecomposable projectives needs no cover of its own.
 """
 
 from __future__ import annotations
@@ -47,6 +49,11 @@ class ModuleRep:
         # kept like _witness; the cover holds no reference back to the module
         return projective_cover(self)
 
+    @cached_property
+    def _projective(self) -> bool:
+        # kept like _witness; projective_cover presets it on the P it builds
+        return self.dim == 0 or self.cover.projective.dim == self.dim
+
     @property
     def field(self):
         return self.algebra.field
@@ -88,8 +95,10 @@ def _module_witness(m: ModuleRep) -> tuple | None:
     if not m.action[0].is_identity():
         return ("identity",)
     a = m.algebra
-    for j in range(a.dim):
-        for k in range(a.dim):
+    # with a_0 acting as 1 and the unit laws of the algebra (checked by
+    # validate_algebra), every pair with j = 0 or k = 0 holds already
+    for j in range(1, a.dim):
+        for k in range(1, a.dim):
             lhs = m.action[j] @ m.action[k]
             rhs = m.rho(a.products[j][k])
             if lhs != rhs:
@@ -354,6 +363,7 @@ def projective_cover(m: ModuleRep) -> ProjectiveCover:
         pi = Matrix.zeros(m.field, m.dim, 0)
     cover = ProjectiveCover(p_total, pi, tuple(vi for vi, _ in generators))
     _check_cover(m, cover)
+    vars(p_total)["_projective"] = True  # a sum of A e_i by construction
     return cover
 
 
@@ -385,9 +395,10 @@ def simple_modules(a: FDAlgebra) -> list:
 def is_projective(m: ModuleRep) -> bool:
     """M is projective iff its cover P -> M (checked surjective, with kernel
     K inside rad P) is an isomorphism: if M is projective the cover splits,
-    so K is a summand of P inside rad P, hence zero by Nakayama.  It reads
-    the cover the module keeps."""
-    return m.dim == 0 or m.cover.projective.dim == m.dim
+    so K is a summand of P inside rad P, hence zero by Nakayama.  The
+    verdict is kept on the module; the P of a cover is projective by
+    construction and gets no cover of its own."""
+    return m._projective
 
 
 def ext1_dim_oracle(m: ModuleRep, n: ModuleRep) -> int:

@@ -421,6 +421,22 @@ def test_tower_validation_grows_linearly(monkeypatch):
     assert counts[32] - counts[16] == 3 * 16
 
 
+def test_tower_step_builds_no_more_as_the_tower_grows(monkeypatch):
+    # a step's quasi-isomorphism is needed only on its window; building it
+    # on every degree below made the tower quadratic in its length
+    identity = Matrix.identity
+    calls = []
+    monkeypatch.setattr(Matrix, "identity", staticmethod(
+        lambda field, n: (calls.append(n), identity(field, n))[1]))
+    s = stalk(simple_over_dual(QQ), 0)
+    counts = {}
+    for steps in (8, 16, 32, 48):  # the first run also covers the simple
+        calls.clear()
+        assert len(replace_by_projective(s, top_degree=steps - 1).terms) == steps
+        counts[steps] = len(calls)
+    assert counts[48] - counts[32] == counts[32] - counts[16]
+
+
 def test_tower_step_checks_its_kernel_inclusion(monkeypatch):
     import compvar.complexes as complexes_module
     submodule = complexes_module.submodule

@@ -6,19 +6,21 @@ from dataclasses import replace
 import pytest
 
 from compvar.algebra import FDAlgebra, center, radical
-from compvar.complexes import (ChainMap, GroupElement, act, direct_sum, homology_dims,
-                               homotopy_hom, identity_chain_map, is_acyclic,
-                               make_complex, mapping_cone,
-                               projective_extension, stalk)
+from compvar.complexes import (MAX_TOWER_STEPS, ChainMap, GroupElement, act,
+                               direct_sum, homology_dims, homotopy_hom,
+                               identity_chain_map, is_acyclic, make_complex,
+                               mapping_cone, projective_extension, stalk)
 from compvar.derived import (acyclic_splitter, derived_hom, derived_hom_dim,
                              end_algebra, lift_idempotent, semisplit_ext_dim,
                              verdier_xi)
 from compvar.errors import NotAlmostProjective, ValidationFailure
 from compvar.fields import GF, QQ
 from compvar.linalg import LinearSolver, Matrix, Subspace
-from compvar.modules import ext1_dim_oracle, regular_module, simple_modules
+from compvar.modules import (direct_sum_modules, ext1_dim_oracle,
+                             indecomposable_projectives, regular_module,
+                             simple_modules)
 from compvar.samples import (a2_algebra, axa_complex, contractible_pair,
-                             dual_numbers, simple_over_dual)
+                             dual_numbers, simple_over_dual, two_loop_truncated)
 
 
 # -- derived hom dimensions ------------------------------------------------------
@@ -96,10 +98,58 @@ def test_replacement_makes_one_cover_per_tower_step(monkeypatch):
     # the tower runs from degree 0 until its kernel term passes degree 4
     steps = 5
     assert p.dims() == (2,) * steps
-    # one cover per step (the first is the one that classified the input)
-    # and one per term of the truncated tower when it is checked to be
-    # projective
-    assert len(covered) == steps + len(p.terms)
+    # every kernel equals the input simple, so the whole tower reuses the
+    # one cover that classified the input, and the truncated tower's terms
+    # are covers' projectives, projective without a cover of their own
+    assert covered == [s.terms[0]]
+
+
+def test_periodic_tower_covers_each_value_once(monkeypatch):
+    import compvar.modules as modules_module
+    covered = []
+    cover = modules_module.projective_cover
+    monkeypatch.setattr(modules_module, "projective_cover",
+                        lambda m: (covered.append(m), cover(m))[1])
+    s = stalk(simple_over_dual(QQ), 0)
+    n = 120
+    p, hom = derived_hom(s, s, n)
+    assert hom.hom_dim == 1
+    # the tower takes n + 2 steps, under the bound, and every step meets
+    # the simple again as its kernel
+    assert len(p.terms) == n + 2 <= MAX_TOWER_STEPS
+    assert len(set(covered)) == len(covered) == 1
+
+
+def test_derived_hom_is_invariant_under_the_group_action(hypothesis):
+    """dim Hom(g.X, X[n]) = dim Hom(X, X[n]) for drawn stalks X of a simple,
+    an indecomposable projective or their sum, drawn g and n = 0..3."""
+    from hypothesis import strategies as st
+
+    modules = []
+    for build in (dual_numbers, a2_algebra, two_loop_truncated):
+        a = build(QQ)
+        projectives = [p for p, _ in indecomposable_projectives(a)]
+        for s in simple_modules(a):
+            modules.append(s)
+            modules += [direct_sum_modules([s, p])[0] for p in projectives]
+        modules += projectives
+
+    @st.composite
+    def cases(draw):
+        m = draw(st.sampled_from(modules))
+        entries = st.lists(st.integers(-2, 2), min_size=m.dim, max_size=m.dim)
+        g = Matrix.from_rows(QQ, draw(st.lists(entries, min_size=m.dim,
+                                               max_size=m.dim)))
+        hypothesis.assume(g.is_invertible())
+        return stalk(m, 0), GroupElement(((0, g),)), draw(st.integers(0, 3))
+
+    @hypothesis.settings(max_examples=40)
+    @hypothesis.given(cases())
+    def check(case):
+        x, g, n = case
+        assert derived_hom_dim(act(g, x), x, n) == derived_hom_dim(x, x, n)
+
+    check()
 
 
 def test_finite_tower_is_not_refused_at_a_huge_shift():

@@ -12,14 +12,15 @@ import pytest
 from compvar.errors import ValidationFailure
 from compvar.fields import GF, QQ
 from compvar.linalg import Matrix, Subspace
-from compvar.modules import (conjugate_module, direct_sum_modules,
+from compvar.modules import (ModuleRep, conjugate_module, direct_sum_modules,
                              ext1_dim_oracle, hom_matrices, hom_space,
                              indecomposable_projectives, is_isomorphic_modules,
                              is_projective, make_module, projective_cover,
                              quotient_module, radical_submodule, regular_module,
                              simple_modules, submodule, top_multiplicities,
                              validate_module, zero_module)
-from compvar.samples import a2_algebra, base_field_algebra, dual_numbers
+from compvar.samples import (a2_algebra, base_field_algebra, dual_numbers,
+                             two_loop_truncated)
 
 F3 = GF(3)
 
@@ -56,6 +57,20 @@ def test_invalid_action_is_rejected():
     with pytest.raises(ValidationFailure) as exc:
         make_module(a, [[[1, 0], [0, 1]], [[1, 0], [0, 1]]])
     assert exc.value.witness[0] == "alpha"
+
+
+def test_module_witness_still_names_the_first_broken_relation():
+    # pairs with j = 0 or k = 0 are not checked (the unit laws make them
+    # hold), so the witnesses are the ones a check of every pair gives
+    t = two_loop_truncated(QQ)  # basis 1, x, y with xy = 0
+    e21, e12 = [[0, 0], [1, 0]], [[0, 1], [0, 0]]
+    assert validate_module(make_module(t, [[[1, 0], [0, 1]], e21, e21])) is None
+    broken = ModuleRep(t, 2, tuple(Matrix.from_rows(QQ, m)
+                                   for m in ([[1, 0], [0, 1]], e21, e12)))
+    assert validate_module(broken) == ("alpha", 1, 2)
+    a = dual_numbers(QQ)
+    scaled = ModuleRep(a, 1, tuple(Matrix.from_rows(QQ, m) for m in ([[2]], [[0]])))
+    assert validate_module(scaled) == ("identity",)
 
 
 def test_simple_over_dual_numbers():
@@ -260,12 +275,27 @@ def test_kept_cover_makes_no_reference_cycle():
         assert not is_projective(m) and ext1_dim_oracle(m, m) == 1
         p = m.cover.projective
         assert is_projective(p)
+        # a cover's projective needs no cover to be classified; fill it here
+        # so that both kept covers are checked for cycles
+        assert is_projective(p.cover.projective)
         assert "cover" in vars(m) and "cover" in vars(p)
         refs = weakref.ref(m), weakref.ref(p)
         del m, p
         assert [r() for r in refs] == [None, None]
     finally:
         gc.enable()
+
+
+def test_a_covers_projective_is_classified_without_a_cover(monkeypatch):
+    import compvar.modules as modules_module
+    s1, s2 = simple_modules(a2_algebra(QQ))
+    p = direct_sum_modules([s1, s2])[0].cover.projective
+    covered = []
+    cover = modules_module.projective_cover
+    monkeypatch.setattr(modules_module, "projective_cover",
+                        lambda m: (covered.append(m), cover(m))[1])
+    assert p.dim == 3 and is_projective(p)
+    assert covered == [] and "cover" not in vars(p)
 
 
 def test_each_module_is_covered_once(monkeypatch):
