@@ -213,8 +213,11 @@ class ChainMap:
             f = self.component(i)
             if f.shape != (y.dim_at(i - n), x.dim_at(i)):
                 return ("shape", i)
-            for j in range(x.algebra.dim):
-                if f @ x.term(i).action[j] != y.term(i - n).action[j] @ f:
+            src, tgt = x.term(i), y.term(i - n)
+            # a_0 acts as 1 on validated terms, where f @ 1 == 1 @ f
+            first = int(validate_module(src) is None and validate_module(tgt) is None)
+            for j in range(first, x.algebra.dim):
+                if f @ src.action[j] != tgt.action[j] @ f:
                     return ("linearity", i, j)
         for i in range(x.bottom, x.top + 2):
             lhs = (y.diff(i - n) @ self.component(i)).scale(sign)
@@ -414,10 +417,15 @@ def homotopy_hom(x: ComplexPoint, y: ComplexPoint, n: int) -> HomotopyHom:
     field = x.field
     sign = field.one() if n % 2 == 0 else field.neg(field.one())
     boundaries = []
+    homs = {}  # Hom_A basis per (source, target) pair of term instances
     for i in x.degrees():
         if not x.dim_at(i) or not y.dim_at(i - n + 1):
             continue
-        for h in hom_matrices(x.term(i), y.term(i - n + 1)):
+        src, tgt = x.term(i), y.term(i - n + 1)
+        key = (id(src), id(tgt))  # x and y keep both alive during the call
+        if key not in homs:
+            homs[key] = hom_matrices(src, tgt)
+        for h in homs[key]:
             comps = {i: (y.diff(i - n + 1) @ h).scale(sign)}
             if i + 1 in cms.layout.index:
                 comps[i + 1] = h @ x.diff(i + 1)

@@ -369,8 +369,9 @@ def projective_cover(m: ModuleRep) -> ProjectiveCover:
 
 def _check_cover(m: ModuleRep, cover: ProjectiveCover):
     p, pi = cover.projective, cover.pi
-    # A-linear
-    for j in range(m.algebra.dim):
+    # A-linear; a_0 acts as 1 on validated modules, where pi @ 1 == 1 @ pi
+    first = int(validate_module(m) is None and validate_module(p) is None)
+    for j in range(first, m.algebra.dim):
         if pi @ p.action[j] != m.action[j] @ pi:
             raise ValidationFailure("cover map is not A-linear")
     # surjective

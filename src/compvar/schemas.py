@@ -79,10 +79,15 @@ def parse_matrix(field: Field, rows, nrows: int, ncols: int, where: str) -> Matr
     for r, row in enumerate(rows):
         _expect(isinstance(row, list) and len(row) == ncols,
                 f"{where} row {r} must be a list of {ncols} scalars")
-        data.append([parse_scalar(field, v, f"{where}[{r}][{c}]")
-                     for c, v in enumerate(row)])
-    return Matrix.from_rows(field, data) if nrows else Matrix.zeros(
-        field, nrows, ncols)
+        try:
+            data.append(tuple([parse_scalar(field, v, where) for v in row]))
+        except SchemaError:
+            # parse the row again to name the first malformed entry
+            for c, v in enumerate(row):
+                parse_scalar(field, v, f"{where}[{r}][{c}]")
+            raise
+    # parse_scalar returns canonical values: no second coercion
+    return Matrix(field, nrows, ncols, tuple(data))
 
 
 def matrix_to_json(m: Matrix) -> list:
@@ -251,6 +256,10 @@ def parse_complex(obj, algebra: FDAlgebra,
                          f"complex.modules[{k}][{j}]")
             for j in range(s))
         mod = ModuleRep(algebra, d, actions)
+        # a term equal to one read before is that instance, so each module
+        # value is validated, covered and classified once; an == scan over
+        # the few terms read so far, since Fraction hashes are slow
+        mod = next((t for t in terms_topdown if t == mod), mod)
         witness = validate_module(mod)
         if witness is not None:
             raise ValidationFailure(

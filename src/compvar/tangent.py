@@ -10,7 +10,14 @@ d_{i-1} x d_i), subject to the linearized defining conditions:
   (c)  v_{i-1} del_i + del_{i-1} v_i = 0
 
 with A_ij the action of a_j on X_i, del_i the differential, and out-of-range
-symbols zero.  Tangent coordinates are one ``Blocks`` layout: the blocks
+symbols zero.  The system keeps (a) for the pair (0, 0) and the pairs
+j, k >= 1, and (b) for j >= 1: (a) at (0, 0) reads w_i0 + w_i0 = w_i0, so
+delta_i(1) = 0, and then A_i0 = I (checked by (α)) and the unit laws of
+the algebra make every other equation with j = 0 or k = 0 read w_ij = w_ij
+or v_i = v_i.  The kernel is that of the whole system; over dual numbers (a) and (b) keep half their
+rows, and over a 3-dimensional algebra (a) keeps 5 of its 9 pairs.
+
+Tangent coordinates are one ``Blocks`` layout: the blocks
 ("delta", i, j) (degrees descending, then j ascending), then ("sigma", i)
 (degrees descending), zero-sized ones left out.  The Lie coordinates t_i
 of the orbit map are another, keyed by degree, descending.  This fixed
@@ -139,30 +146,32 @@ def _require_point(x: ComplexPoint) -> None:
 
 
 def tangent_system_matrix(x: ComplexPoint, layout: TangentLayout) -> Matrix:
-    """Coefficient matrix of the linear system (a), (b), (c)."""
+    """Coefficient matrix of the linear system (a), (b), (c), without the
+    equations that the unit laws imply at a point that has passed (α)
+    (see the module docstring)."""
     s = x.algebra.dim
     unk = layout.coords.index
     equations = []
-    # (a): derivation rule per degree and basis pair
+    # (a): derivation rule per degree, for (0, 0) and the pairs j, k >= 1
+    pairs = [(0, 0)] + [(j, k) for j in range(1, s) for k in range(1, s)]
     for i in x.degrees():
         d = x.dim_at(i)
         if d == 0:
             continue
         acts = x.term(i).action
-        for j in range(s):
-            for k in range(s):
-                terms = [(1, None, unk["delta", i, j], acts[k]),
-                         (1, acts[j], unk["delta", i, k], None)]
-                terms += [(-c, None, unk["delta", i, l], None)
-                          for l, c in enumerate(x.algebra.products[j][k]) if c]
-                equations.append((d, d, terms))
-    # (b): compatibility of sigma with the module actions
+        for j, k in pairs:
+            terms = [(1, None, unk["delta", i, j], acts[k]),
+                     (1, acts[j], unk["delta", i, k], None)]
+            terms += [(-c, None, unk["delta", i, l], None)
+                      for l, c in enumerate(x.algebra.products[j][k]) if c]
+            equations.append((d, d, terms))
+    # (b): compatibility of sigma with the module actions, for j >= 1
     for i in range(x.bottom + 1, x.top + 1):
         dlo, dhi = x.dim_at(i - 1), x.dim_at(i)
         if dlo == 0 or dhi == 0:
             continue
         di, sig = x.diff(i), unk["sigma", i]
-        for j in range(s):
+        for j in range(1, s):
             equations.append((dlo, dhi, [
                 (1, None, sig, x.term(i).action[j]),
                 (1, di, unk["delta", i, j], None),

@@ -11,11 +11,12 @@ from pathlib import Path
 import pytest
 
 from compvar.cli import main
-from compvar.complexes import stalk
+from compvar.complexes import make_complex, stalk
 from compvar.errors import (SchemaError, UnsupportedCharacteristic,
                             ValidationFailure)
 from compvar.fields import GF, QQ
-from compvar.modules import regular_module
+from compvar.linalg import Matrix
+from compvar.modules import direct_sum_modules, regular_module
 from compvar.samples import (a2_algebra, axa_complex, base_field_algebra,
                              dual_numbers, simple_over_dual)
 from compvar.schemas import (algebra_to_json, complex_to_json, load_json,
@@ -117,6 +118,40 @@ def test_scalar_forms():
     obj["modules"][0][0] = [[0.5]]
     with pytest.raises(SchemaError):
         parse_complex(obj, a)
+
+
+def test_malformed_scalar_names_its_entry():
+    a = dual_numbers(QQ)
+    obj = complex_to_json(axa_complex(QQ))
+    obj["modules"][1][1][1][0] = "1/0"
+    with pytest.raises(SchemaError, match=r"^complex\.modules\[1\]\[1\]\[1\]\[0\]: "
+                       r"bad rational scalar '1/0'$"):
+        parse_complex(obj, a)
+    obj = complex_to_json(axa_complex(QQ))
+    obj["differentials"][0][0][1] = 0.5
+    with pytest.raises(SchemaError, match=r"^complex\.differentials\[0\]\[0\]\[1\]: "
+                       r"rational scalars are 'num/den' strings or integers, "
+                       r"got 0\.5$"):
+        parse_complex(obj, a)
+    obj = complex_to_json(axa_complex(GF(3)))
+    obj["modules"][0][1][0][1] = "1"
+    with pytest.raises(SchemaError, match=r"^complex\.modules\[0\]\[1\]\[0\]\[1\]: "
+                       r"scalars over F3 are integers, got '1'$"):
+        parse_complex(obj, dual_numbers(GF(3)))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=str)
+def test_parsed_equal_terms_are_one_instance(field):
+    # L_3 = A^3 --x--> A^3 --x--> A^3 over the dual numbers
+    a = dual_numbers(field)
+    term = direct_sum_modules([regular_module(a)] * 3)[0]
+    x = Matrix.block_diag(field, [a.right_mult_matrix(a.basis_vec(1))] * 3)
+    obj = complex_to_json(make_complex(a, 0, (term, term, term), (x, x)))
+    parsed = parse_complex(obj, a)
+    assert parsed.term(0) is parsed.term(1) is parsed.term(2)
+    p2p1 = parse_complex(load_json(fx("complex_p2_p1_a2.json")),
+                         parse_algebra(load_json(fx("algebra_q_a2_quiver.json"))))
+    assert p2p1.term(0) is not p2p1.term(1)
 
 
 # -- CLI exit codes ------------------------------------------------------------
@@ -274,6 +309,26 @@ def test_tangent_command_builds_the_tangent_system_once(monkeypatch, capsys):
     assert code == 0
     assert json.loads(capsys.readouterr().out)["tangent_dim"] == 6
     assert len(built) == 1
+
+
+def test_theorem7_covers_and_homs_each_term_value_once(monkeypatch, capsys):
+    import compvar.complexes as complexes_module
+    import compvar.modules as modules_module
+    covered, homs = [], []
+    cover, hom = modules_module.projective_cover, modules_module.hom_matrices
+    monkeypatch.setattr(modules_module, "projective_cover",
+                        lambda m: (covered.append(m), cover(m))[1])
+    monkeypatch.setattr(complexes_module, "hom_matrices",
+                        lambda m, n: (homs.append((m, n)), hom(m, n))[1])
+    code = run_cli("theorem7",
+                   "--algebra", fx("algebra_q_dual_numbers_quiver.json"),
+                   "--complex", fx("complex_axa_q.json"), "--json")
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "equality"
+    # both terms are the regular module: one instance, one cover, and one
+    # Hom_A(X_i, X_i) for the homotopies of Hom(X, X[1])
+    assert len(covered) == 1
+    assert len(homs) == 1 and homs[0][0] is homs[0][1] is covered[0]
 
 
 def test_bad_usage_exits_4(capsys):

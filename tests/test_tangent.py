@@ -11,16 +11,19 @@ from compvar.derived import derived_hom_dim
 from compvar.errors import (NotAlmostProjective, NotProjectiveComplex,
                             ValidationFailure)
 from compvar.fields import GF, QQ
-from compvar.linalg import Matrix, Subspace
-from compvar.modules import (direct_sum_modules, make_module, regular_module,
-                             simple_modules)
+from compvar.linalg import Matrix, Subspace, linear_system
+from compvar.modules import (conjugate_module, direct_sum_modules,
+                             indecomposable_projectives, make_module,
+                             regular_module, simple_modules)
 from compvar.samples import (a2_algebra, axa_complex, base_field_algebra,
-                             dual_numbers, simple_over_dual)
+                             dual_numbers, simple_over_dual,
+                             two_loop_truncated)
 from compvar.tangent import (chi, chi_splitting, eta, eta_kernel, is_rigid,
                              corollary8_check, orbit_tangent,
                              orbit_tangent_basis, quotient_dim, tangent_layout,
                              tangent_space, tangent_space_basis,
-                             tangent_vector, verify_theorem7, voigt_check,
+                             tangent_system_matrix, tangent_vector,
+                             verify_theorem7, voigt_check,
                              zero_tangent_vector)
 
 
@@ -88,6 +91,104 @@ def test_projective_stalk_is_rigid_point():
     orbit, stab = orbit_tangent_basis(x)
     assert orbit.dim == 2
     assert quotient_dim(x) == 0
+
+
+def full_tangent_system(x, layout):
+    """Oracle: the whole linearized system, (a) for all s^2 pairs (j, k)
+    per degree, (b) for all s basis elements per pair of degrees, and (c),
+    including the equations that ``tangent_system_matrix`` leaves to the
+    unit laws."""
+    s = x.algebra.dim
+    unk = layout.coords.index
+    equations = []
+    for i in x.degrees():
+        d = x.dim_at(i)
+        if d:
+            acts = x.term(i).action
+            for j in range(s):
+                for k in range(s):
+                    terms = [(1, None, unk["delta", i, j], acts[k]),
+                             (1, acts[j], unk["delta", i, k], None)]
+                    terms += [(-c, None, unk["delta", i, l], None)
+                              for l, c in enumerate(x.algebra.products[j][k])
+                              if c]
+                    equations.append((d, d, terms))
+    for i in range(x.bottom + 1, x.top + 1):
+        if x.dim_at(i - 1) and x.dim_at(i):
+            di, sig = x.diff(i), unk["sigma", i]
+            for j in range(s):
+                equations.append((x.dim_at(i - 1), x.dim_at(i), [
+                    (1, None, sig, x.term(i).action[j]),
+                    (1, di, unk["delta", i, j], None),
+                    (-1, None, unk["delta", i - 1, j], di),
+                    (-1, x.term(i - 1).action[j], sig, None)]))
+    for i in range(x.bottom + 2, x.top + 1):
+        if x.dim_at(i) and x.dim_at(i - 1) and x.dim_at(i - 2):
+            equations.append((x.dim_at(i - 2), x.dim_at(i), [
+                (1, None, unk["sigma", i - 1], x.diff(i)),
+                (1, x.diff(i - 1), unk["sigma", i], None)]))
+    return linear_system(x.field, layout.coords.shapes, equations)
+
+
+def unit_law_cases(field):
+    """Stalks of the indecomposable projectives and the simples, the simples
+    plus the regular module, and the complexes A --*a_j--> A (and
+    A --> A --> A where a_j^2 = 0) over the dual numbers, the path algebra
+    of 1 -> 2 and k<x,y>/(x,y)^2."""
+    points = []
+    for build in (dual_numbers, a2_algebra, two_loop_truncated):
+        a = build(field)
+        reg = regular_module(a)
+        simples = simple_modules(a)
+        points += [stalk(p, 1) for p, _ in indecomposable_projectives(a)]
+        points += [stalk(m, 0) for m in simples]
+        points.append(stalk(direct_sum_modules(simples + [reg])[0], 2))
+        for j in range(1, a.dim):
+            r = a.right_mult_matrix(a.basis_vec(j))
+            points.append(make_complex(a, 0, (reg, reg), (r,)))
+            if (r @ r).is_zero():
+                points.append(make_complex(a, 0, (reg, reg, reg), (r, r)))
+    return points
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(101)], ids=str)
+def test_unit_law_equations_leave_the_tangent_space_unchanged(field):
+    for x in unit_law_cases(field):
+        layout, space = tangent_space(x)
+        full = full_tangent_system(x, layout)
+        assert full.kernel() == space
+        assert tangent_system_matrix(x, layout).nrows < full.nrows
+
+
+def test_drawn_stalks_have_the_tangent_space_of_the_whole_system(hypothesis):
+    """Conjugates g.M of sums of simples and indecomposable projectives,
+    placed in degree 0..2, over Q and F_3."""
+    from hypothesis import strategies as st
+
+    modules = []
+    for field in (QQ, GF(3)):
+        for build in (dual_numbers, a2_algebra, two_loop_truncated):
+            a = build(field)
+            parts = simple_modules(a) + [p for p, _ in indecomposable_projectives(a)]
+            modules += parts + [direct_sum_modules([m, n])[0]
+                                for m in parts for n in parts]
+
+    @st.composite
+    def cases(draw):
+        m = draw(st.sampled_from(modules))
+        entries = st.lists(st.integers(-2, 2), min_size=m.dim, max_size=m.dim)
+        g = Matrix.from_rows(m.field, draw(st.lists(entries, min_size=m.dim,
+                                                    max_size=m.dim)))
+        hypothesis.assume(g.is_invertible())
+        return stalk(conjugate_module(m, g), draw(st.integers(0, 2)))
+
+    @hypothesis.settings(max_examples=60)
+    @hypothesis.given(cases())
+    def check(x):
+        layout, space = tangent_space(x)
+        assert full_tangent_system(x, layout).kernel() == space
+
+    check()
 
 
 def test_every_tangent_basis_vector_satisfies_invariants():
@@ -260,11 +361,12 @@ def test_theorem7_classifies_its_point_once(monkeypatch):
 @pytest.mark.parametrize("field", [QQ, GF(101)], ids=str)
 def test_theorem7_on_l4(field):
     """L_4 = A^4 --x--> A^4 --x--> A^4 over A = k[x]/(x^2), x acting
-    block-diagonally: its tangent system is 768 x 512 with 0.26% nonzeros."""
+    block-diagonally: its tangent system is 576 x 512 with 0.24% nonzeros."""
     a = dual_numbers(field)
     term = direct_sum_modules([regular_module(a)] * 4)[0]
     x = Matrix.block_diag(field, [a.right_mult_matrix(a.basis_vec(1))] * 4)
     complex_ = make_complex(a, 0, (term, term, term), (x, x))
+    assert tangent_system_matrix(complex_, tangent_layout(complex_)).shape == (576, 512)
     assert verify_theorem7(complex_) == {
         "tangent_dim": 144, "orbit_dim": 128, "quotient": 16,
         "derived_hom_dim": 16, "verdict": "equality"}
