@@ -14,15 +14,15 @@ are pruned while their action matrices are chosen, and each differential
 is drawn from the Hom_A space between its terms, so only (gamma) is left
 to filter.  Every returned point is still validated in full.
 
-A census partitions the points into G-orbits.  When the acting group fits
-the budget, the orbits are walked as closures under generators of G.  The
-walk keys each point by its flat F_p entries and applies a generator to a
-key with one row and one column operation per matrix, so that deciding
-whether a step reaches a new point costs a hash.  Each new point is still
-reached through ``act`` and checked as a chain isomorphism from the point it
-came from, which makes every step its own isomorphism witness; the class
-representatives are then shown pairwise non-isomorphic.  Beyond the budget,
-the points are partitioned by isomorphism search.
+A census partitions the points into G-orbits, walked as closures under
+generators of G.  The walk keys each point by its flat F_p entries and
+applies a generator to a key with one row and one column operation per
+matrix, so that deciding whether a step reaches a new point costs a hash.
+Each new point is still reached through ``act`` and checked as a chain
+isomorphism from the point it came from, which makes every step its own
+isomorphism witness.  A step that leaves the modules of a pinned list is
+skipped, and an isomorphism search over the closure representatives
+joins the closures an orbit falls into.
 """
 
 from __future__ import annotations
@@ -45,15 +45,14 @@ from .tangent import quotient_dim
 
 @dataclass(frozen=True)
 class ScanBudget:
-    """Hard ceilings for enumeration work plus the seed used by any
-    randomized isomorphism searches."""
+    """A hard ceiling on the coordinate grid an enumeration walks, plus the
+    seed used by any randomized isomorphism searches."""
 
     max_points: int = 10 ** 4
-    max_group_elements: int = 10 ** 4
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_points <= 0 or self.max_group_elements <= 0:
+        if self.max_points <= 0:
             raise ValidationFailure("budget bounds must be positive")
 
 
@@ -239,12 +238,11 @@ def _invertible_matrices(field: Field, d: int) -> list:
 
 def enumerate_group(field: Field, dims, budget: ScanBudget) -> list:
     """Every group element for the window (degrees top..0, identity outside).
-    Raises BudgetExceeded when the order tops the budget."""
+    Raises BudgetExceeded when the order tops ``budget.max_points``."""
     order = group_order(field, dims)
-    if order > budget.max_group_elements:
-        raise BudgetExceeded(
-            f"acting group has {order} elements "
-            f"(budget {budget.max_group_elements})", count=order)
+    if order > budget.max_points:
+        raise BudgetExceeded(f"acting group has {order} elements "
+                             f"(budget {budget.max_points})", count=order)
     top = len(dims) - 1
     per_degree = [_invertible_matrices(field, d) for d in dims]
     out = []
@@ -261,19 +259,20 @@ def _group_generators(field: Field, dims) -> list:
     field as I + c E_ab = (I + E_ab)^c, and diag(w, 1, ..., 1) for a
     generator w of F_p^x (none over F_2), whose determinant gives the rest
     of GL_d.  The search for w is bounded as p - 1 <= |G|."""
-    def element(degree, d, at, c):  # the identity with flat entry `at` = c
-        flat = list(Matrix.identity(field, d).flat())
+    def element(degree, d, one, at, c):  # the identity `one` with entry `at` = c
+        flat = list(one)
         flat[at] = c
         return GroupElement(((degree, Matrix.from_flat(field, d, d, flat)),))
 
     p, top, out = field.p, len(dims) - 1, []
     for k, d in enumerate(dims):
+        one = Matrix.identity(field, d).flat()
         moves = [(a * d + b, 1, p - 1) for a in range(d) for b in range(d) if a != b]
         if d and p > 2:
             w = next(w for w in range(2, p)
                      if len({pow(w, e, p) for e in range(p - 1)}) == p - 1)
             moves.append((0, w, field.inv(w)))
-        out += [(element(top - k, d, at, c), element(top - k, d, at, cinv))
+        out += [(element(top - k, d, one, at, c), element(top - k, d, one, at, cinv))
                 for at, c, cinv in moves]
     return out
 
@@ -286,18 +285,14 @@ class OrbitCensus:
 
     ``classes`` holds sorted index tuples into the input list, ordered by
     first member; ``representatives`` is the first point of each class.
-    ``group_checked`` records whether the classes come from the literal
-    group action (whenever the group fits the budget): each is an orbit
-    walked as a closure under generators of the group, every step checked
-    as a chain isomorphism, and the representatives are proven pairwise
-    non-isomorphic.  Otherwise the classes come from isomorphism search
-    over all points."""
+    Each class is the part of one G-orbit that lies in the list: generator
+    closures, every step a checked chain isomorphism, joined where a search
+    found a witness; the representatives are pairwise non-isomorphic."""
 
     point_count: int
     classes: tuple
     representatives: tuple
     group_order: int
-    group_checked: bool
 
     @property
     def class_count(self) -> int:
@@ -406,21 +401,21 @@ def _flat_step(key: tuple, updates: tuple, p: int) -> tuple:
     return tuple(out)
 
 
-def _closure_partition(points, generators) -> list:
-    """Orbits as closures under the generators, cut to the point list and
-    ordered by first member.  Each generator moves one degree, and its
-    component there must be inverted by the one given with it.  The orbit
-    is walked on packed points (``_pack``), so a step costs one
+def _closure_partition(points, generators) -> tuple:
+    """Closures of the point list under the generators, ordered by first
+    member, and whether a step was skipped.  Each generator moves one
+    degree, and its component there must be inverted by the one given with
+    it.  The walk runs on packed points (``_pack``), so a step costs one
     ``_flat_step`` and a hash.  A step to a new point is then made again
     through ``act`` as z = g.y, and accepted only once that component is
     seen to carry y to z (``_transports``, which does not apply g again) and
-    z packs to the packed image; so each class lies in one orbit.  An
-    enumeration holds every point with a module choice it makes, so a
-    closure point outside the list means that it is incomplete, unless the
-    list may be pinned (one module choice, then orbits are cut to it) and
-    the point carries other modules."""
+    z packs to the packed image; so each closure lies in one orbit.  On a
+    list whose points share their modules (it may be pinned) a step that
+    changes the module prefix of the key is skipped.  Any other step must
+    stay in the list, or the enumeration is incomplete; when none was
+    skipped, the closures are whole orbits."""
     if not points:
-        return []
+        return [], False
     x, q = points[0], points[0].field.p
     if any((p.algebra, p.bottom, p.dims()) != (x.algebra, x.bottom, x.dims())
            for p in points):
@@ -438,8 +433,10 @@ def _closure_partition(points, generators) -> list:
     index = {}
     for i, key in enumerate(keys):
         index.setdefault(key, []).append(i)
-    cut = all(p.terms == x.terms for p in points)
-    assigned, classes = set(), []
+    # the action blocks come first in a key; a pinned list fixes them
+    width = sum((len(t.action) - 1) * t.dim * t.dim for t in x.terms)
+    pinned = keys[0][:width] if all(p.terms == x.terms for p in points) else None
+    assigned, classes, skipped = set(), [], False
     for i, p in enumerate(points):
         if i in assigned:
             continue
@@ -450,6 +447,9 @@ def _closure_partition(points, generators) -> list:
                 image = _flat_step(key, updates, q)
                 if image in orbit:
                     continue
+                if pinned is not None and image[:width] != pinned:
+                    skipped = True
+                    continue
                 z = act(g, y, _inverse=ginv)
                 if not _transports(m, degree, y, z):
                     raise ValidationFailure(
@@ -459,26 +459,25 @@ def _closure_partition(points, generators) -> list:
                     raise ValidationFailure(
                         f"a packed closure step from the orbit of point {i} "
                         f"differs from the group action at degree {degree}")
-                if image not in index and not (cut and z.terms != x.terms):
+                if image not in index:
                     raise ValidationFailure(f"the orbit of point {i} leaves the "
                                             "list: the enumeration is incomplete")
                 orbit.add(image)
                 frontier.append((image, z))
-        classes.append(tuple(sorted(j for key in orbit for j in index.get(key, ()))))
+        classes.append(tuple(sorted(j for key in orbit for j in index[key])))
         assigned.update(classes[-1])
-    return classes
+    return classes, skipped
 
 
 def orbit_census(points, algebra: FDAlgebra, dims, budget: ScanBudget) -> OrbitCensus:
     """Group the points into isomorphism classes; isomorphism witnesses are
     exactly group elements carrying one point to the other, so the classes
-    are the orbits.  When the acting group fits ``max_group_elements`` the
-    classes are the orbits walked as generator closures (every merge has a
-    checked witness, and an unpinned list must hold each orbit whole), and
-    the class representatives must be pairwise non-isomorphic: they are
-    searched against each other only when their rank keys agree, and a
-    search that finds a witness raises ValidationFailure.  A larger group
-    leaves the isomorphism search over all points."""
+    are the orbits.  The points are walked as generator closures (every
+    step a checked witness), and the closure representatives are searched
+    against each other whenever their rank keys agree.  The closures a
+    search proves isomorphic are joined if the walk skipped a step out of a
+    pinned list; otherwise they are whole orbits, and ValidationFailure is
+    raised."""
     points = list(points)
     dims = tuple(int(d) for d in dims)
     for p in points:
@@ -487,15 +486,14 @@ def orbit_census(points, algebra: FDAlgebra, dims, budget: ScanBudget) -> OrbitC
         if p.dims() != dims:
             raise ValidationFailure("census point with the wrong dimension vector")
     order = group_order(algebra.field, dims)
-    checked = order <= budget.max_group_elements
-    if checked:
-        classes = _closure_partition(points, _group_generators(algebra.field, dims))
-    else:
-        classes = _iso_partition(points, budget.seed)
-    reps = tuple(points[c[0]] for c in classes)
-    if checked and len(_iso_partition(reps, budget.seed)) < len(reps):
+    closures, skipped = _closure_partition(
+        points, _group_generators(algebra.field, dims))
+    merged = _iso_partition([points[c[0]] for c in closures], budget.seed)
+    if len(merged) < len(closures) and not skipped:
         raise ValidationFailure("two generator closures hold isomorphic points")
-    return OrbitCensus(len(points), tuple(classes), reps, order, checked)
+    classes = tuple(tuple(sorted(j for k in ks for j in closures[k])) for ks in merged)
+    return OrbitCensus(len(points), classes,
+                       tuple(points[c[0]] for c in classes), order)
 
 
 @dataclass(frozen=True)

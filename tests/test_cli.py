@@ -335,6 +335,15 @@ def test_bad_usage_exits_4(capsys):
     assert run_cli("census", "--algebra", fx("algebra_f2.json")) == 4
     assert run_cli("census", "--algebra", fx("algebra_f2.json"),
                    "--dims", "one,two") == 4
+    capsys.readouterr()
+    # a budget is a positive integer, and the group has no budget of its own
+    for flags in (("--max-points", "0"), ("--max-points", "-5"),
+                  ("--max-points", "many"), ("--max-group-elements", "100")):
+        assert run_cli("census", "--algebra", fx("algebra_f2.json"),
+                       "--dims", "1,1", *flags) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
 
 
 def test_parser_is_built_once_and_reused(capsys):
@@ -407,6 +416,26 @@ def test_census_pinned_report(capsys):
     assert report["group_order"] == 36
     assert report["group_checked"] is True
     assert report["pinned"] is True
+
+
+def test_census_pinned_beyond_the_old_group_gate(tmp_path, capsys):
+    # regular dual numbers over F_3 in three degrees: |G| = 110,592, and the
+    # classes still come from the group under the default budgets
+    a = dual_numbers(GF(3))
+    reg = regular_module(a)
+    zero = Matrix.zeros(a.field, 2, 2)
+    algebra, pin = tmp_path / "algebra.json", tmp_path / "pin.json"
+    algebra.write_text(json.dumps(algebra_to_json(a)))
+    pin.write_text(json.dumps(complex_to_json(
+        make_complex(a, 0, (reg,) * 3, (zero, zero)))))
+    code = run_cli("census", "--algebra", str(algebra), "--dims", "2,2,2",
+                   "--pin", str(pin), "--json")
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["point_count"] == 21
+    assert report["class_sizes"] == [1, 2, 6, 2, 4, 6]
+    assert report["group_order"] == 110592
+    assert report["group_checked"] is True
 
 
 def test_report_dir_written(tmp_path, capsys):

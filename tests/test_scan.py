@@ -1,5 +1,6 @@
 """Enumeration and census layer, checked against hand-enumerated cases."""
 
+import dataclasses
 import itertools
 import time
 from pathlib import Path
@@ -28,7 +29,7 @@ Q = Field(None)
 
 
 def small_budget(**kw):
-    args = dict(max_points=10 ** 4, max_group_elements=10 ** 4, seed=7)
+    args = dict(max_points=10 ** 4, seed=7)
     args.update(kw)
     return ScanBudget(**args)
 
@@ -39,7 +40,9 @@ def test_budget_bounds_must_be_positive():
     with pytest.raises(ValidationFailure):
         ScanBudget(max_points=0)
     with pytest.raises(ValidationFailure):
-        ScanBudget(max_group_elements=-1)
+        ScanBudget(max_points=-1)
+    # the group order no longer has a budget of its own
+    assert [f.name for f in dataclasses.fields(ScanBudget)] == ["max_points", "seed"]
 
 
 def test_enumeration_rejects_rational_field():
@@ -154,7 +157,7 @@ def test_enumerate_group_members_are_invertible():
     assert len(els) == 6
     assert all(g.component(1, 2, F2).is_invertible() for g in els)
     with pytest.raises(BudgetExceeded):
-        enumerate_group(GF(5), (3, 3), small_budget(max_group_elements=100))
+        enumerate_group(GF(5), (3, 3), small_budget(max_points=100))
 
 
 @pytest.mark.parametrize("p, d", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2),
@@ -216,7 +219,6 @@ def test_base_field_line_census_two_orbits():
     census = orbit_census(pts, a, (1, 1), b)
     assert census.class_count == 2
     assert census.classes == ((0,), (1,))
-    assert census.group_checked
     assert census.group_order == 1
 
 
@@ -228,7 +230,7 @@ def test_pinned_dual_census_three_orbits():
     census = orbit_census(pts, a, (2, 2), b)
     assert census.point_count == 4
     assert census.class_count == 3
-    assert census.group_checked and census.group_order == 36
+    assert census.group_order == 36
     sizes = sorted(len(c) for c in census.classes)
     # zero map, multiplication by x, and the two unit multiplications
     assert sizes == [1, 1, 2]
@@ -248,9 +250,7 @@ def test_census_refuses_an_incomplete_point_list():
     a = dual_numbers(GF(3))
     b = small_budget()
     pts = enumerate_points(a, (2, 1), b)
-    census = orbit_census(pts, a, (2, 1), b)
-    assert census.group_checked
-    orbits = census.classes
+    orbits = orbit_census(pts, a, (2, 1), b).classes
     gens = _group_generators(a.field, (2, 1))
     # a point that is not fixed by G is reached from the rest of its orbit
     for missing in (j for c in orbits if len(c) > 1 for j in c):
@@ -258,22 +258,70 @@ def test_census_refuses_an_incomplete_point_list():
             _closure_partition(pts[:missing] + pts[missing + 1:], gens)
     with pytest.raises(ValidationFailure, match="enumeration is incomplete"):
         orbit_census(pts[:missing] + pts[missing + 1:], a, (2, 1), b)
-    # a pinned list is only part of the variety: orbits may leave it
+    # a pinned list is only part of the variety: a step that leaves its
+    # modules is skipped, but one that keeps them must stay in the list.
+    # Over F_2 the transvection that is right multiplication by 1 + x
+    # carries the unit 1 to 1 + x and keeps the regular module.
+    f2 = dual_numbers(F2)
+    reg = regular_module(f2)
+    pinned = enumerate_points(f2, (2, 2), b, pinned_modules=(reg, reg))
+    unit = next(c for c in orbit_census(pinned, f2, (2, 2), b).classes if len(c) > 1)
+    for missing in unit:
+        with pytest.raises(ValidationFailure, match="enumeration is incomplete"):
+            orbit_census(pinned[:missing] + pinned[missing + 1:], f2, (2, 2), b)
+
+
+def test_census_of_a_group_larger_than_the_point_budget(monkeypatch):
+    # |G| = |GL_3(F_3)| * |GL_1(F_3)| = 22,464 tops max_points: the orbits
+    # are still walked as closures, the zero map and the 26 surjections,
+    # with one group action per point that does not start its class
+    a = base_field_algebra(GF(3))
+    calls = []
+
+    def counted(g, x, _inverse=None):
+        calls.append(g)
+        return act(g, x, _inverse=_inverse)
+
+    monkeypatch.setattr(scan, "act", counted)
+    report = rigid_census(a, (3, 1), ScanBudget())
+    assert report.census.group_order == 22464
+    assert [len(c) for c in report.census.classes] == [1, 26]
+    assert len(calls) == 25
+
+
+def test_pinned_closures_are_merged_by_the_search():
+    # regular dual numbers over F_3: the units a + bx with a != 0 are one
+    # orbit, but diag(w, 1) leaves the regular module, so the walk inside
+    # the list only reaches the units with the same a; the search joins them
+    a = dual_numbers(GF(3))
     reg = regular_module(a)
-    pinned = enumerate_points(a, (2, 2), b, pinned_modules=(reg, reg))
-    census = orbit_census(pinned, a, (2, 2), b)
-    assert census.group_checked
-    unit = next(c[1] for c in census.classes if len(c) > 1)
-    with pytest.raises(ValidationFailure, match="enumeration is incomplete"):
-        orbit_census(pinned[:unit] + pinned[unit + 1:], a, (2, 2), b)
+    b = small_budget()
+    pts = enumerate_points(a, (2, 2), b, pinned_modules=(reg, reg))
+    closures, skipped = _closure_partition(pts, _group_generators(a.field, (2, 2)))
+    census = orbit_census(pts, a, (2, 2), b)
+    assert skipped and len(closures) > census.class_count
+    assert [len(c) for c in census.classes] == [1, 2, 6]
+    assert list(census.classes) == _orbit_partition(
+        pts, enumerate_group(a.field, (2, 2), b))
+    for c in closures:  # every closure lies in one class
+        assert any(set(c) <= set(k) for k in census.classes)
 
 
-def test_census_without_group_check_when_budget_small():
-    a = base_field_algebra(F2)
-    pts = enumerate_points(a, (2,), small_budget())
-    census = orbit_census(pts, a, (2,), small_budget(max_group_elements=3))
-    assert not census.group_checked
-    assert census.class_count == 1
+@pytest.mark.parametrize("drop", range(6))
+def test_pinned_census_without_a_generator_is_still_the_orbits(monkeypatch, drop):
+    # a closure under fewer generators splits more; the search still
+    # finds the orbits, as the whole group gives them
+    a = dual_numbers(GF(3))
+    reg = regular_module(a)
+    b = small_budget()
+    pts = enumerate_points(a, (2, 2), b, pinned_modules=(reg, reg))
+    gens = _group_generators(a.field, (2, 2))
+    assert len(gens) == 6
+    monkeypatch.setattr(scan, "_group_generators",
+                        lambda field, dims: gens[:drop] + gens[drop + 1:])
+    census = orbit_census(pts, a, (2, 2), b)
+    assert list(census.classes) == _orbit_partition(
+        pts, enumerate_group(a.field, (2, 2), b))
 
 
 def test_census_rejects_a_closure_step_without_a_witness(monkeypatch):
@@ -332,7 +380,7 @@ def test_closure_acts_once_per_new_point(monkeypatch, make, p, dims):
 
     monkeypatch.setattr(scan, "act", counted)
     census = orbit_census(pts, a, dims, b)
-    assert census.group_checked and census.class_count > 1
+    assert census.class_count > 1
     assert len(calls) == len(pts) - census.class_count
 
 
@@ -367,7 +415,7 @@ def test_closure_under_drawn_generators_stays_in_the_orbits(hypothesis):
             return
         subset = data.draw(st.lists(st.sampled_from(gens), min_size=1,
                                     max_size=len(gens), unique_by=id))
-        for c in _closure_partition(points, subset):
+        for c in _closure_partition(points, subset)[0]:
             assert len({label[j] for j in c}) == 1
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(scan, "_group_generators", lambda field, dims: subset)
@@ -522,11 +570,14 @@ def test_enumeration_and_partition_match_the_grid_walk(make, p, dims, pin):
         return
     points = enumerate_points(a, dims, budget, pinned)
     assert points == grid_points(a, dims, pinned)
-    group = enumerate_group(a.field, dims, budget)
-    closure = _closure_partition(points, _group_generators(a.field, dims))
+    orbits = _orbit_partition(points, enumerate_group(a.field, dims, budget))
+    closures, skipped = _closure_partition(points, _group_generators(a.field, dims))
     census = orbit_census(points, a, dims, budget)
-    assert _iso_partition(points, budget.seed) == closure \
-        == _orbit_partition(points, group) == list(census.classes)
+    assert _iso_partition(points, budget.seed) == orbits == list(census.classes)
+    # an unpinned list holds whole orbits; a pinned one may split them
+    assert skipped == (pinned is not None)
+    assert closures == orbits if pinned is None else all(
+        any(set(c) <= set(o) for o in orbits) for c in closures)
 
 
 def test_large_single_degree_rigid_scan_is_fast(capsys):
