@@ -11,6 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+# Fractions are immutable, so Q's zero and one are shared.
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -44,13 +47,16 @@ class Field:
         return 0 if self.p is None else self.p
 
     def zero(self):
-        return Fraction(0) if self.p is None else 0
+        return _ZERO if self.p is None else 0
 
     def one(self):
-        return Fraction(1) if self.p is None else 1
+        return _ONE if self.p is None else 1
 
     def coerce(self, x):
-        """Bring an int/Fraction (or scalar string) into canonical form."""
+        """Bring an int/Fraction (or scalar string) into canonical form; a
+        Fraction over Q is returned as it is."""
+        if self.p is None and type(x) is Fraction:
+            return x
         if isinstance(x, str):
             x = parse_scalar_string(x)
         if self.p is None:

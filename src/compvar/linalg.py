@@ -17,6 +17,14 @@ reduction of a vector modulo a cached echelon basis; membership,
 containment of a subspace, coordinates and canonical representatives come
 from it, with no second elimination.
 
+Scalars are ``Fraction`` values over Q at every boundary, but these kernels
+(elimination, products, ``mat_vec``, ``vec_combination``, the reduction and
+``linear_system``) compute on integers: a row is held as integer numerators
+over one positive denominator (``_over``; ``_integral`` takes one for a
+whole matrix), so no Fraction arithmetic runs inside them, and each builds
+one canonical Fraction for each entry it returns (``_scalars``).  Over F_p
+they run on the reduced ints themselves.
+
 Everything is immutable and deterministic: row reduction always picks the
 leftmost available pivot and the first nonzero row below it, so reduced
 echelon forms (and hence subspace representations) are canonical.
@@ -25,7 +33,9 @@ echelon forms (and hence subspace representations) are canonical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 
 from .errors import FieldMismatch, ShapeMismatch
 from .fields import Field
@@ -51,7 +61,18 @@ def _eliminate(rows: list, p, stop: int) -> list:
     column then leaves the index.  The cost is one index entry per
     nonzero plus, per pivot, one pass over the pivot row for each row it
     clears: it follows the fill, not rows x rank.
+
+    Over Q a row is held as integer numerators N over one positive
+    denominator D, with no common factor (``_over``).  A pivot row becomes
+    ``(N, N[c])``, its sign made positive; a cleared row becomes
+    ``(dp * N - N[c] * P, D * dp)`` for the pivot row ``(P, dp)``; both are
+    then divided by their gcd.  The values are the same as with Fraction
+    arithmetic, and Fractions are built once, for the rows it returns.
     """
+    dens = [1] * len(rows)  # the row denominators, all 1 over F_p
+    if p is None:
+        for i, row in enumerate(rows):
+            rows[i], dens[i] = _over(row)
     holds = {}
     for i, row in enumerate(rows):
         for j in row:
@@ -75,6 +96,7 @@ def _eliminate(rows: list, p, stop: int) -> list:
         if k != r:
             low = rows[r]
             rows[r], rows[k] = prow, low
+            dens[r], dens[k] = dens[k], dens[r]
             for row, other, was, now in ((low, prow, r, k), (prow, low, k, r)):
                 for j in row:
                     if j not in other:
@@ -82,15 +104,17 @@ def _eliminate(rows: list, p, stop: int) -> list:
                         moved.remove(was)
                         moved.add(now)
         pv = prow[c]
-        if pv != 1:
-            if p is None:
-                inv = 1 / pv
+        if p is None:
+            if pv != dens[r]:
+                g = gcd(*prow.values()) if pv > 0 else -gcd(*prow.values())
                 for j, x in prow.items():
-                    prow[j] = x * inv
-            else:
-                inv = pow(pv, -1, p)
-                for j, x in prow.items():
-                    prow[j] = x * inv % p
+                    prow[j] = x // g
+                dens[r] = pv // g
+            dp = dens[r]
+        elif pv != 1:
+            inv = pow(pv, -1, p)
+            for j, x in prow.items():
+                prow[j] = x * inv % p
         del holds[c]  # no row gains c again
         targets.remove(r)
         if targets:
@@ -100,6 +124,9 @@ def _eliminate(rows: list, p, stop: int) -> list:
                 row = rows[i]
                 f = row.pop(c)
                 if p is None:
+                    if dp != 1:
+                        for j in row:
+                            row[j] *= dp
                     for j, b in items:
                         x = row.get(j)
                         if x is None:
@@ -112,6 +139,14 @@ def _eliminate(rows: list, p, stop: int) -> list:
                             else:
                                 del row[j]
                                 holds[j].remove(i)
+                    d = dens[i] * dp
+                    if d != 1:
+                        g = gcd(d, *row.values())
+                        if g != 1:
+                            for j in row:
+                                row[j] //= g
+                            d //= g
+                    dens[i] = d
                 else:
                     for j, b in items:
                         x = row.get(j)
@@ -129,7 +164,39 @@ def _eliminate(rows: list, p, stop: int) -> list:
         r += 1
         if r == n:
             break
+    if p is None:
+        for i, row in enumerate(rows):
+            rows[i] = _scalars(row, dens[i], p)
     return pivots
+
+
+def _over(row: dict) -> tuple:
+    """``(N, D)``: a sparse row of rationals as integer numerators N over
+    their least common denominator D, so N and D have no common factor."""
+    d = lcm(*[x.denominator for x in row.values()])
+    return {j: x.numerator * (d // x.denominator) for j, x in row.items()}, d
+
+
+def _scalars(acc: dict, d: int, p) -> dict:
+    """The canonical sparse row of the nonzero values ``acc[j] / d`` of
+    integers acc: reduced mod p over F_p, where d is 1; over Q, one
+    Fraction per entry."""
+    if p is not None:
+        return _canonical(acc, p)
+    if d == 1:
+        return {j: Fraction(x) for j, x in acc.items() if x}
+    return {j: Fraction(x, d) for j, x in acc.items() if x}
+
+
+def _integral(m) -> tuple:
+    """``(rows, d)``: the sparse rows of m as integer numerators over one
+    positive denominator d; over F_p, the rows themselves and 1."""
+    rows = m._sparse()
+    if m.field.p is not None:
+        return rows, 1
+    d = lcm(*[x.denominator for row in rows for x in row.values()])
+    return [{j: x.numerator * (d // x.denominator) for j, x in row.items()}
+            for row in rows], d
 
 
 def _sparse_rows(dense) -> list:
@@ -188,9 +255,15 @@ class Matrix:
         return self._rows
 
     def __eq__(self, other):
+        """Equal field, shape and entries; a matrix built sparse (such as a
+        product) is compared by its sparse rows, with no dense rows built."""
         if other.__class__ is not Matrix:
             return NotImplemented
-        return (self.field, self.shape, self.data) == (other.field, other.shape, other.data)
+        if (self.field, self.shape) != (other.field, other.shape):
+            return False
+        if self._data is None or other._data is None:
+            return self._sparse() == other._sparse()
+        return self._data == other._data
 
     def __hash__(self):
         if self._hash is None:
@@ -247,7 +320,9 @@ class Matrix:
         return not any(self._sparse())
 
     def is_identity(self) -> bool:
-        return self == Matrix.identity(self.field, self.nrows)
+        """Square, with each row holding only a one on the diagonal."""
+        return self.nrows == self.ncols and all(
+            len(row) == 1 and row.get(i) == 1 for i, row in enumerate(self._sparse()))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -289,27 +364,26 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ShapeMismatch(f"cannot multiply {self.shape} by {other.shape}")
         p = self.field.p
-        z = self.field.zero()
-        brows = other._sparse()
+        (arows, da), (brows, db) = _integral(self), _integral(other)
         out = []
-        for a in self._sparse():
-            row = [z] * other.ncols
+        for a in arows:
+            acc = {}
             for k, x in a.items():
                 for j, y in brows[k].items():
-                    row[j] += x * y
-            out.append(tuple(row) if p is None else tuple(v % p for v in row))
-        return Matrix(self.field, self.nrows, other.ncols, tuple(out))
+                    acc[j] = acc.get(j, 0) + x * y
+            out.append(_scalars(acc, da * db, p))
+        return Matrix(self.field, self.nrows, other.ncols, None, out)
 
     def mat_vec(self, v: tuple) -> tuple:
         if len(v) != self.ncols:
             raise ShapeMismatch(f"vector length {len(v)} vs {self.ncols} columns")
         p = self.field.p
+        rows, d = _integral(self)
         if p is None:
-            z = self.field.zero()
-            return tuple(sum((x * v[k] for k, x in row.items()), z)
-                         for row in self._sparse())
-        return tuple(sum(x * v[k] for k, x in row.items()) % p
-                     for row in self._sparse())
+            v, dv = _over(dict(enumerate(v)))
+            return tuple(Fraction(sum(x * v[k] for k, x in row.items()), d * dv)
+                         for row in rows)
+        return tuple(sum(x * v[k] for k, x in row.items()) % p for row in rows)
 
     def transpose(self) -> "Matrix":
         if self.nrows == 0 or self.ncols == 0:
@@ -417,14 +491,14 @@ class Matrix:
         return f"[{body}]"
 
 
-def _nonzeros(m, n: int, scale=None) -> list:
-    """``(row, col, value)`` for the nonzero entries of ``m``, or for the
-    n x n identity when ``m`` is None (value ``None`` standing for one);
-    values are multiplied by ``scale`` when it is given."""
+def _nonzeros(m, n: int) -> tuple:
+    """``(entries, d)``: ``(row, col, N)`` for the nonzero entries of ``m``,
+    or of the n x n identity when ``m`` is None, with integer numerators N
+    over the one positive denominator d (1 over F_p)."""
     if m is None:
-        return [(i, i, scale) for i in range(n)]
-    return [(i, j, v if scale is None else scale * v)
-            for i, row in enumerate(m._sparse()) for j, v in row.items()]
+        return [(i, i, 1) for i in range(n)], 1
+    rows, d = _integral(m)
+    return [(i, j, v) for i, row in enumerate(rows) for j, v in row.items()], d
 
 
 def linear_system(field: Field, shapes, equations) -> Matrix:
@@ -438,15 +512,17 @@ def linear_system(field: Field, shapes, equations) -> Matrix:
     row-major order, read off from vec(L X R) = (R^T (x) L) vec(X): entry
     (a, b) gets c * L[a, i] * R[j, b] in the column of X_k[i, j].  Every
     row is kept, zero or not, so rows line up with the equations; the rows
-    are built sparse, and elimination skips the empty ones.
+    are built sparse, and elimination skips the empty ones.  An equation's
+    rows are summed as integers over one common denominator.
     """
     offsets, ncols = [], 0
     for r, c in shapes:
         offsets.append(ncols)
         ncols += r * c
+    p = field.p
     rows = []
     for nr, nc, terms in equations:
-        block = [{} for _ in range(nr * nc)]
+        parts = []
         for c, left, k, right in terms:
             xr, xc = shapes[k]
             lshape = left.shape if left is not None else (xr, xr)
@@ -454,17 +530,23 @@ def linear_system(field: Field, shapes, equations) -> Matrix:
             if lshape != (nr, xr) or rshape != (xc, nc):
                 raise ShapeMismatch(f"term on unknown {k} of shape {(xr, xc)} "
                                     f"does not give a {nr} x {nc} matrix")
-            base = offsets[k]
-            rights = _nonzeros(right, xc)
-            for a, i, lv in _nonzeros(left, xr, field.coerce(c)):
+            c = field.coerce(c)
+            (lefts, ld), (rights, rd) = _nonzeros(left, xr), _nonzeros(right, xc)
+            parts.append((c.numerator, c.denominator * ld * rd, offsets[k], xc,
+                          lefts, rights))
+        d = lcm(*[e for _, e, *_ in parts])
+        block = [{} for _ in range(nr * nc)]
+        for num, e, base, xc, lefts, rights in parts:
+            f = num * (d // e)
+            for a, i, lv in lefts:
                 col0 = base + i * xc
+                lv *= f
                 for j, b, rv in rights:
                     row = block[a * nc + b]
                     col = col0 + j
-                    row[col] = row.get(col, 0) + (lv if rv is None else lv * rv)
-        rows.extend(block)
-    p = field.p
-    return Matrix(field, len(rows), ncols, None, [_canonical(r, p) for r in rows])
+                    row[col] = row.get(col, 0) + lv * rv
+        rows += [_scalars(r, d, p) for r in block]
+    return Matrix(field, len(rows), ncols, None, rows)
 
 
 @dataclass(frozen=True)
@@ -598,17 +680,29 @@ class Subspace:
     def _by_pivot(self) -> dict:  # pivot column -> basis row, never modified
         return {min(row): row for row in _sparse_rows(self.basis)}
 
-    def _residue(self, v: dict) -> dict:
+    @cached_property
+    def _reducers(self) -> dict:  # pivot column -> (integer basis row, denominator)
+        if self.field.p is not None:
+            return {c: (row, 1) for c, row in self._by_pivot.items()}
+        return {c: _over(row) for c, row in self._by_pivot.items()}
+
+    def _residue(self, v: dict) -> tuple:
         """The one reduction: the sparse row v minus v[c] times the basis row
-        with pivot c, for each pivot c of v in order.  Basis rows vanish at
-        each other's pivots, so v[c] is read unchanged; the canonical
-        residue is empty exactly when v lies in the span.  Consumes v."""
-        rows = self._by_pivot
-        for c in sorted(c for c in v if c in rows):
-            f = v[c]
-            for j, b in rows[c].items():
-                v[j] = v.get(j, 0) - f * b
-        return _canonical(v, self.field.p)
+        with pivot c, for each pivot c of v, as canonical integers acc over
+        a positive denominator d.  Basis rows vanish at each other's
+        pivots, so the coefficients are the entries of v; the residue is
+        empty exactly when v lies in the span."""
+        p, rows = self.field.p, self._reducers
+        terms = [(x, rows[c]) for c, x in v.items() if c in rows]
+        acc, e = _over(v) if p is None else (dict(v), 1)
+        d = lcm(e, *[x.denominator * dc for x, (_, dc) in terms])
+        if d != e:
+            acc = {j: y * (d // e) for j, y in acc.items()}
+        for x, (row, dc) in terms:
+            f = x.numerator * (d // (x.denominator * dc))
+            for j, y in row.items():
+                acc[j] = acc.get(j, 0) - f * y
+        return _canonical(acc, p), d
 
     def _row(self, v: tuple) -> dict:
         if len(v) != self.ambient:
@@ -617,11 +711,12 @@ class Subspace:
 
     def reduce(self, v: tuple) -> tuple:
         """Canonical representative of v modulo this subspace."""
-        return _dense_rows([self._residue(self._row(v))], self.ambient,
+        p = self.field.p
+        return _dense_rows([_scalars(*self._residue(self._row(v)), p)], self.ambient,
                            self.field.zero())[0]
 
     def contains(self, v: tuple) -> bool:
-        return not self._residue(self._row(v))
+        return not self._residue(self._row(v))[0]
 
     def coordinates(self, v: tuple):
         """Coordinates of v in the canonical basis, or None for v outside
@@ -629,7 +724,7 @@ class Subspace:
         reducing v to zero."""
         row = self._row(v)
         coords = tuple(row.get(c, self.field.zero()) for c in self._pivots)
-        return None if self._residue(row) else coords
+        return None if self._residue(row)[0] else coords
 
     def coordinate_matrix(self, m: Matrix):
         """The dim x m.ncols matrix X with ``column_matrix() @ X == m``,
@@ -643,7 +738,7 @@ class Subspace:
     def contains_subspace(self, other: "Subspace") -> bool:
         """Every basis row of ``other`` reduces to zero."""
         self._check_compatible(other)
-        return not any(self._residue(dict(row)) for row in other._by_pivot.values())
+        return not any(self._residue(row)[0] for row in other._by_pivot.values())
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
@@ -725,10 +820,20 @@ def vec_zero(field: Field, n: int) -> tuple:
 def vec_combination(field: Field, n: int, terms) -> tuple:
     """Sum of c * v over the pairs (c, v) of ``terms``, for vectors v of
     length n; zero coefficients and coordinates are skipped."""
+    p = field.p
     acc = {}
+    if p is None:  # over one denominator for the coefficients and one for v
+        terms = [(c, [(k, x) for k, x in enumerate(v) if x]) for c, v in terms if c]
+        d = lcm(*[c.denominator for c, _ in terms])
+        e = lcm(*[x.denominator for _, v in terms for _, x in v])
+        for c, v in terms:
+            f = c.numerator * (d // c.denominator)
+            for k, x in v:
+                acc[k] = acc.get(k, 0) + f * x.numerator * (e // x.denominator)
+        return _dense_rows([_scalars(acc, d * e, p)], n, field.zero())[0]
     for c, v in terms:
         if c:
             for k, x in enumerate(v):
                 if x:
                     acc[k] = acc.get(k, 0) + c * x
-    return _dense_rows([_canonical(acc, field.p)], n, field.zero())[0]
+    return _dense_rows([_canonical(acc, p)], n, 0)[0]

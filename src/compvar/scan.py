@@ -425,7 +425,7 @@ def _closure_partition(points, generators) -> tuple:
         if len(g.comps) != 1 or [d for d, _ in ginv.comps] != [g.comps[0][0]]:
             raise ValidationFailure("a generator must move exactly one degree")
         (degree, m), (_, minv) = g.comps[0], ginv.comps[0]
-        if m @ minv != Matrix.identity(m.field, m.nrows):
+        if not (m @ minv).is_identity():
             raise ValidationFailure(f"a generator at degree {degree} is not "
                                     "inverted by the matrix given with it")
         moves.append((g, ginv, degree, m, _flat_updates(x, degree, m, minv)))

@@ -20,7 +20,8 @@ from compvar.modules import (direct_sum_modules, ext1_dim_oracle,
                              indecomposable_projectives, regular_module,
                              simple_modules)
 from compvar.samples import (a2_algebra, axa_complex, contractible_pair,
-                             dual_numbers, simple_over_dual, two_loop_truncated)
+                             dual_numbers, p2_to_p1_complex, simple_over_dual,
+                             two_loop_truncated)
 
 
 # -- derived hom dimensions ------------------------------------------------------
@@ -291,6 +292,38 @@ def test_end_algebra_matches_the_greedy_basis(field, k, monkeypatch):
         assert pkg.radical == radical(FDAlgebra(field, pkg.bhat.dim, pkg.bhat.labels,
                                                 products))
     assert pkg.H.dim > 1 and pkg.bhat.dim > 2 * k
+
+
+def _unimodular(rng: random.Random, n: int) -> Matrix:
+    """An integer matrix with an integral inverse: a unit lower triangular
+    times a unit upper triangular matrix, off-diagonal entries in {-1, 0, 1}."""
+    lower = [[int(i == j) for j in range(n)] for i in range(n)]
+    upper = [row[:] for row in lower]
+    for i in range(n):
+        for j in range(i):
+            lower[i][j] = rng.choice((-1, 0, 1))
+            upper[j][i] = rng.choice((-1, 0, 1))
+    return Matrix.from_rows(QQ, lower) @ Matrix.from_rows(QQ, upper)
+
+
+def test_chain_maps_of_a_base_changed_strip_input_stay_fast():
+    """(P2 -> P1) + (P1 --1--> P1)^3 over a2, moved by a seeded unimodular
+    base change: the entries of the chain-map system grow during
+    elimination, which integer rows keep cheap."""
+    import time
+    x = p2_to_p1_complex(QQ)
+    p1 = indecomposable_projectives(x.algebra)[0][0]
+    pair = make_complex(x.algebra, 0, (p1, p1), (Matrix.identity(QQ, p1.dim),))
+    for _ in range(3):
+        x = direct_sum(x, pair)
+    rng = random.Random(1)
+    x = act(GroupElement(tuple((i, _unimodular(rng, x.dim_at(i)))
+                               for i in x.degrees())), x)
+    start = time.perf_counter()
+    hom = homotopy_hom(x, x, 0)
+    assert time.perf_counter() - start < 1
+    assert hom.chainmaps.dim == 13
+    assert hom.hom_dim == 1
 
 
 # -- idempotent lifting ----------------------------------------------------------------

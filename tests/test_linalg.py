@@ -12,7 +12,7 @@ import pytest
 from compvar.errors import ShapeMismatch
 from compvar.fields import GF, QQ, Field
 from compvar.linalg import (Blocks, LinearSolver, Matrix, Subspace,
-                            _eliminate, linear_system)
+                            _eliminate, linear_system, vec_combination)
 
 F2 = GF(2)
 F5 = GF(5)
@@ -680,9 +680,11 @@ def test_eliminate_matches_the_sweep_on_drawn_systems(hypothesis):
     def systems(draw):
         field = draw(st.sampled_from(ORACLE_FIELDS))
         ncols = draw(st.integers(1, 10))
-        if field.p is None:
-            value = st.builds(Fraction, st.integers(-3, 3).filter(bool),
-                              st.integers(1, 3))
+        if field.p is None:  # small values, and denominators up to 10^6
+            value = st.one_of(
+                st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3)),
+                st.builds(Fraction, st.integers(-10**6, 10**6).filter(bool),
+                          st.integers(1, 10**6)))
         else:
             value = st.integers(1, field.p - 1)
         row = st.dictionaries(st.integers(0, ncols - 1), value,
@@ -699,6 +701,146 @@ def test_eliminate_matches_the_sweep_on_drawn_systems(hypothesis):
         _assert_same_as_sweep(m, [stop])
 
     check()
+
+
+# -- oracle: plain Fraction arithmetic for the kernels over Q -------------------
+
+def _q_values(st):
+    """Zero, small signed values drawn from a few (so that sums cancel to
+    zero), and values with numerators and denominators up to 10^6."""
+    small = st.sampled_from([Fraction(s * n, d) for s in (1, -1)
+                             for n, d in ((1, 1), (1, 2), (3, 1), (2, 3), (7, 10**6))])
+    wide = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+    return st.one_of(st.just(Fraction(0)), small, small, wide)
+
+
+def _ref_combination(n: int, terms) -> list:
+    out = [Fraction(0)] * n
+    for c, v in terms:
+        for k in range(n):
+            out[k] += c * v[k]
+    return out
+
+
+def _ref_product(a: list, b: list, ncols: int) -> list:
+    return [_ref_combination(ncols, zip(row, b)) for row in a]
+
+
+def _ref_residue(basis: tuple, v: tuple) -> list:
+    """v reduced by each canonical basis row in turn, at its pivot."""
+    r = list(v)
+    for row in basis:
+        c = next(j for j, x in enumerate(row) if x)
+        f = r[c]
+        r = [x - f * y for x, y in zip(r, row)]
+    return r
+
+
+def _ref_linear_system(shapes, equations) -> list:
+    """Entry (a, b) of an equation gets c * L[a, i] * R[j, b] in the column
+    of X_k[i, j] for each term, read off the matrices entry by entry."""
+    offsets = [sum(r * c for r, c in shapes[:k]) for k in range(len(shapes))]
+    ncols = sum(r * c for r, c in shapes)
+    rows = []
+    for nr, nc, terms in equations:
+        block = [[Fraction(0)] * ncols for _ in range(nr * nc)]
+        for c, left, k, right in terms:
+            xr, xc = shapes[k]
+            for a in range(nr):
+                for b in range(nc):
+                    for i in range(xr):
+                        for j in range(xc):
+                            block[a * nc + b][offsets[k] + i * xc + j] += (
+                                c * left.data[a][i] * right.data[j][b])
+        rows += block
+    return rows
+
+
+def _all_fractions_equal(got, want) -> bool:
+    got, want = list(got), list(want)
+    return (len(got) == len(want) and all(type(x) is Fraction for x in got)
+            and got == want)
+
+
+def test_q_kernels_match_plain_fraction_arithmetic(hypothesis):
+    """Products, matrix-vector products, vector combinations, reduction,
+    membership, coordinates and ``linear_system`` over Q, computed on
+    integer rows, give the entries that plain Fraction arithmetic gives,
+    each one a canonical Fraction; drawn sums do cancel to zero."""
+    from hypothesis import strategies as st
+    value = _q_values(st)
+    one_to = {n: st.integers(1, n) for n in (2, 3, 4)}
+    pick = st.integers(0, 2)
+    seen = {"cancel": 0, "inside": 0, "outside": 0}
+
+    def cancels(terms) -> bool:
+        return any(t for t in terms) and sum(terms, Fraction(0)) == 0
+
+    @st.composite
+    def cases(draw):
+        r, n, c = (draw(one_to[4]) for _ in range(3))
+
+        def rows(nrows, ncols):
+            return [[draw(value) for _ in range(ncols)] for _ in range(nrows)]
+
+        # b repeats its rows, and a's second half negates some of its first
+        # half's entries, so that the product's sums can cancel
+        a, b = rows(r, n), rows(n, c)
+        b += b
+        a = [row + [[x, -x, draw(value)][draw(pick)] for x in row] for row in a]
+        coeffs = [draw(value) for _ in range(len(b))]
+        x = [draw(value) for _ in range(c)]
+        vectors = rows(draw(one_to[4]) - 1, c)
+        shapes = [(draw(one_to[2]), draw(one_to[2])) for _ in range(2)]
+        equations = []
+        for _ in range(draw(one_to[2])):
+            nr, nc = draw(one_to[2]), draw(one_to[2])
+            terms = []
+            for _ in range(draw(one_to[3])):
+                k = draw(one_to[2]) - 1
+                xr, xc = shapes[k]
+                terms.append((draw(value), Matrix.from_rows(QQ, rows(nr, xr)), k,
+                              Matrix.from_rows(QQ, rows(xc, nc))))
+            equations.append((nr, nc, terms))
+        return a, b, coeffs, x, vectors, shapes, equations
+
+    @hypothesis.given(cases())
+    def check(case):
+        a, b, coeffs, x, vectors, shapes, equations = case
+        ncols = len(b[0])
+        ma, mb = Matrix.from_rows(QQ, a), Matrix.from_rows(QQ, b)
+        want = _ref_product(a, b, ncols)
+        got = ma @ mb
+        assert got.shape == (len(a), ncols)
+        assert all(_all_fractions_equal(g, w) for g, w in zip(got.data, want))
+        assert _all_fractions_equal(mb.mat_vec(tuple(x)),
+                                    [sum((y * z for y, z in zip(row, x)), Fraction(0))
+                                     for row in b])
+        assert _all_fractions_equal(vec_combination(QQ, ncols, zip(coeffs, b)),
+                                    _ref_combination(ncols, zip(coeffs, b)))
+        seen["cancel"] += any(cancels([y * row[j] for y, row in zip(arow, b)])
+                              for arow in a for j in range(ncols))
+        span = Subspace.from_vectors(QQ, ncols, vectors)
+        member = tuple(_ref_combination(ncols, zip(coeffs, vectors)))
+        for v in (member, tuple(b[0])):
+            residue = _ref_residue(span.basis, v)
+            inside = not any(residue)
+            seen["inside" if inside else "outside"] += 1
+            assert _all_fractions_equal(span.reduce(v), residue)
+            assert span.contains(v) == inside
+            coords = span.coordinates(v)
+            if inside:
+                assert _all_fractions_equal(coords, [v[c] for c in span.pivots()])
+                assert tuple(_ref_combination(ncols, zip(coords, span.basis))) == v
+            else:
+                assert coords is None
+        system = linear_system(QQ, shapes, equations)
+        assert all(_all_fractions_equal(g, w) for g, w in
+                   zip(system.data, _ref_linear_system(shapes, equations)))
+        assert system.nrows == sum(nr * nc for nr, nc, _ in equations)
+
+    check()
+    assert min(seen.values()) > 0
 
 
 @pytest.mark.parametrize("field", [GF(101), QQ], ids=str)
