@@ -16,8 +16,7 @@ from dataclasses import dataclass, field as dataclass_field
 from .errors import (BudgetExceeded, MissingIdempotents, ShapeMismatch,
                      UnsupportedCharacteristic, ValidationFailure)
 from .fields import Field
-from .linalg import (Matrix, Subspace, linear_system, vec_add, vec_combination,
-                     vec_zero)
+from .linalg import Matrix, Subspace, linear_system, vec_combination, vec_zero
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,12 +80,12 @@ class FDAlgebra:
     def left_mult_matrix(self, x: tuple) -> Matrix:
         """Matrix of y -> x*y in the basis (columns are x * a_k)."""
         cols = [self.mul_vec(x, self.basis_vec(k)) for k in range(self.dim)]
-        return Matrix(self.field, self.dim, self.dim, tuple(zip(*cols)))
+        return Matrix.from_rows(self.field, cols).transpose()
 
     def right_mult_matrix(self, x: tuple) -> Matrix:
         """Matrix of y -> y*x in the basis (columns are a_k * x)."""
         cols = [self.mul_vec(self.basis_vec(k), x) for k in range(self.dim)]
-        return Matrix(self.field, self.dim, self.dim, tuple(zip(*cols)))
+        return Matrix.from_rows(self.field, cols).transpose()
 
     def primitive_idempotents(self) -> tuple:
         if self.idempotents is None:
@@ -411,15 +410,14 @@ def _revalidate(alg: FDAlgebra) -> FDAlgebra:
 
 
 def _check_idempotents(alg: FDAlgebra):
-    total = alg.zero_vec()
     for i, e in enumerate(alg.idempotents):
         if alg.mul_vec(e, e) != tuple(e):
             raise ValidationFailure(f"idempotent {i} is not idempotent")
-        total = vec_add(alg.field, total, e)
         for j, f in enumerate(alg.idempotents):
             if i != j and any(alg.mul_vec(e, f)):
                 raise ValidationFailure(f"idempotents {i}, {j} not orthogonal")
-    if tuple(total) != alg.unit_vec():
+    total = vec_combination(alg.field, alg.dim, ((1, e) for e in alg.idempotents))
+    if total != alg.unit_vec():
         raise ValidationFailure("idempotents do not sum to the identity")
 
 
@@ -472,14 +470,12 @@ def _check_radical(a: FDAlgebra, rad: Subspace):
             if not rad.contains(a.mul_vec(bj, r)):
                 raise ValidationFailure("radical candidate not a left ideal")
     # nilpotent: rad^(dim+1) = 0 via iterated products
-    power = rad
+    power, basis = rad, rad.basis
     for _ in range(a.dim):
         if power.is_zero():
             return
-        nxt = Subspace.from_vectors(a.field, a.dim,
-                                    [a.mul_vec(u, v)
-                                     for u in power.basis for v in rad.basis])
-        power = nxt
+        power = Subspace.from_vectors(a.field, a.dim,
+                                      [a.mul_vec(u, v) for u in power.basis for v in basis])
     if not power.is_zero():
         raise ValidationFailure("radical candidate is not nilpotent")
 

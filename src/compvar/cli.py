@@ -433,8 +433,8 @@ def main(argv=None) -> int:
     except UnsupportedCharacteristic as exc:
         print(f"error: unsupported characteristic: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except BudgetExceeded as exc:
-        print(f"error: budget exceeded: {exc}", file=sys.stderr)
+    except (BudgetExceeded, MemoryError) as exc:
+        print(f"error: budget exceeded: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_BUDGET
     except CompvarError as exc:
         print(f"error: validation failed: {exc}", file=sys.stderr)

@@ -362,7 +362,11 @@ class ChainMapSpace:
         return self.subspace.dim
 
     def unflatten(self, vec: tuple) -> ChainMap:
-        comps = tuple((i, m) for i, m in self.layout.unflatten(vec).items()
+        return self.from_row({j: x for j, x in enumerate(vec) if x})
+
+    def from_row(self, row: dict) -> ChainMap:
+        """The chain map whose sparse coordinate row is ``row``."""
+        comps = tuple((i, m) for i, m in self.layout.split(row).items()
                       if not m.is_zero())
         return ChainMap(self.source, self.target, self.shift, comps)
 
@@ -488,7 +492,7 @@ def complexes_isomorphic(x: ComplexPoint, y: ComplexPoint,
         return all(f.component(i).is_invertible() for i in needed)
 
     return search_invertible_combination(
-        x.field, list(cms.subspace.basis), cms.unflatten, is_iso, seed=seed)
+        x.field, list(cms.subspace.by_pivot.values()), cms.from_row, is_iso, seed=seed)
 
 
 # -- structure classification --------------------------------------------------------

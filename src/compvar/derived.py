@@ -20,8 +20,7 @@ from .complexes import (ChainMap, ComplexPoint, HomotopyHom,
                         is_acyclic, make_complex, replace_by_projective)
 from .errors import (AlgebraMismatch, NotAlmostProjective, SplitterFailure,
                      ValidationFailure)
-from .linalg import (LinearSolver, Matrix, Subspace, vec_combination, vec_scale,
-                     vec_sub)
+from .linalg import LinearSolver, Matrix, Subspace, vec_combination
 from .modules import submodule
 
 
@@ -102,7 +101,7 @@ def end_algebra(x: ComplexPoint) -> EndAlgebraPackage:
         raise ValidationFailure("identity map missing from the chain map space")
     kstar = max(k for k, ck in enumerate(c) if ck)
     others = [k for k in range(space.dim) if k != kstar]
-    basis_vectors = [id_vec] + [space.basis[k] for k in others]
+    basis_vectors = [id_vec] + [v for k, v in enumerate(space.basis) if k != kstar]
     inv_ck = field.inv(c[kstar])
 
     def bhat_coords(v, what):
@@ -162,22 +161,20 @@ def lift_idempotent(bhat: FDAlgebra, ebar: tuple, ideal: Subspace) -> tuple:
     each round).  A nilpotent ideal I has I^(dim I + 1) = 0, so an exact
     idempotent is reached after at most bit_length(dim I) + 1 rounds; a
     value that is still not idempotent then is refused."""
-    field = bhat.field
-    defect = vec_sub(field, bhat.mul_vec(ebar, ebar), ebar)
+    field, n = bhat.field, bhat.dim
+    defect = vec_combination(field, n, [(1, bhat.mul_vec(ebar, ebar)), (-1, ebar)])
     if not ideal.contains(defect):
         raise ValidationFailure("input is not idempotent modulo the ideal")
-    three = field.coerce(3)
-    two = field.coerce(2)
     e = ebar
     for _ in range(ideal.dim.bit_length() + 2):
         e2 = bhat.mul_vec(e, e)
         if e2 == e:
             break
         e3 = bhat.mul_vec(e2, e)
-        e = vec_sub(field, vec_scale(field, three, e2), vec_scale(field, two, e3))
+        e = vec_combination(field, n, [(3, e2), (-2, e3)])
     else:
         raise ValidationFailure("idempotent lifting did not converge")
-    if not ideal.contains(vec_sub(field, e, ebar)):
+    if not ideal.contains(vec_combination(field, n, [(1, e), (-1, ebar)])):
         raise ValidationFailure("lifted idempotent drifted out of its coset")
     return e
 
@@ -244,7 +241,7 @@ def acyclic_splitter(x: ComplexPoint) -> SplitterResult:
     if not h_sub.contains(f_vec):
         raise SplitterFailure("lifted idempotent is not null-homotopic",
                               ideal_dim=ideal.dim, quotient_dim=quot_dim)
-    e_vec = vec_sub(field, bhat.basis_vec(0), f_vec)
+    e_vec = vec_combination(field, bhat.dim, [(1, bhat.basis_vec(0)), (-1, f_vec)])
     e_map = pkg.realize(e_vec)
     f_map = pkg.realize(f_vec)
     xe, inc_e, proj_e = _cut_along_idempotent(x, e_map)

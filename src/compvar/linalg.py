@@ -4,18 +4,17 @@ matrices (sums of terms ``c * L @ X_k @ R``) into a coefficient matrix, and
 ``Blocks``, the one order in which such unknowns (tangent, Lie and
 chain-map blocks) are flattened to coordinates and read back.
 
-A matrix keeps its entries as dense row tuples or as sparse rows (dicts
-from column to nonzero value), whichever it was built from, and derives the
-other form on first use.  Products and elimination read the sparse rows, so
-their cost follows the nonzeros: the linear systems behind tangent spaces,
-orbit maps and hom spaces are more than 99% zeros.  ``_eliminate`` is the
-one elimination routine; every echelon form, rank, kernel, inverse, solver
-and subspace basis comes from it.  It indexes each column to the rows that
-hold it, so a pivot touches only the rows it clears and elimination costs
-what the fill costs, not rows x rank.  ``Subspace._residue`` is the one
-reduction of a vector modulo a cached echelon basis; membership,
-containment of a subspace, coordinates and canonical representatives come
-from it, with no second elimination.
+A matrix, and a subspace's echelon basis, are stored in one form only:
+sparse rows, dicts from column to nonzero value, which every builder makes
+directly.  Dense tuples (``Matrix.data``, ``flat()``, ``col()``,
+``Subspace.basis`` and the vector API) are built only when read, for JSON,
+packed census keys and callers that ask for vectors.  Every cost follows
+the nonzeros: the linear systems behind tangent spaces, orbit maps and hom
+spaces are more than 99% zeros.  ``_eliminate`` is the one elimination
+routine; every echelon form, rank, kernel, inverse, solver and subspace
+basis comes from it.  ``Subspace._residue`` is the one reduction of a
+vector modulo an echelon basis; membership, containment of a subspace,
+coordinates and canonical representatives come from it.
 
 Scalars are ``Fraction`` values over Q at every boundary, but these kernels
 (elimination, products, ``mat_vec``, ``vec_combination``, the reduction and
@@ -54,13 +53,13 @@ def _eliminate(rows: list, p, stop: int) -> list:
     place.
 
     ``holds`` maps each column to the positions of the rows that hold it,
-    kept up to date through swaps, fill-in and cancellation.  Rows that are
-    not pivot rows never gain a column left of the last pivot, so pivot
-    columns only increase and one upward walk over the columns finds them
-    all; a pivot clears exactly the rows in its column's index, and the
-    column then leaves the index.  The cost is one index entry per
-    nonzero plus, per pivot, one pass over the pivot row for each row it
-    clears: it follows the fill, not rows x rank.
+    kept up to date through swaps, fill-in and cancellation.  On the way
+    down a pivot clears its column from the rows past it; rows past the
+    pivot rows never gain a column left of the last pivot, so one upward
+    walk over the columns finds every pivot.  Then, in reverse pivot order,
+    each pivot clears its column from the pivot rows above it, which gain
+    no pivot column.  The cost follows the fill, not rows x rank, and a
+    chain of pivots is not cleared from every pivot row at every step.
 
     Over Q a row is held as integer numerators N over one positive
     denominator D, with no common factor (``_over``).  A pivot row becomes
@@ -80,18 +79,62 @@ def _eliminate(rows: list, p, stop: int) -> list:
                 holds[j].add(i)
             else:
                 holds[j] = {i}
+
+    def clear(r, c, targets):
+        """Subtract from each row in ``targets`` its c entry times pivot row r."""
+        prow, dp = rows[r], dens[r]
+        items = [(j, b) for j, b in prow.items() if j != c]
+        for i in targets:
+            row = rows[i]
+            f = row.pop(c)
+            if p is None:
+                if dp != 1:
+                    for j in row:
+                        row[j] *= dp
+                for j, b in items:
+                    x = row.get(j)
+                    if x is None:
+                        row[j] = -f * b
+                        holds[j].add(i)
+                    else:
+                        x -= f * b
+                        if x:
+                            row[j] = x
+                        else:
+                            del row[j]
+                            holds[j].remove(i)
+                d = dens[i] * dp
+                if d != 1:
+                    g = gcd(d, *row.values())
+                    if g != 1:
+                        for j in row:
+                            row[j] //= g
+                        d //= g
+                dens[i] = d
+            else:
+                for j, b in items:
+                    x = row.get(j)
+                    if x is None:
+                        row[j] = -f * b % p
+                        holds[j].add(i)
+                    else:
+                        x = (x - f * b) % p
+                        if x:
+                            row[j] = x
+                        else:
+                            del row[j]
+                            holds[j].remove(i)
+
     pivots = []
     n = len(rows)
     r = 0
     for c in sorted(holds):
-        if c >= stop:
+        if c >= stop or r == n:
             break
-        targets = holds[c]
-        k = min(targets, default=-1)
-        if k < r:  # pivot rows hold c too: take the first row at or past r
-            k = min([i for i in targets if i >= r], default=-1)
-            if k < 0:
-                continue
+        targets = holds[c]  # pivot rows above r may hold c too
+        k = min([i for i in targets if i >= r], default=-1)
+        if k < 0:
+            continue
         prow = rows[k]
         if k != r:
             low = rows[r]
@@ -110,60 +153,20 @@ def _eliminate(rows: list, p, stop: int) -> list:
                 for j, x in prow.items():
                     prow[j] = x // g
                 dens[r] = pv // g
-            dp = dens[r]
         elif pv != 1:
             inv = pow(pv, -1, p)
             for j, x in prow.items():
                 prow[j] = x * inv % p
-        del holds[c]  # no row gains c again
-        targets.remove(r)
-        if targets:
-            items = list(prow.items())
-            items.remove((c, prow[c]))
-            for i in targets:
-                row = rows[i]
-                f = row.pop(c)
-                if p is None:
-                    if dp != 1:
-                        for j in row:
-                            row[j] *= dp
-                    for j, b in items:
-                        x = row.get(j)
-                        if x is None:
-                            row[j] = -f * b
-                            holds[j].add(i)
-                        else:
-                            x -= f * b
-                            if x:
-                                row[j] = x
-                            else:
-                                del row[j]
-                                holds[j].remove(i)
-                    d = dens[i] * dp
-                    if d != 1:
-                        g = gcd(d, *row.values())
-                        if g != 1:
-                            for j in row:
-                                row[j] //= g
-                            d //= g
-                    dens[i] = d
-                else:
-                    for j, b in items:
-                        x = row.get(j)
-                        if x is None:
-                            row[j] = -f * b % p
-                            holds[j].add(i)
-                        else:
-                            x = (x - f * b) % p
-                            if x:
-                                row[j] = x
-                            else:
-                                del row[j]
-                                holds[j].remove(i)
+        below = [i for i in targets if i > r]
+        if below:
+            clear(r, c, below)
+            targets.difference_update(below)
         pivots.append(c)
         r += 1
-        if r == n:
-            break
+    for r in range(len(pivots) - 1, 0, -1):
+        above = [i for i in holds[pivots[r]] if i != r]
+        if above:
+            clear(r, pivots[r], above)
     if p is None:
         for i, row in enumerate(rows):
             rows[i] = _scalars(row, dens[i], p)
@@ -191,7 +194,7 @@ def _scalars(acc: dict, d: int, p) -> dict:
 def _integral(m) -> tuple:
     """``(rows, d)``: the sparse rows of m as integer numerators over one
     positive denominator d; over F_p, the rows themselves and 1."""
-    rows = m._sparse()
+    rows = m.rows
     if m.field.p is not None:
         return rows, 1
     d = lcm(*[x.denominator for row in rows for x in row.values()])
@@ -199,8 +202,17 @@ def _integral(m) -> tuple:
             for row in rows], d
 
 
-def _sparse_rows(dense) -> list:
-    return [{j: x for j, x in enumerate(row) if x} for row in dense]
+def _sparse_vec(vec) -> dict:
+    """The sparse row of a dense vector of canonical values."""
+    return {j: x for j, x in enumerate(vec) if x}
+
+
+def _vector_row(field: Field, n: int, v) -> dict:
+    """The sparse row of a vector of length n, its entries coerced."""
+    v = [field.coerce(x) for x in v]
+    if len(v) != n:
+        raise ShapeMismatch(f"vector length {len(v)} vs ambient {n}")
+    return _sparse_vec(v)
 
 
 def _dense_rows(rows, ncols: int, zero) -> tuple:
@@ -227,47 +239,34 @@ def _canonical(acc: dict, p) -> dict:
 
 @dataclass(frozen=True, eq=False, slots=True)
 class Matrix:
-    """Immutable matrix over an exact field.
+    """Immutable matrix over an exact field, stored as its sparse rows.
 
-    ``data`` is a tuple of row tuples of canonical field values.  A matrix
-    made as ``Matrix(field, nrows, ncols, None, rows)`` from sparse rows
-    (dicts column -> nonzero canonical value, never modified afterwards)
-    builds ``data`` when it is first read.  The hash is kept once taken.
+    ``rows`` is a list of one dict per row, column -> nonzero canonical
+    value, shared between matrices and never modified.  ``data``, ``flat()`` and
+    ``col()`` are dense views, built when read.  Equality and the hash (kept
+    once taken) ignore the order in which a row's columns were inserted.
     """
 
     field: Field
     nrows: int
     ncols: int
-    _data: tuple | None
-    _rows: list | None = None
+    rows: list
     _hash: int | None = None
 
     @property
     def data(self) -> tuple:
-        if self._data is None:
-            _set(self, "_data", _dense_rows(self._rows, self.ncols, self.field.zero()))
-        return self._data
-
-    def _sparse(self) -> list:
-        """Rows as dicts column -> nonzero value, shared: never modify them."""
-        if self._rows is None:
-            _set(self, "_rows", _sparse_rows(self._data))
-        return self._rows
+        return _dense_rows(self.rows, self.ncols, self.field.zero())
 
     def __eq__(self, other):
-        """Equal field, shape and entries; a matrix built sparse (such as a
-        product) is compared by its sparse rows, with no dense rows built."""
         if other.__class__ is not Matrix:
             return NotImplemented
-        if (self.field, self.shape) != (other.field, other.shape):
-            return False
-        if self._data is None or other._data is None:
-            return self._sparse() == other._sparse()
-        return self._data == other._data
+        return (self.field, self.shape, self.rows) == \
+            (other.field, other.shape, other.rows)
 
     def __hash__(self):
         if self._hash is None:
-            _set(self, "_hash", hash((self.field, self.shape, self.data)))
+            _set(self, "_hash", hash((self.field, self.shape,
+                                      tuple(frozenset(r.items()) for r in self.rows))))
         return self._hash
 
     # -- construction ------------------------------------------------------
@@ -275,38 +274,43 @@ class Matrix:
     @staticmethod
     def from_rows(field: Field, rows) -> "Matrix":
         rows = [list(r) for r in rows]
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        for r in rows:
-            if len(r) != ncols:
-                raise ShapeMismatch("ragged rows in matrix literal")
-        data = tuple(tuple(field.coerce(x) for x in r) for r in rows)
-        return Matrix(field, nrows, ncols, data)
+        ncols = len(rows[0]) if rows else 0
+        if any(len(r) != ncols for r in rows):
+            raise ShapeMismatch("ragged rows in matrix literal")
+        return Matrix(field, len(rows), ncols,
+                      [_sparse_vec(map(field.coerce, r)) for r in rows])
 
     @staticmethod
     def zeros(field: Field, nrows: int, ncols: int) -> "Matrix":
-        z = field.zero()
-        return Matrix(field, nrows, ncols, tuple((z,) * ncols for _ in range(nrows)))
+        return Matrix(field, nrows, ncols, [{} for _ in range(nrows)])
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
-        z, o = field.zero(), field.one()
-        return Matrix(field, n, n,
-                      tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)))
+        one = field.one()
+        return Matrix(field, n, n, [{i: one} for i in range(n)])
 
     @staticmethod
     def from_flat(field: Field, nrows: int, ncols: int, flat) -> "Matrix":
-        """Row-major flat sequence -> matrix."""
+        """Row-major flat sequence of canonical values -> matrix."""
         flat = list(flat)
         if len(flat) != nrows * ncols:
             raise ShapeMismatch(f"expected {nrows * ncols} entries, got {len(flat)}")
-        return Matrix(field, nrows, ncols,
-                      tuple(tuple(flat[i * ncols:(i + 1) * ncols]) for i in range(nrows)))
+        return Matrix.from_sparse_flat(field, nrows, ncols, _sparse_vec(flat))
+
+    @staticmethod
+    def from_sparse_flat(field: Field, nrows: int, ncols: int, row: dict) -> "Matrix":
+        """The matrix whose row-major flattening is the sparse row ``row``."""
+        rows = [{} for _ in range(nrows)]
+        for k, x in row.items():
+            i, j = divmod(k, ncols)
+            rows[i][j] = x
+        return Matrix(field, nrows, ncols, rows)
 
     # -- basic access ------------------------------------------------------
 
     def col(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.data)
+        zero = self.field.zero()
+        return tuple(row.get(j, zero) for row in self.rows)
 
     def flat(self) -> tuple:
         """Row-major flattening."""
@@ -317,12 +321,12 @@ class Matrix:
         return (self.nrows, self.ncols)
 
     def is_zero(self) -> bool:
-        return not any(self._sparse())
+        return not any(self.rows)
 
     def is_identity(self) -> bool:
         """Square, with each row holding only a one on the diagonal."""
         return self.nrows == self.ncols and all(
-            len(row) == 1 and row.get(i) == 1 for i, row in enumerate(self._sparse()))
+            len(row) == 1 and row.get(i) == 1 for i, row in enumerate(self.rows))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -342,21 +346,21 @@ class Matrix:
         """self + c * other."""
         self._check_same_shape(other)
         out = []
-        for a, b in zip(self._sparse(), other._sparse()):
+        for a, b in zip(self.rows, other.rows):
             acc = dict(a)
             for j, y in b.items():
                 acc[j] = acc.get(j, 0) + c * y
             out.append(_canonical(acc, self.field.p))
-        return Matrix(self.field, self.nrows, self.ncols, None, out)
+        return Matrix(self.field, self.nrows, self.ncols, out)
 
     def __neg__(self) -> "Matrix":
         return self.scale(-1)
 
     def scale(self, c) -> "Matrix":
         c = self.field.coerce(c)
-        return Matrix(self.field, self.nrows, self.ncols, None,
+        return Matrix(self.field, self.nrows, self.ncols,
                       [_canonical({j: c * x for j, x in row.items()}, self.field.p)
-                       for row in self._sparse()])
+                       for row in self.rows])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
@@ -372,7 +376,7 @@ class Matrix:
                 for j, y in brows[k].items():
                     acc[j] = acc.get(j, 0) + x * y
             out.append(_scalars(acc, da * db, p))
-        return Matrix(self.field, self.nrows, other.ncols, None, out)
+        return Matrix(self.field, self.nrows, other.ncols, out)
 
     def mat_vec(self, v: tuple) -> tuple:
         if len(v) != self.ncols:
@@ -386,10 +390,11 @@ class Matrix:
         return tuple(sum(x * v[k] for k, x in row.items()) % p for row in rows)
 
     def transpose(self) -> "Matrix":
-        if self.nrows == 0 or self.ncols == 0:
-            return Matrix(self.field, self.ncols, self.nrows,
-                          tuple(() for _ in range(self.ncols)))
-        return Matrix(self.field, self.ncols, self.nrows, tuple(zip(*self.data)))
+        cols = [{} for _ in range(self.ncols)]
+        for i, row in enumerate(self.rows):
+            for j, x in row.items():
+                cols[j][i] = x
+        return Matrix(self.field, self.ncols, self.nrows, cols)
 
     # -- block assembly ----------------------------------------------------
 
@@ -397,11 +402,15 @@ class Matrix:
     def hstack(blocks) -> "Matrix":
         blocks = list(blocks)
         field, nrows = blocks[0].field, blocks[0].nrows
+        rows, ncols = [{} for _ in range(nrows)], 0
         for b in blocks:
             if b.nrows != nrows:
                 raise ShapeMismatch("hstack row counts differ")
-        data = tuple(tuple(x for b in blocks for x in b.data[i]) for i in range(nrows))
-        return Matrix(field, nrows, sum(b.ncols for b in blocks), data)
+            for row, brow in zip(rows, b.rows):
+                for j, x in brow.items():
+                    row[ncols + j] = x
+            ncols += b.ncols
+        return Matrix(field, nrows, ncols, rows)
 
     @staticmethod
     def vstack(blocks) -> "Matrix":
@@ -410,8 +419,8 @@ class Matrix:
         for b in blocks:
             if b.ncols != ncols:
                 raise ShapeMismatch("vstack column counts differ")
-        data = tuple(r for b in blocks for r in b.data)
-        return Matrix(field, sum(b.nrows for b in blocks), ncols, data)
+        rows = [r for b in blocks for r in b.rows]
+        return Matrix(field, len(rows), ncols, rows)
 
     @staticmethod
     def block(grid) -> "Matrix":
@@ -422,23 +431,18 @@ class Matrix:
     def block_diag(field: Field, blocks) -> "Matrix":
         rows, ncols = [], 0
         for b in blocks:
-            rows += [{ncols + j: x for j, x in r.items()} for r in b._sparse()]
+            rows += [{ncols + j: x for j, x in r.items()} for r in b.rows]
             ncols += b.ncols
-        return Matrix(field, len(rows), ncols, None, rows)
-
-    def submatrix(self, row_idx, col_idx) -> "Matrix":
-        row_idx, col_idx = list(row_idx), list(col_idx)
-        data = tuple(tuple(self.data[i][j] for j in col_idx) for i in row_idx)
-        return Matrix(self.field, len(row_idx), len(col_idx), data)
+        return Matrix(field, len(rows), ncols, rows)
 
     # -- elimination -------------------------------------------------------
 
     def rref(self) -> tuple:
         """Reduced row echelon form and pivot columns: ``(R, pivots)``."""
-        rows = [dict(r) for r in self._sparse() if r]
+        rows = [dict(r) for r in self.rows if r]
         pivots = _eliminate(rows, self.field.p, self.ncols)
         rows[len(pivots):] = [{}] * (self.nrows - len(pivots))
-        return Matrix(self.field, self.nrows, self.ncols, None, rows), tuple(pivots)
+        return Matrix(self.field, self.nrows, self.ncols, rows), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -446,27 +450,23 @@ class Matrix:
     def kernel(self) -> "Subspace":
         """Right kernel {v : Mv = 0} as a subspace of F^ncols."""
         red, pivots = self.rref()
-        rows = red._sparse()
         field = self.field
         one = field.one()
         vectors = {j: {j: one} for j in range(self.ncols)}
         for pc in pivots:
             del vectors[pc]
-        for row, pc in zip(rows, pivots):
+        for row, pc in zip(red.rows, pivots):
             for j, x in row.items():
                 if j != pc:
                     vectors[j][pc] = field.neg(x)
         return Subspace._span(field, self.ncols, list(vectors.values()))
 
     def column_space(self) -> "Subspace":
-        cols = [{} for _ in range(self.ncols)]
-        for i, row in enumerate(self._sparse()):
-            for j, x in row.items():
-                cols[j][i] = x
-        return Subspace._span(self.field, self.nrows, cols)
+        # the transpose's rows are new dicts, free for _span to consume
+        return Subspace._span(self.field, self.nrows, self.transpose().rows)
 
     def row_space(self) -> "Subspace":
-        return Subspace._span(self.field, self.ncols, [dict(r) for r in self._sparse()])
+        return Subspace._span(self.field, self.ncols, [dict(r) for r in self.rows])
 
     def solve(self, b: tuple):
         """One solution of Mx = b (free variables zero), or None."""
@@ -546,7 +546,7 @@ def linear_system(field: Field, shapes, equations) -> Matrix:
                     col = col0 + j
                     row[col] = row.get(col, 0) + lv * rv
         rows += [_scalars(r, d, p) for r in block]
-    return Matrix(field, len(rows), ncols, None, rows)
+    return Matrix(field, len(rows), ncols, rows)
 
 
 @dataclass(frozen=True)
@@ -579,7 +579,7 @@ class Blocks:
         for key, (r, c) in zip(self.keys, self.shapes):
             m = blocks.get(key)
             if m is not None:
-                for i, row in enumerate(m._sparse()):
+                for i, row in enumerate(m.rows):
                     at = pos + i * c
                     for j, x in row.items():
                         out[at + j] = x
@@ -587,9 +587,16 @@ class Blocks:
         return out
 
     def unflatten(self, vec) -> dict:
+        if len(vec) != self.ambient_dim:
+            raise ShapeMismatch(f"expected {self.ambient_dim} coordinates, got {len(vec)}")
+        return self.split(_sparse_vec(vec))
+
+    def split(self, row: dict) -> dict:
+        """The blocks whose nonzero coordinates are the sparse row ``row``."""
         out, pos = {}, 0
         for key, (r, c) in zip(self.keys, self.shapes):
-            out[key] = Matrix.from_flat(self.field, r, c, vec[pos:pos + r * c])
+            part = {j - pos: x for j, x in row.items() if pos <= j < pos + r * c}
+            out[key] = Matrix.from_sparse_flat(self.field, r, c, part)
             pos += r * c
         return out
 
@@ -606,13 +613,13 @@ class LinearSolver:
         self.m = m
         n = m.ncols
         one = m.field.one()
-        rows = [dict(r) for r in m._sparse()]
+        rows = [dict(r) for r in m.rows]
         for i, row in enumerate(rows):
             row[n + i] = one
         self.pivots = tuple(_eliminate(rows, m.field.p, n))
         # an invertible E with E @ M in reduced echelon form; rows past the
         # rank must vanish on b for Mx = b to be consistent
-        self.transform = Matrix(m.field, m.nrows, m.nrows, None,
+        self.transform = Matrix(m.field, m.nrows, m.nrows,
                                 [{j - n: x for j, x in row.items() if j >= n}
                                  for row in rows])
 
@@ -631,60 +638,55 @@ class LinearSolver:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Subspace of F^ambient with a canonical (RREF) basis, rows as vectors."""
+    """Subspace of F^ambient, kept as its reduced echelon basis:
+    ``by_pivot`` maps each pivot column, ascending, to its basis row, a
+    sparse row never modified.  The basis is canonical, so equality is
+    equality of subspaces; ``basis`` is the dense view, built when read."""
 
     field: Field
     ambient: int
-    basis: tuple  # tuple of row tuples, in reduced echelon form, no zero rows
+    by_pivot: dict
 
     @staticmethod
     def from_vectors(field: Field, ambient: int, vectors) -> "Subspace":
-        rows = []
-        for v in vectors:
-            v = [field.coerce(x) for x in v]
-            if len(v) != ambient:
-                raise ShapeMismatch(f"vector length {len(v)} vs ambient {ambient}")
-            rows.append({j: x for j, x in enumerate(v) if x})
-        return Subspace._span(field, ambient, rows)
+        return Subspace._span(field, ambient,
+                              [_vector_row(field, ambient, v) for v in vectors])
 
     @staticmethod
     def _span(field: Field, ambient: int, rows: list) -> "Subspace":
         """Span of sparse rows of canonical values, which it consumes; the
-        reduced rows are kept as the subspace's sparse basis."""
+        reduced rows become the subspace's basis."""
         rows = [r for r in rows if r]
         pivots = _eliminate(rows, field.p, ambient)
-        span = Subspace(field, ambient,
-                        _dense_rows(rows[:len(pivots)], ambient, field.zero()))
-        span.__dict__["_by_pivot"] = dict(zip(pivots, rows))
-        return span
+        return Subspace(field, ambient, dict(zip(pivots, rows)))
 
     @staticmethod
     def zero(field: Field, ambient: int) -> "Subspace":
-        return Subspace(field, ambient, ())
+        return Subspace(field, ambient, {})
+
+    @property
+    def basis(self) -> tuple:
+        return _dense_rows(self.by_pivot.values(), self.ambient, self.field.zero())
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.by_pivot)
 
     def is_zero(self) -> bool:
-        return not self.basis
+        return not self.by_pivot
 
     def pivots(self) -> tuple:
         return self._pivots
 
     @cached_property
     def _pivots(self) -> tuple:  # scanned once per subspace
-        return tuple(self._by_pivot)
-
-    @cached_property
-    def _by_pivot(self) -> dict:  # pivot column -> basis row, never modified
-        return {min(row): row for row in _sparse_rows(self.basis)}
+        return tuple(self.by_pivot)
 
     @cached_property
     def _reducers(self) -> dict:  # pivot column -> (integer basis row, denominator)
         if self.field.p is not None:
-            return {c: (row, 1) for c, row in self._by_pivot.items()}
-        return {c: _over(row) for c, row in self._by_pivot.items()}
+            return {c: (row, 1) for c, row in self.by_pivot.items()}
+        return {c: _over(row) for c, row in self.by_pivot.items()}
 
     def _residue(self, v: dict) -> tuple:
         """The one reduction: the sparse row v minus v[c] times the basis row
@@ -704,46 +706,43 @@ class Subspace:
                 acc[j] = acc.get(j, 0) - f * y
         return _canonical(acc, p), d
 
-    def _row(self, v: tuple) -> dict:
-        if len(v) != self.ambient:
-            raise ShapeMismatch(f"vector length {len(v)} vs ambient {self.ambient}")
-        return {j: x for j, x in enumerate(map(self.field.coerce, v)) if x}
-
     def reduce(self, v: tuple) -> tuple:
         """Canonical representative of v modulo this subspace."""
-        p = self.field.p
-        return _dense_rows([_scalars(*self._residue(self._row(v)), p)], self.ambient,
+        acc, d = self._residue(_vector_row(self.field, self.ambient, v))
+        return _dense_rows([_scalars(acc, d, self.field.p)], self.ambient,
                            self.field.zero())[0]
 
     def contains(self, v: tuple) -> bool:
-        return not self._residue(self._row(v))[0]
+        return not self._residue(_vector_row(self.field, self.ambient, v))[0]
 
     def coordinates(self, v: tuple):
         """Coordinates of v in the canonical basis, or None for v outside
         the span: the entries of v at the pivot columns, certified by
         reducing v to zero."""
-        row = self._row(v)
-        coords = tuple(row.get(c, self.field.zero()) for c in self._pivots)
+        row = _vector_row(self.field, self.ambient, v)
+        coords = tuple(row.get(c, self.field.zero()) for c in self.by_pivot)
         return None if self._residue(row)[0] else coords
 
     def coordinate_matrix(self, m: Matrix):
-        """The dim x m.ncols matrix X with ``column_matrix() @ X == m``,
-        column by column through ``coordinates``; None if a column of m
-        lies outside the span."""
-        cols = [self.coordinates(c) for c in m.transpose().data]
-        if None in cols:
-            return None
-        return Matrix(self.field, len(cols), self.dim, tuple(cols)).transpose()
+        """The dim x m.ncols matrix X with ``column_matrix() @ X == m``, read
+        off the pivot entries of each column of m once the column reduces to
+        zero; None if a column of m lies outside the span."""
+        cols = []
+        for col in m.transpose().rows:
+            if self._residue(col)[0]:
+                return None
+            cols.append({i: col[c] for i, c in enumerate(self.by_pivot) if c in col})
+        return Matrix(self.field, len(cols), self.dim, cols).transpose()
 
     def contains_subspace(self, other: "Subspace") -> bool:
         """Every basis row of ``other`` reduces to zero."""
         self._check_compatible(other)
-        return not any(self._residue(row)[0] for row in other._by_pivot.values())
+        return not any(self._residue(row)[0] for row in other.by_pivot.values())
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
         return Subspace._span(self.field, self.ambient,
-                              _sparse_rows(self.basis + other.basis))
+                              [dict(r) for s in (self, other) for r in s.by_pivot.values()])
 
     def intersection(self, other: "Subspace") -> "Subspace":
         """Zassenhaus: reduce the rows (u, u) for u in this basis and (w, 0)
@@ -751,13 +750,11 @@ class Subspace:
         echelon basis of the intersection."""
         self._check_compatible(other)
         n = self.ambient
-        rows = [{**u, **{n + j: x for j, x in u.items()}}
-                for u in _sparse_rows(self.basis)]
-        rows += _sparse_rows(other.basis)
+        rows = [{**u, **{n + j: x for j, x in u.items()}} for u in self.by_pivot.values()]
+        rows += [dict(w) for w in other.by_pivot.values()]
         pivots = _eliminate(rows, self.field.p, 2 * n)
-        meet = [{j - n: x for j, x in row.items()}
-                for row, pc in zip(rows, pivots) if pc >= n]
-        return Subspace(self.field, n, _dense_rows(meet, n, self.field.zero()))
+        return Subspace(self.field, n, {pc - n: {j - n: x for j, x in row.items()}
+                                        for row, pc in zip(rows, pivots) if pc >= n})
 
     def _check_compatible(self, other: "Subspace"):
         if self.field != other.field:
@@ -767,52 +764,38 @@ class Subspace:
 
     def column_matrix(self) -> Matrix:
         """Matrix whose columns are the canonical basis vectors."""
-        return Matrix(self.field, self.dim, self.ambient, self.basis).transpose()
+        return Matrix(self.field, self.dim, self.ambient,
+                      list(self.by_pivot.values())).transpose()
 
-    def _free(self) -> list:
-        pivots = set(self.pivots())
-        return [j for j in range(self.ambient) if j not in pivots]
+    def _free(self) -> dict:
+        """The non-pivot columns, each to its position among them."""
+        free = [j for j in range(self.ambient) if j not in self.by_pivot]
+        return {j: i for i, j in enumerate(free)}
 
     def quotient_matrix(self) -> Matrix:
         """Linear map F^ambient -> F^(ambient-dim) with kernel exactly this
         subspace: reduce modulo the basis, keep the non-pivot coordinates.
         Reducing e_j leaves it alone for a non-pivot j and subtracts the
-        basis row with pivot j otherwise."""
+        basis row with pivot j otherwise; a basis row holds no other pivot."""
         field = self.field
         free = self._free()
         rows = [{k: field.one()} for k in free]
-        for row, k in zip(rows, free):
-            for b, pc in zip(self.basis, self.pivots()):
-                if b[k]:
-                    row[pc] = field.neg(b[k])
-        return Matrix(field, len(rows), self.ambient, None, rows)
+        for pc, b in self.by_pivot.items():
+            for k, x in b.items():
+                if k != pc:
+                    rows[free[k]][pc] = field.neg(x)
+        return Matrix(field, len(rows), self.ambient, rows)
 
     def section_matrix(self) -> Matrix:
         """Right inverse of ``quotient_matrix`` (standard basis vectors on
         the non-pivot coordinates), shape ambient x (ambient - dim)."""
-        free = {j: i for i, j in enumerate(self._free())}
-        return Matrix(self.field, self.ambient, len(free), None,
+        free = self._free()
+        return Matrix(self.field, self.ambient, len(free),
                       [{free[j]: self.field.one()} if j in free else {}
                        for j in range(self.ambient)])
 
 
 # -- vector helpers ---------------------------------------------------------
-
-def vec_add(field: Field, a: tuple, b: tuple) -> tuple:
-    if field.p is None:
-        return tuple(x + y for x, y in zip(a, b))
-    return tuple((x + y) % field.p for x, y in zip(a, b))
-
-def vec_sub(field: Field, a: tuple, b: tuple) -> tuple:
-    if field.p is None:
-        return tuple(x - y for x, y in zip(a, b))
-    return tuple((x - y) % field.p for x, y in zip(a, b))
-
-def vec_scale(field: Field, c, a: tuple) -> tuple:
-    c = field.coerce(c)
-    if field.p is None:
-        return tuple(c * x for x in a)
-    return tuple(c * x % field.p for x in a)
 
 def vec_zero(field: Field, n: int) -> tuple:
     return (field.zero(),) * n
@@ -820,20 +803,24 @@ def vec_zero(field: Field, n: int) -> tuple:
 def vec_combination(field: Field, n: int, terms) -> tuple:
     """Sum of c * v over the pairs (c, v) of ``terms``, for vectors v of
     length n; zero coefficients and coordinates are skipped."""
+    row = row_combination(field, ((c, _sparse_vec(v)) for c, v in terms if c))
+    return _dense_rows([row], n, field.zero())[0]
+
+def row_combination(field: Field, terms) -> dict:
+    """The sparse row sum of c * v over the pairs (c, v) of ``terms``, for
+    sparse rows v of canonical values; zero coefficients are skipped."""
     p = field.p
+    terms = [(c, v) for c, v in terms if c]
     acc = {}
-    if p is None:  # over one denominator for the coefficients and one for v
-        terms = [(c, [(k, x) for k, x in enumerate(v) if x]) for c, v in terms if c]
+    if p is None:  # over one denominator for the coefficients and one for the rows
         d = lcm(*[c.denominator for c, _ in terms])
-        e = lcm(*[x.denominator for _, v in terms for _, x in v])
+        e = lcm(*[x.denominator for _, v in terms for x in v.values()])
         for c, v in terms:
             f = c.numerator * (d // c.denominator)
-            for k, x in v:
+            for k, x in v.items():
                 acc[k] = acc.get(k, 0) + f * x.numerator * (e // x.denominator)
-        return _dense_rows([_scalars(acc, d * e, p)], n, field.zero())[0]
+        return _scalars(acc, d * e, p)
     for c, v in terms:
-        if c:
-            for k, x in enumerate(v):
-                if x:
-                    acc[k] = acc.get(k, 0) + c * x
-    return _dense_rows([_canonical(acc, p)], n, 0)[0]
+        for k, x in v.items():
+            acc[k] = acc.get(k, 0) + c * x
+    return _canonical(acc, p)

@@ -20,7 +20,7 @@ from functools import cached_property
 from .algebra import FDAlgebra, radical as algebra_radical
 from .errors import (AlgebraMismatch, MissingIdempotents, ShapeMismatch,
                      ValidationFailure)
-from .linalg import Matrix, Subspace, linear_system, vec_combination
+from .linalg import Matrix, Subspace, linear_system, row_combination
 
 
 @dataclass(frozen=True)
@@ -59,11 +59,12 @@ class ModuleRep:
         return self.algebra.field
 
     def rho(self, x: tuple) -> Matrix:
-        """Action matrix of an element given by canonical coordinates."""
-        n = self.dim
-        flat = vec_combination(self.field, n * n,
-                               zip(x, (m.flat() for m in self.action)))
-        return Matrix.from_flat(self.field, n, n, flat)
+        """Action matrix of an element given by canonical coordinates: the
+        sum of the sparse rows of the action matrices it weights."""
+        terms = [(c, m.rows) for c, m in zip(x, self.action) if c]
+        return Matrix(self.field, self.dim, self.dim,
+                      [row_combination(self.field, [(c, rows[i]) for c, rows in terms])
+                       for i in range(self.dim)])
 
 
 def make_module(algebra: FDAlgebra, matrices) -> ModuleRep:
@@ -187,8 +188,8 @@ def hom_space(m: ModuleRep, n: ModuleRep) -> Subspace:
 
 def hom_matrices(m: ModuleRep, n: ModuleRep) -> list:
     """Basis of Hom(M, N) as matrices (n.dim x m.dim)."""
-    space = hom_space(m, n)
-    return [Matrix.from_flat(m.field, n.dim, m.dim, v) for v in space.basis]
+    return [Matrix.from_sparse_flat(m.field, n.dim, m.dim, row)
+            for row in hom_space(m, n).by_pivot.values()]
 
 
 # -- generic invertible-combination search -----------------------------------
@@ -213,24 +214,24 @@ RANDOM_TRIALS = 64
 RATIONAL_ROUNDS = 8
 
 
-def search_invertible_combination(field, basis_vectors, realize, is_good,
+def search_invertible_combination(field, basis_rows, realize, is_good,
                                   seed: int = 0) -> WitnessSearch:
-    """Search c -> realize(sum c_i basis_i) for an element with is_good.
+    """Search c -> realize(sum c_i basis_i) for an element with is_good,
+    over the sparse rows ``basis_rows``; ``realize`` reads a sparse row.
 
     Over F_q the coefficient space is enumerated exhaustively when
     q^dim <= ENUM_LIMIT (so a negative is proven); otherwise RANDOM_TRIALS
     seeded samples are drawn.  Over Q random integer coefficients are drawn
     from [-B, B] with B doubling over RATIONAL_ROUNDS rounds.
     """
-    k = len(basis_vectors)
+    k = len(basis_rows)
     if k == 0:
         return WitnessSearch(False, True)
 
     def attempt(coeffs):
         if not any(coeffs):
             return None
-        cand = realize(vec_combination(field, len(basis_vectors[0]),
-                                       zip(coeffs, basis_vectors)))
+        cand = realize(row_combination(field, zip(coeffs, basis_rows)))
         return cand if is_good(cand) else None
 
     if not field.is_rational:
@@ -267,10 +268,9 @@ def is_isomorphic_modules(m: ModuleRep, n: ModuleRep, seed: int = 0) -> WitnessS
         return WitnessSearch(False, True)
     if m.dim == 0:
         return WitnessSearch(True, True, Matrix.zeros(m.field, 0, 0))
-    space = hom_space(m, n)
     return search_invertible_combination(
-        m.field, list(space.basis),
-        lambda v: Matrix.from_flat(m.field, n.dim, m.dim, v),
+        m.field, list(hom_space(m, n).by_pivot.values()),
+        lambda row: Matrix.from_sparse_flat(m.field, n.dim, m.dim, row),
         lambda mat: mat.is_invertible(), seed=seed)
 
 
@@ -278,12 +278,10 @@ def is_isomorphic_modules(m: ModuleRep, n: ModuleRep, seed: int = 0) -> WitnessS
 
 def radical_submodule(m: ModuleRep) -> Subspace:
     """rad(A) . M as a subspace of K^dim."""
-    rad = algebra_radical(m.algebra)
-    vecs = []
-    for r in rad.basis:
-        mat = m.rho(r)
-        vecs.extend(mat.col(j) for j in range(m.dim))
-    return Subspace.from_vectors(m.field, m.dim, vecs)
+    rows = []
+    for r in algebra_radical(m.algebra).basis:
+        rows += m.rho(r).transpose().rows  # new dicts, free for _span to consume
+    return Subspace._span(m.field, m.dim, rows)
 
 
 def top_multiplicities(m: ModuleRep) -> tuple:
@@ -357,7 +355,7 @@ def projective_cover(m: ModuleRep) -> ProjectiveCover:
             columns.append(m.rho(avec).mat_vec(v))
     if summands:
         p_total, _, _ = direct_sum_modules(summands)
-        pi = Matrix(m.field, m.dim, p_total.dim, tuple(zip(*columns)))
+        pi = Matrix.from_rows(m.field, columns).transpose()
     else:
         p_total = zero_module(a)
         pi = Matrix.zeros(m.field, m.dim, 0)

@@ -38,7 +38,7 @@ from .derived import derived_hom_dim
 from .errors import (BudgetExceeded, NotAlmostProjective,
                      UnsupportedCharacteristic, ValidationFailure)
 from .fields import Field
-from .linalg import Matrix, vec_combination
+from .linalg import Matrix, row_combination, vec_combination
 from .modules import ModuleRep, hom_space, validate_module, zero_module
 from .tangent import quotient_dim
 
@@ -189,11 +189,11 @@ def enumerate_points(algebra: FDAlgebra, dims, budget: ScanBudget,
 def _hom_elements(m: ModuleRep, n: ModuleRep) -> list:
     """Every element of Hom_A(M, N) as a matrix, in grid order (row-major
     entries, compared as tuples of canonical field values)."""
-    field, size = m.field, n.dim * m.dim
-    basis = hom_space(m, n).basis
-    flats = sorted(vec_combination(field, size, zip(coeffs, basis)) for coeffs
-                   in itertools.product(field.elements(), repeat=len(basis)))
-    return [Matrix.from_flat(field, n.dim, m.dim, f) for f in flats]
+    field, rows = m.field, list(hom_space(m, n).by_pivot.values())
+    return sorted((Matrix.from_sparse_flat(field, n.dim, m.dim,
+                                           row_combination(field, zip(coeffs, rows)))
+                   for coeffs in itertools.product(field.elements(), repeat=len(rows))),
+                  key=Matrix.flat)
 
 
 # -- the acting group ----------------------------------------------------------
@@ -259,21 +259,21 @@ def _group_generators(field: Field, dims) -> list:
     field as I + c E_ab = (I + E_ab)^c, and diag(w, 1, ..., 1) for a
     generator w of F_p^x (none over F_2), whose determinant gives the rest
     of GL_d.  The search for w is bounded as p - 1 <= |G|."""
-    def element(degree, d, one, at, c):  # the identity `one` with entry `at` = c
-        flat = list(one)
-        flat[at] = c
-        return GroupElement(((degree, Matrix.from_flat(field, d, d, flat)),))
+    def element(degree, d, a, b, c):  # the identity with entry (a, b) = c
+        rows = list(one.rows)  # shared rows, never modified
+        rows[a] = {**rows[a], b: c}
+        return GroupElement(((degree, Matrix(field, d, d, rows)),))
 
     p, top, out = field.p, len(dims) - 1, []
     for k, d in enumerate(dims):
-        one = Matrix.identity(field, d).flat()
-        moves = [(a * d + b, 1, p - 1) for a in range(d) for b in range(d) if a != b]
+        one = Matrix.identity(field, d)
+        moves = [(a, b, 1, p - 1) for a in range(d) for b in range(d) if a != b]
         if d and p > 2:
             w = next(w for w in range(2, p)
                      if len({pow(w, e, p) for e in range(p - 1)}) == p - 1)
-            moves.append((0, w, field.inv(w)))
-        out += [(element(top - k, d, one, at, c), element(top - k, d, one, at, cinv))
-                for at, c, cinv in moves]
+            moves.append((0, 0, w, field.inv(w)))
+        out += [(element(top - k, d, a, b, c), element(top - k, d, a, b, cinv))
+                for a, b, c, cinv in moves]
     return out
 
 
@@ -366,25 +366,40 @@ def _pack(x: ComplexPoint) -> tuple:
     return tuple(v for _, _, a in _blocks(x) for row in a.data for v in row)
 
 
-def _flat_updates(x: ComplexPoint, degree: int, m: Matrix, minv: Matrix) -> tuple:
-    """The generator that is m at ``degree`` as updates of ``_pack(x)``:
-    left multiplication by m of each block into that degree, then right
-    multiplication by m^-1 of each block out of it.  Each pass lists
-    (dst, src, c) for out[dst] += c * before[src], one per nonzero entry of
-    m - I (or m^-1 - I) and row or column of a block, so a transvection is
-    one row and one column operation per block."""
-    def moved(g):  # nonzero entries of g - I
-        return [(r, k, c) for r, row in enumerate(g.data) for k, v in enumerate(row)
-                if (c := (v - (r == k)) % g.field.p)]
+def _moved(g: Matrix) -> list:
+    """The nonzero entries (r, k, c) of g - I, for a square g over F_p; a
+    row of g that is e_r has none."""
+    p = g.field.p
+    return [(r, k, c) for r, row in enumerate(g.rows) if len(row) != 1 or row.get(r) != 1
+            for k, v in {r: 0, **row}.items() if (c := (v - (r == k)) % p)]
 
+
+def _inverts(moved: list, moved_inv: list, p: int) -> bool:
+    """Whether I + B inverts I + A, given the ``_moved`` entries of A and B:
+    (I + A)(I + B) = I + A + B + AB, where AB costs |A| |B| steps."""
+    acc = {}
+    products = [(r, j, c * e) for r, k, c in moved for i, j, e in moved_inv if i == k]
+    for r, j, c in moved + moved_inv + products:
+        acc[r, j] = (acc.get((r, j), 0) + c) % p
+    return not any(acc.values())
+
+
+def _flat_updates(x: ComplexPoint, degree: int, moved: list, moved_inv: list) -> tuple:
+    """The generator that is m at ``degree`` as updates of ``_pack(x)``,
+    given the ``_moved`` entries of m and of m^-1: left multiplication by
+    m of each block into that degree, then right multiplication by m^-1 of
+    each block out of it.  Each pass lists (dst, src, c) for out[dst] += c
+    * before[src], one per nonzero entry of m - I (or m^-1 - I) and row or
+    column of a block, so a transvection is one row and one column
+    operation per block."""
     t, at, left, right = degree - x.bottom, 0, [], []
     for into, out_of, a in _blocks(x):
         if into == t:
             left += [(at + r * a.ncols + c, at + k * a.ncols + c, v)
-                     for r, k, v in moved(m) for c in range(a.ncols)]
+                     for r, k, v in moved for c in range(a.ncols)]
         if out_of == t:
             right += [(at + r * a.ncols + c, at + r * a.ncols + k, v)
-                      for k, c, v in moved(minv) for r in range(a.nrows)]
+                      for k, c, v in moved_inv for r in range(a.nrows)]
         at += a.nrows * a.ncols
     return left, right
 
@@ -425,10 +440,11 @@ def _closure_partition(points, generators) -> tuple:
         if len(g.comps) != 1 or [d for d, _ in ginv.comps] != [g.comps[0][0]]:
             raise ValidationFailure("a generator must move exactly one degree")
         (degree, m), (_, minv) = g.comps[0], ginv.comps[0]
-        if not (m @ minv).is_identity():
+        moved, moved_inv, square = _moved(m), _moved(minv), (m.ncols, m.ncols)
+        if (m.shape, minv.shape) != (square, square) or not _inverts(moved, moved_inv, q):
             raise ValidationFailure(f"a generator at degree {degree} is not "
                                     "inverted by the matrix given with it")
-        moves.append((g, ginv, degree, m, _flat_updates(x, degree, m, minv)))
+        moves.append((g, ginv, degree, m, _flat_updates(x, degree, moved, moved_inv)))
     keys = [_pack(p) for p in points]
     index = {}
     for i, key in enumerate(keys):

@@ -80,14 +80,15 @@ def parse_matrix(field: Field, rows, nrows: int, ncols: int, where: str) -> Matr
         _expect(isinstance(row, list) and len(row) == ncols,
                 f"{where} row {r} must be a list of {ncols} scalars")
         try:
-            data.append(tuple([parse_scalar(field, v, where) for v in row]))
+            values = [parse_scalar(field, v, where) for v in row]
         except SchemaError:
             # parse the row again to name the first malformed entry
             for c, v in enumerate(row):
                 parse_scalar(field, v, f"{where}[{r}][{c}]")
             raise
+        data.append({c: x for c, x in enumerate(values) if x})
     # parse_scalar returns canonical values: no second coercion
-    return Matrix(field, nrows, ncols, tuple(data))
+    return Matrix(field, nrows, ncols, data)
 
 
 def matrix_to_json(m: Matrix) -> list:

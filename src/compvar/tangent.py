@@ -37,7 +37,7 @@ from .complexes import (ChainMap, ComplexPoint, chain_map_from_components,
 from .derived import derived_hom_dim
 from .errors import NotProjectiveComplex, ShapeMismatch, ValidationFailure
 from .linalg import (Blocks, LinearSolver, Matrix, Subspace, linear_system,
-                     vec_combination)
+                     row_combination)
 from .modules import ext1_dim_oracle, make_module
 
 
@@ -195,7 +195,7 @@ def tangent_space(x: ComplexPoint):
 
 def tangent_space_basis(x: ComplexPoint) -> list:
     layout, space = tangent_space(x)
-    return [layout.unflatten(v) for v in space.basis]
+    return [TangentVector(x, layout.coords.split(row)) for row in space.by_pivot.values()]
 
 
 # -- orbit tangent space ------------------------------------------------------------
@@ -374,19 +374,18 @@ def eta_kernel(x: ComplexPoint):
     solvers = _derivation_solvers(x)
     hom1 = homotopy_hom(x, x, 1)
     qm = hom1.nullhomotopic.quotient_matrix()
-    columns = []
-    for vec in tspace.basis:
-        v = layout.unflatten(vec)
-        sp = eta(x, v, _solvers=solvers)
+    columns, rows = [], list(tspace.by_pivot.values())
+    for row in rows:
+        sp = eta(x, TangentVector(x, layout.coords.split(row)), _solvers=solvers)
         columns.append(list(qm.mat_vec(hom1.space.flatten(sp))))
     field = x.field
     if not columns:
         return layout, Subspace.zero(field, layout.ambient_dim), 0
     m = Matrix.from_rows(field, columns).transpose()
     coeff_kernel = m.kernel()
-    vectors = [vec_combination(field, layout.ambient_dim, zip(coeffs, tspace.basis))
-               for coeffs in coeff_kernel.basis]
-    kernel = Subspace.from_vectors(field, layout.ambient_dim, vectors)
+    kernel = Subspace._span(field, layout.ambient_dim,
+                            [row_combination(field, zip(coeffs, rows))
+                             for coeffs in coeff_kernel.basis])
     return layout, kernel, m.rank()
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from compvar import cli
 from compvar.cli import main
 from compvar.complexes import make_complex, stalk
 from compvar.errors import (SchemaError, UnsupportedCharacteristic,
@@ -237,6 +238,30 @@ def test_huge_census_inputs_exit_3_at_once(command, algebra, dims, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: budget exceeded")
+    assert elapsed < 1.0
+
+
+def test_memory_error_exits_3_with_one_error_line(monkeypatch, capsys):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._HANDLERS, "census", exhausted)
+    code = run_cli("census", "--algebra", fx("algebra_f2.json"), "--dims", "1")
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: budget exceeded: out of memory"]
+
+
+def test_census_of_one_large_degree_is_fast(capsys):
+    # one generator per entry off the diagonal: each is the identity with
+    # one entry changed, and the walk reads only that entry
+    start = time.perf_counter()
+    code = run_cli("census", "--algebra", fx("algebra_f2.json"), "--dims", "48",
+                   "--json")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["orbit_count"] == 1
     assert elapsed < 1.0
 
 

@@ -229,7 +229,7 @@ def split_cover(m):
     if not cols:
         return False
     target = Matrix.identity(m.field, m.dim).flat()
-    system = Matrix(m.field, len(target), len(cols), tuple(zip(*cols)))
+    system = Matrix.from_rows(m.field, cols).transpose()
     return system.solve(target) is not None
 
 
