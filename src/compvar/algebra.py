@@ -1,11 +1,15 @@
 """Finite-dimensional associative unital algebras over exact fields.
 
-An algebra is given by structure constants on a basis (a_1, ..., a_s) with
-a_1 = 1 enforced, or built from a quiver presentation (vertices, arrows,
-relations, nilpotency bound) by pure linear algebra on path coefficient
-vectors.  Quiver-constructed algebras additionally record their complete
-orthogonal primitive idempotents and a structural radical basis, both of
-which downstream module theory needs.
+An algebra is its structure-constant table on a basis (a_1, ..., a_s) with
+a_1 = 1: ``products[j][k]`` is the sparse row of a_j a_k, a dict from basis
+index to nonzero canonical value, the form every ``Matrix`` and ``Subspace``
+stores.  ``algebra_from_constants`` is the one builder of every table: from
+table files, from a quiver presentation (``path_algebra``, where a product
+of two basis elements is one path, reduced modulo the relations) and from
+the composites of an endomorphism algebra.  Quiver-constructed algebras
+additionally record their complete orthogonal primitive idempotents and a
+structural radical basis, both of which downstream module theory needs.
+Algebra elements stay dense coordinate tuples at the API boundary.
 """
 
 from __future__ import annotations
@@ -16,15 +20,17 @@ from dataclasses import dataclass, field as dataclass_field
 from .errors import (BudgetExceeded, MissingIdempotents, ShapeMismatch,
                      UnsupportedCharacteristic, ValidationFailure)
 from .fields import Field
-from .linalg import Matrix, Subspace, linear_system, vec_combination, vec_zero
+from .linalg import Matrix, Subspace, linear_system, row_combination, vec_combination
 
 
 @dataclass(frozen=True, eq=False)
 class FDAlgebra:
     """Associative unital algebra by structure constants.
 
-    ``products[j][k]`` is the coordinate vector of a_j * a_k; index 0 is the
-    identity.  ``idempotents`` (coordinate vectors of a complete orthogonal
+    ``products[j][k]`` is the sparse row of a_j * a_k, basis index ->
+    nonzero canonical value, never modified; index 0 is the identity.
+    Equality and the hash ignore the order in which a row's keys were
+    inserted.  ``idempotents`` (coordinate vectors of a complete orthogonal
     set of primitive idempotents summing to 1) and ``radical_vectors`` (a
     basis of the Jacobson radical) are recorded when the algebra came from a
     quiver presentation; they are caches, so equality and hashing ignore
@@ -35,7 +41,7 @@ class FDAlgebra:
     field: Field
     dim: int
     labels: tuple
-    products: tuple  # s x s tuple of coordinate s-tuples
+    products: tuple  # s x s tuple of sparse rows
     idempotents: tuple | None = None
     radical_vectors: tuple | None = None
     _memo: dict = dataclass_field(default_factory=dict, init=False, repr=False)
@@ -54,17 +60,17 @@ class FDAlgebra:
             (other.field, other.dim, other.labels, other.products)
 
     def __hash__(self):
-        return self.cached("hash", lambda a: hash((a.field, a.dim, a.labels, a.products)))
+        return self.cached("hash", lambda a: hash((
+            a.field, a.dim, a.labels,
+            tuple(frozenset(cell.items()) for row in a.products for cell in row))))
 
     # -- element arithmetic --------------------------------------------------
 
     def zero_vec(self) -> tuple:
-        return vec_zero(self.field, self.dim)
+        return (self.field.zero(),) * self.dim
 
     def unit_vec(self) -> tuple:
-        v = [self.field.zero()] * self.dim
-        v[0] = self.field.one()
-        return tuple(v)
+        return self.basis_vec(0)
 
     def basis_vec(self, j: int) -> tuple:
         v = [self.field.zero()] * self.dim
@@ -72,20 +78,31 @@ class FDAlgebra:
         return tuple(v)
 
     def mul_vec(self, x: tuple, y: tuple) -> tuple:
-        """Product of two elements in coordinates."""
+        """Product of two elements in coordinates: the sum of x_j y_k times
+        the row of a_j a_k."""
         if len(x) != self.dim or len(y) != self.dim:
             raise ShapeMismatch("element coordinate length mismatch")
-        return _bilinear(self.field, x, y, self.products)
+        ys = [(k, yk) for k, yk in enumerate(y) if yk]
+        row = row_combination(self.field, ((xj * yk, self.products[j][k])
+                                           for j, xj in enumerate(x) if xj
+                                           for k, yk in ys))
+        v = list(self.zero_vec())
+        for l, c in row.items():
+            v[l] = c
+        return tuple(v)
 
     def left_mult_matrix(self, x: tuple) -> Matrix:
-        """Matrix of y -> x*y in the basis (columns are x * a_k)."""
-        cols = [self.mul_vec(x, self.basis_vec(k)) for k in range(self.dim)]
-        return Matrix.from_rows(self.field, cols).transpose()
+        """Matrix of y -> x*y in the basis (column k is x * a_k)."""
+        cols = [row_combination(self.field, [(c, self.products[j][k])
+                                             for j, c in enumerate(x) if c])
+                for k in range(self.dim)]
+        return Matrix(self.field, self.dim, self.dim, cols).transpose()
 
     def right_mult_matrix(self, x: tuple) -> Matrix:
-        """Matrix of y -> y*x in the basis (columns are a_k * x)."""
-        cols = [self.mul_vec(self.basis_vec(k), x) for k in range(self.dim)]
-        return Matrix.from_rows(self.field, cols).transpose()
+        """Matrix of y -> y*x in the basis (column k is a_k * x)."""
+        cols = [row_combination(self.field, [(c, ak_times[j]) for j, c in enumerate(x) if c])
+                for ak_times in self.products]
+        return Matrix(self.field, self.dim, self.dim, cols).transpose()
 
     def primitive_idempotents(self) -> tuple:
         if self.idempotents is None:
@@ -103,37 +120,43 @@ class FDAlgebra:
 
 def algebra_from_constants(field: Field, dim: int, labels, constants,
                            idempotents=None, radical_vectors=None) -> FDAlgebra:
-    """Assemble an algebra from a sparse {(j, k, l): scalar} map (0-based).
+    """The one builder of a structure-constant table, from a sparse
+    {(j, k, l): scalar} map (0-based) of the constants c_jkl.
 
-    Products by the identity (index 0) are filled in automatically; explicit
-    entries for them must agree.  The result is validated.
+    Indices outside 0..dim-1 are refused.  Products by the identity (index
+    0) are filled in automatically; explicit entries for them must agree.
+    The table is validated, and so are the idempotents when given.
     """
     if dim < 1:
         raise ValidationFailure("algebra must contain the identity (dim >= 1)")
     labels = tuple(labels) if labels is not None else tuple(f"a{j+1}" for j in range(dim))
     if len(labels) != dim:
         raise ShapeMismatch("label count differs from dimension")
-    table = [[list(vec_zero(field, dim)) for _ in range(dim)] for _ in range(dim)]
+    one, zero = field.one(), field.zero()
+    table = [[{} for _ in range(dim)] for _ in range(dim)]
     for j in range(dim):
-        table[0][j][j] = field.one()
-        table[j][0][j] = field.one()
+        table[0][j] = table[j][0] = {j: one}
     for (j, k, l), val in constants.items():
+        if not (0 <= j < dim and 0 <= k < dim and 0 <= l < dim):
+            raise ShapeMismatch(
+                f"structure constant index ({j}, {k}, {l}) outside 0..{dim - 1}")
         val = field.coerce(val)
         if j == 0 or k == 0:
-            expected = field.one() if (j == 0 and l == k) or (k == 0 and l == j) else field.zero()
+            expected = one if (j == 0 and l == k) or (k == 0 and l == j) else zero
             if val != expected:
                 raise ValidationFailure(
                     f"identity product constant c_{j+1},{k+1},{l+1} = {val} contradicts a_1 = 1",
                     witness=("identity", j, k, l))
-            continue
-        table[j][k][l] = val
-    products = tuple(tuple(tuple(cell) for cell in row) for row in table)
-    alg = FDAlgebra(field, dim, labels, products,
+        elif val:
+            table[j][k][l] = val
+    alg = FDAlgebra(field, dim, labels, tuple(map(tuple, table)),
                     idempotents=idempotents, radical_vectors=radical_vectors)
     witness = validate_algebra(alg)
     if witness is not None:
         raise ValidationFailure(f"structure constants invalid: {witness}",
                                 witness=witness)
+    if idempotents is not None:
+        _check_idempotents(alg)
     return alg
 
 
@@ -146,15 +169,15 @@ def validate_algebra(a: FDAlgebra) -> tuple | None:
     constants are first scaled to integers by their common denominator D;
     both sides then scale by D^2, so the comparison stays exact."""
     for k in range(a.dim):
-        if a.products[0][k] != a.basis_vec(k):
+        if a.products[0][k] != {k: 1}:
             return ("unit-left", k)
-        if a.products[k][0] != a.basis_vec(k):
+        if a.products[k][0] != {k: 1}:
             return ("unit-right", k)
     p = a.field.p
     scale = math.lcm(*(c.denominator for row in a.products
-                       for cell in row for c in cell))  # 1 over F_p
-    nz = [[[(m, c.numerator * (scale // c.denominator))
-            for m, c in enumerate(cell) if c] for cell in row]
+                       for cell in row for c in cell.values()))  # 1 over F_p
+    nz = [[[(m, c.numerator * (scale // c.denominator)) for m, c in cell.items()]
+           for cell in row]
           for row in a.products]
 
     def combine(terms):
@@ -276,10 +299,13 @@ def _concat(ends, first, second):
 def path_algebra(q: QuiverPresentation, field: Field) -> FDAlgebra:
     """Quotient of the path algebra by (relations) + (paths of length >= N).
 
-    The basis consists of the identity followed by the surviving paths
-    (the first vertex idempotent is traded for the identity so that basis
-    element 1 is always the unit).  Path products compose like functions:
-    p * q = "apply q, then p".
+    The basis is the identity, the idempotents of the vertices but the
+    first, then the surviving paths of positive length: the first vertex
+    idempotent is traded for the identity, e_1 = 1 - e_2 - ..., so that
+    basis element 1 is always the unit.  Path products compose like
+    functions: p * q = "apply q, then p".  The product of two basis elements
+    other than the identity is one path, or zero; it holds no e_1, so its
+    coordinates modulo the relations are its coordinates in this basis.
     """
     ordered, index, ends = _enumerate_paths(q)
     npaths = len(ordered)
@@ -314,99 +340,37 @@ def path_algebra(q: QuiverPresentation, field: Field) -> FDAlgebra:
                     span_vectors.append(tuple(vec))
     rel_span = Subspace.from_vectors(field, npaths, span_vectors)
 
+    # the relations involve no trivial path, so e_1, e_2, ... come first
     pivot_set = set(rel_span.pivots())
     basis_keys = [k for i, k in enumerate(ordered) if i not in pivot_set]
-
-    def reduce_path_product(k1, k2):
-        """Coordinates (over surviving paths) of the algebra product k1*k2,
-        i.e. traverse k2 first, then k1."""
-        cat = _concat(ends, k2, k1)
-        vec = [field.zero()] * npaths
-        if cat is not None and path_len(cat) < bound:
-            vec[index[cat]] = field.one()
-            vec = list(rel_span.reduce(tuple(vec)))
-        return tuple(vec[index[k]] for k in basis_keys)
-
-    nb = len(basis_keys)
-    key_pos = {k: i for i, k in enumerate(basis_keys)}
-
-    # raw products over the surviving-path basis
-    raw = [[None] * nb for _ in range(nb)]
-    for i1, k1 in enumerate(basis_keys):
-        for i2, k2 in enumerate(basis_keys):
-            raw[i1][i2] = reduce_path_product(k1, k2)
-
-    def arrow_label(ai):
-        return q.arrows[ai][2]
+    position = {index[k]: i for i, k in enumerate(basis_keys)}
+    constants = {}
+    for j, k1 in enumerate(basis_keys[1:], 1):
+        for k, k2 in enumerate(basis_keys[1:], 1):
+            cat = _concat(ends, k2, k1)  # traverse k2 first, then k1
+            if cat is not None and path_len(cat) < bound:
+                reduced = rel_span.reduce(unit_axis(field, npaths, index[cat]))
+                constants.update(((j, k, position[i]), c)
+                                 for i, c in enumerate(reduced) if c)
 
     def key_label(key):
         if key[0] == "e":
             return f"e{key[1] + 1}"
-        return "*".join(arrow_label(a) for a in key)
+        return "*".join(q.arrows[a][2] for a in key)
 
-    if q.vertices == 1:
-        # the single trivial path is already the identity and sits first
-        assert key_pos[("e", 0)] == 0
-        labels = ["1"] + [key_label(k) for k in basis_keys[1:]]
-        products = tuple(tuple(raw[j][k] for k in range(nb)) for j in range(nb))
-        alg = FDAlgebra(field, nb, tuple(labels), products,
-                        idempotents=(unit_axis(field, nb, 0),),
-                        radical_vectors=tuple(unit_axis(field, nb, i)
-                                              for i in range(1, nb)))
-        return _revalidate(alg)
-
-    # multi-vertex: change basis so the first element is the identity.
-    # new basis: b_0 = sum of all trivial paths, then the trivial paths of
-    # the remaining vertices, then the arrows-and-longer paths in order
-    trivial_pos = [key_pos[("e", v)] for v in range(q.vertices)]
-    rest_pos = [i for i, k in enumerate(basis_keys) if k[0] != "e"]
-    one_vec = tuple(field.one() if i in trivial_pos else field.zero() for i in range(nb))
-    new_basis_vectors = [one_vec] + [unit_axis(field, nb, i)
-                                     for i in trivial_pos[1:] + rest_pos]
-    new_labels = (["1"] + [f"e{v + 1}" for v in range(1, q.vertices)]
-                  + [key_label(basis_keys[i]) for i in rest_pos])
-
-    def new_coords(x):
-        """Coordinates in the new basis of the path-basis vector x: the
-        change of basis is unitriangular, so they are x[e1], then
-        x[e_v] - x[e1], then the coordinates of the other paths."""
-        first = x[trivial_pos[0]]
-        return ((first,) + tuple(field.sub(x[i], first) for i in trivial_pos[1:])
-                + tuple(x[i] for i in rest_pos))
-
-    products = tuple(
-        tuple(new_coords(_bilinear(field, bj, bk, raw)) for bk in new_basis_vectors)
-        for bj in new_basis_vectors)
-    alg = FDAlgebra(field, nb, tuple(new_labels), products,
-                    idempotents=tuple(new_coords(unit_axis(field, nb, i))
-                                      for i in trivial_pos),
-                    radical_vectors=tuple(new_coords(unit_axis(field, nb, i))
-                                          for i in rest_pos))
-    return _revalidate(alg)
-
-
-def _bilinear(field: Field, x: tuple, y: tuple, table) -> tuple:
-    """sum of x_j y_k table[j][k]: the product of x and y for the
-    structure constants ``table``."""
-    return vec_combination(field, len(x), ((xj * yk, table[j][k])
-                                           for j, xj in enumerate(x) if xj
-                                           for k, yk in enumerate(y) if yk))
+    nb, n = len(basis_keys), q.vertices
+    first = tuple(field.one() if i == 0 else field.neg(field.one()) if i < n
+                  else field.zero() for i in range(nb))
+    return algebra_from_constants(
+        field, nb, ("1",) + tuple(map(key_label, basis_keys[1:])), constants,
+        idempotents=(first,) + tuple(unit_axis(field, nb, i) for i in range(1, n)),
+        radical_vectors=tuple(unit_axis(field, nb, i) for i in range(n, nb)))
 
 
 def unit_axis(field: Field, n: int, i: int) -> tuple:
     v = [field.zero()] * n
     v[i] = field.one()
     return tuple(v)
-
-
-def _revalidate(alg: FDAlgebra) -> FDAlgebra:
-    witness = validate_algebra(alg)
-    if witness is not None:
-        raise ValidationFailure(f"constructed algebra invalid: {witness}",
-                                witness=witness)
-    if alg.idempotents is not None:
-        _check_idempotents(alg)
-    return alg
 
 
 def _check_idempotents(alg: FDAlgebra):
@@ -450,9 +414,8 @@ def _radical(a: FDAlgebra) -> Subspace:
             raise UnsupportedCharacteristic(
                 f"trace-form radical needs char 0 or p > {a.dim}, have p = {a.field.p}")
         # trace(L_x) is linear in x: the sum of x_l * trace(L_{a_l})
-        traces = [sum(a.products[l][k][k] for k in range(a.dim))
-                  for l in range(a.dim)]
-        rows = [[sum(x * t for x, t in zip(a.products[u][j], traces) if x)
+        traces = [sum(row[k].get(k, 0) for k in range(a.dim)) for row in a.products]
+        rows = [[sum(x * traces[l] for l, x in a.products[u][j].items())
                  for u in range(a.dim)]  # trace(L_{a_u * a_j})
                 for j in range(a.dim)]
         rad = Matrix.from_rows(a.field, rows).kernel()

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import FDAlgebra, radical as algebra_radical, validate_algebra
+from .algebra import FDAlgebra, algebra_from_constants, radical as algebra_radical
 from .complexes import (ChainMap, ComplexPoint, HomotopyHom,
                         chain_map_from_components, classify, homology,
                         homology_dims, homotopy_hom, identity_chain_map,
@@ -114,15 +114,14 @@ def end_algebra(x: ComplexPoint) -> EndAlgebraPackage:
         return (t,) + tuple(field.sub(a[k], field.mul(t, c[k])) for k in others)
 
     basis_maps = tuple(cms.unflatten(v) for v in basis_vectors)
-    products = tuple(
-        tuple(bhat_coords(cms.flatten(bj.then(bk)), "composite")  # opposite order
-              for bk in basis_maps)
-        for bj in basis_maps)
+    # every coordinate, zeros too: the builder checks the identity's row
+    # and column against the composites
+    constants = {(j, k, l): c
+                 for j, bj in enumerate(basis_maps) for k, bk in enumerate(basis_maps)
+                 for l, c in enumerate(bhat_coords(cms.flatten(bj.then(bk)),  # opposite order
+                                                   "composite"))}
     labels = ("1",) + tuple(f"b{k}" for k in range(1, space.dim))
-    bhat = FDAlgebra(field, space.dim, labels, products)
-    witness = validate_algebra(bhat)
-    if witness is not None:
-        raise ValidationFailure(f"endomorphism table fails algebra axioms: {witness}")
+    bhat = algebra_from_constants(field, space.dim, labels, constants)
     h_coords = [bhat_coords(v, "null-homotopic map") for v in hom.nullhomotopic.basis]
     h_sub = Subspace.from_vectors(field, space.dim, h_coords)
     _check_ideal_and_homology_kill(x, bhat, h_sub, basis_vectors, cms)

@@ -797,9 +797,6 @@ class Subspace:
 
 # -- vector helpers ---------------------------------------------------------
 
-def vec_zero(field: Field, n: int) -> tuple:
-    return (field.zero(),) * n
-
 def vec_combination(field: Field, n: int, terms) -> tuple:
     """Sum of c * v over the pairs (c, v) of ``terms``, for vectors v of
     length n; zero coefficients and coordinates are skipped."""

@@ -58,10 +58,11 @@ class ModuleRep:
     def field(self):
         return self.algebra.field
 
-    def rho(self, x: tuple) -> Matrix:
-        """Action matrix of an element given by canonical coordinates: the
-        sum of the sparse rows of the action matrices it weights."""
-        terms = [(c, m.rows) for c, m in zip(x, self.action) if c]
+    def rho(self, x: dict) -> Matrix:
+        """Action matrix of the element with sparse row x (basis index ->
+        nonzero canonical coordinate, the form of a structure-constant row):
+        the sum of the sparse rows of the action matrices it weights."""
+        terms = [(c, self.action[j].rows) for j, c in x.items()]
         return Matrix(self.field, self.dim, self.dim,
                       [row_combination(self.field, [(c, rows[i]) for c, rows in terms])
                        for i in range(self.dim)])
@@ -279,21 +280,30 @@ def is_isomorphic_modules(m: ModuleRep, n: ModuleRep, seed: int = 0) -> WitnessS
 def radical_submodule(m: ModuleRep) -> Subspace:
     """rad(A) . M as a subspace of K^dim."""
     rows = []
-    for r in algebra_radical(m.algebra).basis:
+    for r in algebra_radical(m.algebra).by_pivot.values():
         rows += m.rho(r).transpose().rows  # new dicts, free for _span to consume
     return Subspace._span(m.field, m.dim, rows)
+
+
+def _top(m: ModuleRep) -> list:
+    """Generators of the top M / rad M, as (vertex index, vector in M): per
+    vertex i, the echelon basis vectors of e_i M at the pivot columns of
+    their images in M / rad M, so each image is independent of the earlier
+    ones.  Requires a quiver-constructed algebra."""
+    to_top = radical_submodule(m).quotient_matrix()
+    generators = []
+    for vi, e in enumerate(m.algebra.primitive_idempotents()):
+        image = m.rho({j: c for j, c in enumerate(e) if c}).column_space()
+        basis = image.column_matrix()
+        generators += [(vi, basis.col(t)) for t in (to_top @ basis).rref()[1]]
+    return generators
 
 
 def top_multiplicities(m: ModuleRep) -> tuple:
     """Multiplicity of each simple (indexed by the quiver vertices) in
     M / rad M.  Requires a quiver-constructed algebra."""
-    idems = m.algebra.primitive_idempotents()
-    radm = radical_submodule(m)
-    mults = []
-    for e in idems:
-        image = (m.rho(e)).column_space()
-        mults.append(image.sum(radm).dim - radm.dim)
-    return tuple(mults)
+    vertices = [vi for vi, _ in _top(m)]
+    return tuple(map(vertices.count, range(len(m.algebra.primitive_idempotents()))))
 
 
 def indecomposable_projectives(a: FDAlgebra) -> tuple:
@@ -330,28 +340,18 @@ def projective_cover(m: ModuleRep) -> ProjectiveCover:
     map the corresponding copies of A e_i onto them.  Callers read the
     cover a module keeps, ``m.cover``, which comes from here."""
     a = m.algebra
-    idems = a.primitive_idempotents()
     projs = indecomposable_projectives(a)
-    radm = radical_submodule(m)
     if m.dim == 0:
         return ProjectiveCover(zero_module(a), Matrix.zeros(m.field, 0, 0), ())
 
-    generators = []  # (vertex index, vector in M)
-    for vi, e in enumerate(idems):
-        image = m.rho(e).column_space()
-        current = radm
-        for v in image.basis:
-            if not current.contains(v):
-                generators.append((vi, v))
-                current = current.sum(Subspace.from_vectors(m.field, m.dim, [v]))
+    generators = _top(m)
     summands = []
     columns = []
     for vi, v in generators:
         p_mod, p_inc = projs[vi]
         summands.append(p_mod)
         # basis vector b of A e_i (coordinates in A) acts on v via rho
-        for col in range(p_mod.dim):
-            avec = p_inc.col(col)          # element of A
+        for avec in p_inc.transpose().rows:  # element of A
             columns.append(m.rho(avec).mat_vec(v))
     if summands:
         p_total, _, _ = direct_sum_modules(summands)
@@ -367,9 +367,7 @@ def projective_cover(m: ModuleRep) -> ProjectiveCover:
 
 def _check_cover(m: ModuleRep, cover: ProjectiveCover):
     p, pi = cover.projective, cover.pi
-    # A-linear; a_0 acts as 1 on validated modules, where pi @ 1 == 1 @ pi
-    first = int(validate_module(m) is None and validate_module(p) is None)
-    for j in range(first, m.algebra.dim):
+    for j in range(m.algebra.dim):  # A-linear
         if pi @ p.action[j] != m.action[j] @ pi:
             raise ValidationFailure("cover map is not A-linear")
     # surjective

@@ -106,7 +106,7 @@ def _module_candidates(algebra: FDAlgebra, d: int) -> list:
     checks = [[] for _ in range(s)]  # identities decided once a_m is chosen;
     for j in range(1, s):              # those with a_0 = 1 hold already
         for k in range(1, s):
-            support = [(c, l) for l, c in enumerate(algebra.products[j][k]) if c]
+            support = [(c, l) for l, c in algebra.products[j][k].items()]
             checks[max([j, k] + [l for _, l in support])].append((j, k, support))
     prefixes = [[Matrix.identity(field, d).flat()]]
     for m in range(1, s):  # choose a_m after every surviving prefix

@@ -208,14 +208,11 @@ def parse_algebra(obj) -> FDAlgebra:
 def algebra_to_json(a: FDAlgebra) -> dict:
     """Table form (quiver presentations serialize to their tables)."""
     constants = []
-    zero = a.field.zero()
     for j in range(1, a.dim):
         for k in range(1, a.dim):
-            for l in range(a.dim):
-                v = a.products[j][k][l]
-                if v != zero:
-                    constants.append(
-                        [j + 1, k + 1, l + 1, a.field.format_scalar(v)])
+            row = a.products[j][k]
+            for l in sorted(row):
+                constants.append([j + 1, k + 1, l + 1, a.field.format_scalar(row[l])])
     return {
         "field": field_to_json(a.field),
         "dim": a.dim,

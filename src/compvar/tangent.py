@@ -163,7 +163,7 @@ def tangent_system_matrix(x: ComplexPoint, layout: TangentLayout) -> Matrix:
             terms = [(1, None, unk["delta", i, j], acts[k]),
                      (1, acts[j], unk["delta", i, k], None)]
             terms += [(-c, None, unk["delta", i, l], None)
-                      for l, c in enumerate(x.algebra.products[j][k]) if c]
+                      for l, c in x.algebra.products[j][k].items()]
             equations.append((d, d, terms))
     # (b): compatibility of sigma with the module actions, for j >= 1
     for i in range(x.bottom + 1, x.top + 1):

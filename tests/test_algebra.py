@@ -2,17 +2,18 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from compvar.algebra import (FDAlgebra, QuiverPresentation, algebra_from_constants,
-                             center, opposite_algebra, path_algebra, radical,
-                             validate_algebra)
-from compvar.errors import (MissingIdempotents, UnsupportedCharacteristic,
-                            ValidationFailure)
+from compvar.algebra import (FDAlgebra, QuiverPresentation, _concat, _enumerate_paths,
+                             algebra_from_constants, center, opposite_algebra,
+                             path_algebra, radical, validate_algebra)
+from compvar.errors import (BudgetExceeded, MissingIdempotents, ShapeMismatch,
+                            UnsupportedCharacteristic, ValidationFailure)
 from compvar.fields import GF, QQ
-from compvar.linalg import LinearSolver, Matrix, vec_combination
+from compvar.linalg import LinearSolver, Matrix, Subspace, vec_combination
 from compvar.samples import (a2_algebra, base_field_algebra, dual_numbers,
                              two_loop_truncated)
 
@@ -45,13 +46,23 @@ def test_broken_associativity_is_caught():
     assert exc.value.witness[0] == "associativity"
 
 
+def _dense(a, row):
+    """The coordinate vector of a sparse row of the table of a."""
+    return tuple(row.get(l, a.field.zero()) for l in range(a.dim))
+
+
+def _sparse(vec):
+    """The sparse row of a coordinate vector."""
+    return {l: c for l, c in enumerate(vec) if c}
+
+
 def _first_nonassociative_triple(a):
     """Witness from products of coordinate vectors over all basis triples."""
     for j in range(a.dim):
         for k in range(a.dim):
             for l in range(a.dim):
-                if a.mul_vec(a.products[j][k], a.basis_vec(l)) != \
-                        a.mul_vec(a.basis_vec(j), a.products[k][l]):
+                if a.mul_vec(_dense(a, a.products[j][k]), a.basis_vec(l)) != \
+                        a.mul_vec(a.basis_vec(j), _dense(a, a.products[k][l])):
                     return ("associativity", j, k, l)
     return None
 
@@ -62,7 +73,7 @@ def _rebased(alg, rows):
     basis = [alg.unit_vec()] + [tuple(map(field.coerce, r)) for r in rows]
     solver = LinearSolver(Matrix.from_rows(field, basis).transpose())
     return FDAlgebra(field, alg.dim, alg.labels, tuple(
-        tuple(solver.solve(alg.mul_vec(u, v)) for v in basis) for u in basis))
+        tuple(_sparse(solver.solve(alg.mul_vec(u, v))) for v in basis) for u in basis))
 
 
 @pytest.mark.parametrize("field", [QQ, F5])
@@ -74,15 +85,16 @@ def test_associativity_witness_matches_vector_products(field):
     for build in (a2_algebra, two_loop_truncated):
         for alg in (build(field), _rebased(build(field), [(2, 3, 1), (4, 1, 3)])):
             assert validate_algebra(alg) is None
-            table = [[list(cell) for cell in row] for row in alg.products]
+            table = [[_dense(alg, cell) for cell in row] for row in alg.products]
             for j in range(1, alg.dim):
                 for k in range(1, alg.dim):
                     for l in range(alg.dim):
-                        old = table[j][k][l]
-                        table[j][k][l] = field.coerce(old + Fraction(1, 3))
+                        cell = table[j][k]
+                        changed = field.coerce(cell[l] + Fraction(1, 3))
+                        table[j][k] = cell[:l] + (changed,) + cell[l + 1:]
                         broken = FDAlgebra(field, alg.dim, alg.labels, tuple(
-                            tuple(tuple(cell) for cell in row) for row in table))
-                        table[j][k][l] = old
+                            tuple(map(_sparse, row)) for row in table))
+                        table[j][k] = cell
                         assert validate_algebra(broken) == \
                             _first_nonassociative_triple(broken)
 
@@ -90,6 +102,22 @@ def test_associativity_witness_matches_vector_products(field):
 def test_identity_contradiction_is_caught():
     with pytest.raises(ValidationFailure):
         algebra_from_constants(QQ, 2, ("1", "x"), {(0, 1, 1): 7})
+
+
+@pytest.mark.parametrize("key", [(1, 1, -1), (1, 1, 2), (2, 1, 1), (1, -1, 0)])
+def test_constant_index_outside_the_basis_is_refused(key):
+    # a negative index used to wrap around (x*x = x), and a large one
+    # raised a bare IndexError
+    with pytest.raises(ShapeMismatch):
+        algebra_from_constants(QQ, 2, ("1", "x"), {key: 1})
+
+
+def test_equality_and_hash_ignore_the_order_of_row_keys():
+    alg = _rebased(a2_algebra(QQ), [(2, 3, 1), (4, 1, 3)])
+    assert any(len(cell) > 1 for row in alg.products for cell in row)
+    reordered = FDAlgebra(alg.field, alg.dim, alg.labels, tuple(
+        tuple(dict(reversed(cell.items())) for cell in row) for row in alg.products))
+    assert reordered == alg and hash(reordered) == hash(alg)
 
 
 # -- quiver construction ------------------------------------------------------
@@ -255,3 +283,131 @@ def test_missing_idempotents_error():
     alg = dual_numbers_table(QQ)
     with pytest.raises(MissingIdempotents):
         alg.primitive_idempotents()
+
+
+# -- path algebras against the two-branch construction --------------------------
+
+def _two_branch_path_algebra(q, field):
+    """Reference: the quiver algebra as built before its table came from
+    ``algebra_from_constants``.  It fills the whole table over the surviving
+    paths first; one vertex keeps that table, several change to the
+    identity-first basis by a bilinear change of coordinates."""
+    ordered, index, ends = _enumerate_paths(q)
+    npaths, bound = len(ordered), q.nilpotency_bound
+
+    def path_len(key):
+        return 0 if key[0] == "e" else len(key)
+
+    def axis(n, i):
+        return tuple(field.one() if l == i else field.zero() for l in range(n))
+
+    span_vectors = []
+    for rel in q.relations:
+        rel_src, rel_tgt = q._path_ends(rel[0][0])
+        min_len = min(len(path) for path, _ in rel)
+        for w in ordered:
+            for u in ordered:
+                if (ends[w][1] != rel_src or ends[u][0] != rel_tgt
+                        or path_len(w) + min_len + path_len(u) >= bound):
+                    continue
+                vec = [field.zero()] * npaths
+                for path, coeff in rel:
+                    if path_len(w) + len(path) + path_len(u) < bound:
+                        key = (path if w[0] == "e" else w + path) + (() if u[0] == "e" else u)
+                        vec[index[key]] = field.add(vec[index[key]], field.coerce(coeff))
+                span_vectors.append(tuple(vec))
+    rel_span = Subspace.from_vectors(field, npaths, span_vectors)
+    basis_keys = [k for i, k in enumerate(ordered) if i not in set(rel_span.pivots())]
+    nb = len(basis_keys)
+
+    def reduce_path_product(k1, k2):
+        cat = _concat(ends, k2, k1)
+        vec = axis(npaths, index[cat]) if cat is not None and path_len(cat) < bound \
+            else (field.zero(),) * npaths
+        vec = rel_span.reduce(vec)
+        return tuple(vec[index[k]] for k in basis_keys)
+
+    raw = [[reduce_path_product(k1, k2) for k2 in basis_keys] for k1 in basis_keys]
+
+    def bilinear(x, y):
+        return vec_combination(field, nb, ((xj * yk, raw[j][k])
+                                           for j, xj in enumerate(x) if xj
+                                           for k, yk in enumerate(y) if yk))
+
+    def key_label(key):
+        return f"e{key[1] + 1}" if key[0] == "e" else "*".join(q.arrows[a][2] for a in key)
+
+    if q.vertices == 1:
+        labels = ["1"] + [key_label(k) for k in basis_keys[1:]]
+        products, idempotents = raw, (axis(nb, 0),)
+        radical_vectors = tuple(axis(nb, i) for i in range(1, nb))
+    else:
+        key_pos = {k: i for i, k in enumerate(basis_keys)}
+        trivial_pos = [key_pos[("e", v)] for v in range(q.vertices)]
+        rest_pos = [i for i, k in enumerate(basis_keys) if k[0] != "e"]
+        one_vec = tuple(field.one() if i in trivial_pos else field.zero() for i in range(nb))
+        new_basis = [one_vec] + [axis(nb, i) for i in trivial_pos[1:] + rest_pos]
+        labels = (["1"] + [f"e{v + 1}" for v in range(1, q.vertices)]
+                  + [key_label(basis_keys[i]) for i in rest_pos])
+
+        def new_coords(x):
+            first = x[trivial_pos[0]]
+            return ((first,) + tuple(field.sub(x[i], first) for i in trivial_pos[1:])
+                    + tuple(x[i] for i in rest_pos))
+
+        products = [[new_coords(bilinear(bj, bk)) for bk in new_basis] for bj in new_basis]
+        idempotents = tuple(new_coords(axis(nb, i)) for i in trivial_pos)
+        radical_vectors = tuple(new_coords(axis(nb, i)) for i in rest_pos)
+    alg = FDAlgebra(field, nb, tuple(labels),
+                    tuple(tuple(map(_sparse, row)) for row in products),
+                    idempotents=idempotents, radical_vectors=radical_vectors)
+    witness = validate_algebra(alg)
+    if witness is not None:
+        raise ValidationFailure(f"constructed algebra invalid: {witness}")
+    return alg
+
+
+def test_path_algebra_matches_the_two_branch_construction(hypothesis):
+    """Drawn quivers of up to 3 vertices and 3 arrows, bounds up to 3, with
+    monomial and binomial relations between parallel paths: one table
+    builder gives the labels, table, idempotents and radical basis of the
+    two-branch construction, or both refuse the input."""
+    st = hypothesis.strategies
+    coeffs = st.sampled_from([1, -1, 2, 3])
+
+    @st.composite
+    def presentations(draw):
+        n = draw(st.integers(1, 3))
+        vertex = st.integers(0, n - 1)
+        arrows = tuple((s, t, f"a{i}") for i, (s, t) in
+                       enumerate(draw(st.lists(st.tuples(vertex, vertex), max_size=3))))
+        paths = [p for length in (2, 3)
+                 for p in itertools.product(range(len(arrows)), repeat=length)
+                 if all(arrows[a][1] == arrows[b][0] for a, b in zip(p, p[1:]))]
+        relations = []
+        for _ in range(draw(st.integers(0, 3)) if paths else 0):
+            first = draw(st.sampled_from(paths))
+            rel = [(first, draw(coeffs))]
+            parallel = [p for p in paths if p != first
+                        and (arrows[p[0]][0], arrows[p[-1]][1])
+                        == (arrows[first[0]][0], arrows[first[-1]][1])]
+            if parallel and draw(st.booleans()):  # binomial
+                rel.append((draw(st.sampled_from(parallel)), draw(coeffs)))
+            relations.append(tuple(rel))
+        return QuiverPresentation(n, arrows, tuple(relations), draw(st.integers(1, 3)))
+
+    @hypothesis.given(presentations(), st.sampled_from([QQ, F2, F5]))
+    def check(q, field):
+        try:
+            expected = _two_branch_path_algebra(q, field)
+        except (BudgetExceeded, ValidationFailure) as exc:
+            with pytest.raises(type(exc)):
+                path_algebra(q, field)
+            return
+        got = path_algebra(q, field)
+        assert got.labels == expected.labels
+        assert got.products == expected.products
+        assert got.idempotents == expected.idempotents
+        assert got.radical_vectors == expected.radical_vectors
+
+    check()

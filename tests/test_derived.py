@@ -253,7 +253,7 @@ def _moved(x, seed):
 
 
 def _greedy_end_algebra(x):
-    """Structure constants and null-homotopic ideal of End(x) in the basis
+    """Structure-constant rows and null-homotopic ideal of End(x) in the basis
     chosen greedily (the identity, then each echelon row of the chain-map
     space outside the span so far), with coordinates from a solver."""
     field = x.field
@@ -265,7 +265,8 @@ def _greedy_end_algebra(x):
             chosen.append(v)
     maps = [cms.unflatten(v) for v in chosen]
     solver = LinearSolver(Matrix.from_rows(field, chosen).transpose())
-    products = tuple(tuple(solver.solve(cms.flatten(f.then(g))) for g in maps)
+    products = tuple(tuple({l: c for l, c in enumerate(solver.solve(cms.flatten(f.then(g))))
+                            if c} for g in maps)
                      for f in maps)
     ideal = Subspace.from_vectors(field, len(chosen),
                                   [solver.solve(v) for v in hom.nullhomotopic.basis])

@@ -110,8 +110,7 @@ def full_tangent_system(x, layout):
                     terms = [(1, None, unk["delta", i, j], acts[k]),
                              (1, acts[j], unk["delta", i, k], None)]
                     terms += [(-c, None, unk["delta", i, l], None)
-                              for l, c in enumerate(x.algebra.products[j][k])
-                              if c]
+                              for l, c in x.algebra.products[j][k].items()]
                     equations.append((d, d, terms))
     for i in range(x.bottom + 1, x.top + 1):
         if x.dim_at(i - 1) and x.dim_at(i):
