@@ -1,10 +1,10 @@
 """Finite-dimensional associative unital algebras over exact fields.
 
 An algebra is its structure-constant table on a basis (a_1, ..., a_s) with
-a_1 = 1: ``products[j][k]`` is the sparse row of a_j a_k, a dict from basis
-index to nonzero canonical value, the form every ``Matrix`` and ``Subspace``
-stores.  ``algebra_from_constants`` is the one builder of every table: from
-table files, from a quiver presentation (``path_algebra``, where a product
+a_1 = 1: ``products[j][k]`` is the row of a_j a_k, in the one stored form
+of ``linalg``, which every ``Matrix`` and ``Subspace`` holds too.
+``algebra_from_constants`` is the one builder of every table: from table
+files, from a quiver presentation (``path_algebra``, where a product
 of two basis elements is one path, reduced modulo the relations) and from
 the composites of an endomorphism algebra.  Quiver-constructed algebras
 additionally record their complete orthogonal primitive idempotents and a
@@ -14,24 +14,24 @@ Algebra elements stay dense coordinate tuples at the API boundary.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dataclass_field
 
 from .errors import (BudgetExceeded, MissingIdempotents, ShapeMismatch,
                      UnsupportedCharacteristic, ValidationFailure)
 from .fields import Field
-from .linalg import Matrix, Subspace, linear_system, row_combination, vec_combination
+from .linalg import (Matrix, Subspace, combine, linear_system, row_combination,
+                     row_key, row_values, stored_row, table_product, vec_combination)
 
 
 @dataclass(frozen=True, eq=False)
 class FDAlgebra:
     """Associative unital algebra by structure constants.
 
-    ``products[j][k]`` is the sparse row of a_j * a_k, basis index ->
-    nonzero canonical value, never modified; index 0 is the identity.
-    Equality and the hash ignore the order in which a row's keys were
-    inserted.  ``idempotents`` (coordinate vectors of a complete orthogonal
-    set of primitive idempotents summing to 1) and ``radical_vectors`` (a
+    ``products[j][k]`` is the row of a_j * a_k (``linalg``'s stored form),
+    never modified; index 0 is the identity.  Equality and the hash ignore
+    the order in which a row's keys were inserted.  ``idempotents``
+    (coordinate vectors of a complete orthogonal set of primitive
+    idempotents summing to 1) and ``radical_vectors`` (a
     basis of the Jacobson radical) are recorded when the algebra came from a
     quiver presentation; they are caches, so equality and hashing ignore
     them -- an algebra re-read from its serialized table is the same
@@ -62,7 +62,7 @@ class FDAlgebra:
     def __hash__(self):
         return self.cached("hash", lambda a: hash((
             a.field, a.dim, a.labels,
-            tuple(frozenset(cell.items()) for row in a.products for cell in row))))
+            tuple(row_key(cell) for row in a.products for cell in row))))
 
     # -- element arithmetic --------------------------------------------------
 
@@ -82,14 +82,7 @@ class FDAlgebra:
         the row of a_j a_k."""
         if len(x) != self.dim or len(y) != self.dim:
             raise ShapeMismatch("element coordinate length mismatch")
-        ys = [(k, yk) for k, yk in enumerate(y) if yk]
-        row = row_combination(self.field, ((xj * yk, self.products[j][k])
-                                           for j, xj in enumerate(x) if xj
-                                           for k, yk in ys))
-        v = list(self.zero_vec())
-        for l, c in row.items():
-            v[l] = c
-        return tuple(v)
+        return table_product(self.field, x, y, self.products)
 
     def left_mult_matrix(self, x: tuple) -> Matrix:
         """Matrix of y -> x*y in the basis (column k is x * a_k)."""
@@ -134,8 +127,6 @@ def algebra_from_constants(field: Field, dim: int, labels, constants,
         raise ShapeMismatch("label count differs from dimension")
     one, zero = field.one(), field.zero()
     table = [[{} for _ in range(dim)] for _ in range(dim)]
-    for j in range(dim):
-        table[0][j] = table[j][0] = {j: one}
     for (j, k, l), val in constants.items():
         if not (0 <= j < dim and 0 <= k < dim and 0 <= l < dim):
             raise ShapeMismatch(
@@ -149,6 +140,9 @@ def algebra_from_constants(field: Field, dim: int, labels, constants,
                     witness=("identity", j, k, l))
         elif val:
             table[j][k][l] = val
+    units = Matrix.identity(field, dim).rows  # a_1 a_k = a_k, a_j a_1 = a_j
+    table = [[stored_row(field, cell) if j and k else units[j + k]
+              for k, cell in enumerate(row)] for j, row in enumerate(table)]
     alg = FDAlgebra(field, dim, labels, tuple(map(tuple, table)),
                     idempotents=idempotents, radical_vectors=radical_vectors)
     witness = validate_algebra(alg)
@@ -165,37 +159,23 @@ def validate_algebra(a: FDAlgebra) -> tuple | None:
 
     Once the unit laws hold, every basis triple containing the identity is
     associative, so only triples of the other basis elements are checked,
-    each as two sums over the nonzero structure constants.  Over Q the
-    constants are first scaled to integers by their common denominator D;
-    both sides then scale by D^2, so the comparison stays exact."""
+    each side as one combination of table rows: (a_j a_k) a_l combines the
+    rows of a_m a_l by the row of a_j a_k, and a_j (a_k a_l) the rows of
+    a_j a_m by the row of a_k a_l.  Rows are canonical, so the two sides
+    compare as rows."""
+    field, units = a.field, Matrix.identity(a.field, a.dim).rows
     for k in range(a.dim):
-        if a.products[0][k] != {k: 1}:
+        if a.products[0][k] != units[k]:
             return ("unit-left", k)
-        if a.products[k][0] != {k: 1}:
+        if a.products[k][0] != units[k]:
             return ("unit-right", k)
-    p = a.field.p
-    scale = math.lcm(*(c.denominator for row in a.products
-                       for cell in row for c in cell.values()))  # 1 over F_p
-    nz = [[[(m, c.numerator * (scale // c.denominator)) for m, c in cell.items()]
-           for cell in row]
-          for row in a.products]
-
-    def combine(terms):
-        acc = {}
-        for c, vec in terms:
-            for n, d in vec:
-                acc[n] = acc.get(n, 0) + c * d
-        if p is not None:
-            acc = {n: v % p for n, v in acc.items()}
-        return {n: v for n, v in acc.items() if v}
-
+    times = [[row[l] for row in a.products] for l in range(a.dim)]  # a_m a_l by m
     others = range(1, a.dim)
     for j in others:
         for k in others:
             for l in others:
-                lhs = combine((c, nz[m][l]) for m, c in nz[j][k])  # (a_j a_k) a_l
-                rhs = combine((c, nz[j][m]) for m, c in nz[k][l])  # a_j (a_k a_l)
-                if lhs != rhs:
+                if combine(field, a.products[j][k], times[l]) != \
+                        combine(field, a.products[k][l], a.products[j]):
                     return ("associativity", j, k, l)
     return None
 
@@ -414,8 +394,9 @@ def _radical(a: FDAlgebra) -> Subspace:
             raise UnsupportedCharacteristic(
                 f"trace-form radical needs char 0 or p > {a.dim}, have p = {a.field.p}")
         # trace(L_x) is linear in x: the sum of x_l * trace(L_{a_l})
-        traces = [sum(row[k].get(k, 0) for k in range(a.dim)) for row in a.products]
-        rows = [[sum(x * traces[l] for l, x in a.products[u][j].items())
+        values = [[row_values(a.field, cell) for cell in row] for row in a.products]
+        traces = [sum(row[k].get(k, 0) for k in range(a.dim)) for row in values]
+        rows = [[sum(x * traces[l] for l, x in values[u][j].items())
                  for u in range(a.dim)]  # trace(L_{a_u * a_j})
                 for j in range(a.dim)]
         rad = Matrix.from_rows(a.field, rows).kernel()

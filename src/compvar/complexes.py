@@ -16,7 +16,7 @@ from functools import cached_property
 from .algebra import FDAlgebra
 from .errors import (AlgebraMismatch, BudgetExceeded, NotProjectiveComplex,
                      ShapeMismatch, ValidationFailure)
-from .linalg import Blocks, Matrix, Subspace, linear_system
+from .linalg import Blocks, Matrix, Subspace, linear_system, vector_row
 from .modules import (ModuleRep, WitnessSearch, direct_sum_modules,
                       hom_matrices, is_projective,
                       search_invertible_combination, submodule,
@@ -362,10 +362,10 @@ class ChainMapSpace:
         return self.subspace.dim
 
     def unflatten(self, vec: tuple) -> ChainMap:
-        return self.from_row({j: x for j, x in enumerate(vec) if x})
+        return self.from_row(vector_row(self.source.field, self.ambient_dim, vec))
 
-    def from_row(self, row: dict) -> ChainMap:
-        """The chain map whose sparse coordinate row is ``row``."""
+    def from_row(self, row: tuple) -> ChainMap:
+        """The chain map whose coordinate row is ``row``."""
         comps = tuple((i, m) for i, m in self.layout.split(row).items()
                       if not m.is_zero())
         return ChainMap(self.source, self.target, self.shift, comps)

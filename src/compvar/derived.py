@@ -18,8 +18,7 @@ from .complexes import (ChainMap, ComplexPoint, HomotopyHom,
                         chain_map_from_components, classify, homology,
                         homology_dims, homotopy_hom, identity_chain_map,
                         is_acyclic, make_complex, replace_by_projective)
-from .errors import (AlgebraMismatch, NotAlmostProjective, SplitterFailure,
-                     ValidationFailure)
+from .errors import NotAlmostProjective, SplitterFailure, ValidationFailure
 from .linalg import LinearSolver, Matrix, Subspace, vec_combination
 from .modules import submodule
 
@@ -44,22 +43,6 @@ def derived_hom_dim(x: ComplexPoint, y: ComplexPoint, n: int) -> int:
     components of maps and homotopies into Y[n] vanish above the truncation
     degree, so the chopped tower computes the same dimension."""
     return derived_hom(x, y, n)[1].hom_dim
-
-
-def semisplit_ext_dim(x: ComplexPoint, y: ComplexPoint) -> int:
-    """Degreewise-split extensions of X by Y modulo equivalence: homotopy
-    classes of shift-1 chain maps."""
-    if x.algebra != y.algebra:
-        raise AlgebraMismatch("extensions need a common algebra")
-    return homotopy_hom(x, y, 1).hom_dim
-
-
-def verdier_xi(x: ComplexPoint, y: ComplexPoint, sigmas: dict) -> ChainMap:
-    """Connecting map of a degreewise-split extension: the sigma blocks
-    assemble into a shift-1 chain map X -> Y[1] (validated)."""
-    if x.algebra != y.algebra:
-        raise AlgebraMismatch("extensions need a common algebra")
-    return chain_map_from_components(x, y, 1, sigmas)
 
 
 # -- endomorphism algebra of a complex ------------------------------------------------

@@ -1,7 +1,10 @@
 """Exact scalar arithmetic over Q and over prime fields F_p.
 
 Scalars are plain ``fractions.Fraction`` values over Q and reduced ints in
-``[0, p)`` over F_p, so every computation in the package is exact.  A
+``[0, p)`` over F_p, so every computation in the package is exact.  They
+are the boundary form: ``linalg`` stores rows as integers and builds
+Fractions only when a caller reads values.  A scalar string over Q is an
+integer or ``num/den`` and nothing else (``parse_scalar_string``).  A
 ``Field`` value is immutable and hashable; two fields compare equal iff they
 have the same modulus (``None`` meaning Q).
 """
@@ -103,8 +106,17 @@ class Field:
 
 
 def parse_scalar_string(text: str) -> Fraction:
-    """Parse 'num' or 'num/den' into an exact Fraction."""
-    return Fraction(text.strip())
+    """Parse 'num' or 'num/den' into an exact Fraction: an optional sign,
+    then ASCII digits, then optionally '/' and ASCII digits.  Anything else
+    (decimals, exponents, underscores, spaces) raises ValueError, and so
+    does a zero denominator (ZeroDivisionError); Python's limit on the
+    digits of an int bounds the work."""
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
+    if not all(part.isascii() and part.isdigit()
+               for part in ((digits, den) if slash else (digits,))):
+        raise ValueError(f"not an integer or 'num/den': {text!r}")
+    return Fraction(int(num), int(den) if slash else 1)
 
 
 QQ = Field(None)

@@ -4,29 +4,28 @@ matrices (sums of terms ``c * L @ X_k @ R``) into a coefficient matrix, and
 ``Blocks``, the one order in which such unknowns (tangent, Lie and
 chain-map blocks) are flattened to coordinates and read back.
 
-A matrix, and a subspace's echelon basis, are stored in one form only:
-sparse rows, dicts from column to nonzero value, which every builder makes
-directly.  Dense tuples (``Matrix.data``, ``flat()``, ``col()``,
-``Subspace.basis`` and the vector API) are built only when read, for JSON,
-packed census keys and callers that ask for vectors.  Every cost follows
-the nonzeros: the linear systems behind tangent spaces, orbit maps and hom
-spaces are more than 99% zeros.  ``_eliminate`` is the one elimination
-routine; every echelon form, rank, kernel, inverse, solver and subspace
-basis comes from it.  ``Subspace._residue`` is the one reduction of a
-vector modulo an echelon basis; membership, containment of a subspace,
-coordinates and canonical representatives come from it.
+Matrices, subspace bases and structure constants are stored in one form
+only, sparse rows.  A row is a pair ``(N, d)`` holding the values
+``N[j] / d``: a dict from column to nonzero integer, and a denominator
+d > 0.  Over Q the pair is primitive (no common factor), so equal rows are
+equal pairs; over F_p the values lie in ``[1, p)`` and d is 1.  Every
+kernel computes on these integers: elimination, products, ``mat_vec``, the
+combinations, the reduction and ``linear_system`` build no Fraction.
+Scalars stay ``Fraction`` values over Q at the boundary: dense tuples
+(``data``, ``flat()``, ``col()``, ``Subspace.basis``, ``reduce``,
+``coordinates``, ``mat_vec``'s result and the vector API) are built only
+when read.  Other modules build and read rows only through the helpers
+here (``stored_row``, ``vector_row``, ``row_vector``, ``row_values``,
+``row_key``, ``combine``, ``row_combination``, ``table_product``), so the
+form is decided in this module alone.
 
-Scalars are ``Fraction`` values over Q at every boundary, but these kernels
-(elimination, products, ``mat_vec``, ``vec_combination``, the reduction and
-``linear_system``) compute on integers: a row is held as integer numerators
-over one positive denominator (``_over``; ``_integral`` takes one for a
-whole matrix), so no Fraction arithmetic runs inside them, and each builds
-one canonical Fraction for each entry it returns (``_scalars``).  Over F_p
-they run on the reduced ints themselves.
-
-Everything is immutable and deterministic: row reduction always picks the
-leftmost available pivot and the first nonzero row below it, so reduced
-echelon forms (and hence subspace representations) are canonical.
+Every cost follows the nonzeros: the linear systems behind tangent spaces,
+orbit maps and hom spaces are more than 99% zeros.  ``_eliminate`` is the
+one elimination routine; every echelon form, rank, kernel, inverse, solver
+and subspace basis comes from it.  ``Subspace._residue`` is the one
+reduction of a vector modulo an echelon basis.  Row reduction always picks
+the leftmost available pivot and the first nonzero row below it, so reduced
+echelon forms, and hence subspaces, are canonical.
 """
 
 from __future__ import annotations
@@ -42,36 +41,28 @@ from .fields import Field
 _set = object.__setattr__
 
 
-def _eliminate(rows: list, p, stop: int) -> list:
-    """Gauss-Jordan elimination, in place, of nonempty sparse rows (dicts
-    column -> nonzero canonical value) on the columns below ``stop``.
-
-    Returns the pivot columns.  Afterwards ``rows[:rank]`` are the reduced
-    pivot rows in pivot order, and the other rows hold no column below
-    ``stop``.  Each pivot is the leftmost column held by a row that is not
-    yet a pivot row, taken from the first such row, which is swapped into
-    place.
+def _eliminate(rows: list, dens: list, p, stop: int) -> list:
+    """Gauss-Jordan elimination, in place, of the nonempty primitive rows
+    ``N / d`` with numerators ``rows`` and denominators ``dens``, on the
+    columns below ``stop``.  Returns the pivot columns.  Afterwards
+    ``rows[:rank]`` are the reduced pivot rows in pivot order, each with its
+    pivot numerator as its denominator, and the other rows hold no column
+    below ``stop``; every row is primitive.  Each pivot is the leftmost
+    column held by a row not yet a pivot row, taken from the first such
+    row, which is swapped into place.
 
     ``holds`` maps each column to the positions of the rows that hold it,
     kept up to date through swaps, fill-in and cancellation.  On the way
-    down a pivot clears its column from the rows past it; rows past the
-    pivot rows never gain a column left of the last pivot, so one upward
-    walk over the columns finds every pivot.  Then, in reverse pivot order,
-    each pivot clears its column from the pivot rows above it, which gain
-    no pivot column.  The cost follows the fill, not rows x rank, and a
-    chain of pivots is not cleared from every pivot row at every step.
+    down a pivot clears its column from the rows past it, which never gain
+    a column left of the last pivot, so one upward walk over the columns
+    finds every pivot.  Then, in reverse pivot order, each pivot clears its
+    column from the pivot rows above it.  The cost follows the fill, not
+    rows x rank.
 
-    Over Q a row is held as integer numerators N over one positive
-    denominator D, with no common factor (``_over``).  A pivot row becomes
-    ``(N, N[c])``, its sign made positive; a cleared row becomes
-    ``(dp * N - N[c] * P, D * dp)`` for the pivot row ``(P, dp)``; both are
-    then divided by their gcd.  The values are the same as with Fraction
-    arithmetic, and Fractions are built once, for the rows it returns.
+    Over Q a pivot row becomes ``(N, N[c])``, its sign made positive; a
+    cleared row becomes ``(dp * N - N[c] * P, D * dp)`` for the pivot row
+    ``(P, dp)``; both are then divided by their gcd.
     """
-    dens = [1] * len(rows)  # the row denominators, all 1 over F_p
-    if p is None:
-        for i, row in enumerate(rows):
-            rows[i], dens[i] = _over(row)
     holds = {}
     for i, row in enumerate(rows):
         for j in row:
@@ -167,84 +158,138 @@ def _eliminate(rows: list, p, stop: int) -> list:
         above = [i for i in holds[pivots[r]] if i != r]
         if above:
             clear(r, pivots[r], above)
-    if p is None:
-        for i, row in enumerate(rows):
-            rows[i] = _scalars(row, dens[i], p)
     return pivots
 
 
-def _over(row: dict) -> tuple:
-    """``(N, D)``: a sparse row of rationals as integer numerators N over
-    their least common denominator D, so N and D have no common factor."""
-    d = lcm(*[x.denominator for x in row.values()])
-    return {j: x.numerator * (d // x.denominator) for j, x in row.items()}, d
+# -- rows --------------------------------------------------------------------
 
-
-def _scalars(acc: dict, d: int, p) -> dict:
-    """The canonical sparse row of the nonzero values ``acc[j] / d`` of
-    integers acc: reduced mod p over F_p, where d is 1; over Q, one
-    Fraction per entry."""
+def _primitive(acc: dict, d: int, p) -> tuple:
+    """The row of the values ``acc[j] / d``, for integers acc and d > 0 (1
+    over F_p): zeros dropped, reduced mod p, or divided by the gcd over Q."""
     if p is not None:
-        return _canonical(acc, p)
-    if d == 1:
-        return {j: Fraction(x) for j, x in acc.items() if x}
-    return {j: Fraction(x, d) for j, x in acc.items() if x}
-
-
-def _integral(m) -> tuple:
-    """``(rows, d)``: the sparse rows of m as integer numerators over one
-    positive denominator d; over F_p, the rows themselves and 1."""
-    rows = m.rows
-    if m.field.p is not None:
-        return rows, 1
-    d = lcm(*[x.denominator for row in rows for x in row.values()])
-    return [{j: x.numerator * (d // x.denominator) for j, x in row.items()}
-            for row in rows], d
+        out = {}
+        for j, v in acc.items():
+            v %= p
+            if v:
+                out[j] = v
+        return out, 1
+    acc = {j: v for j, v in acc.items() if v}
+    if d != 1:
+        g = gcd(d, *acc.values())
+        if g != 1:
+            acc = {j: x // g for j, x in acc.items()}
+            d //= g
+    return acc, d
 
 
 def _sparse_vec(vec) -> dict:
-    """The sparse row of a dense vector of canonical values."""
+    """The nonzero entries of a dense vector, index -> value."""
     return {j: x for j, x in enumerate(vec) if x}
 
 
-def _vector_row(field: Field, n: int, v) -> dict:
-    """The sparse row of a vector of length n, its entries coerced."""
+def _coerced(field: Field, n: int, v) -> list:
     v = [field.coerce(x) for x in v]
     if len(v) != n:
         raise ShapeMismatch(f"vector length {len(v)} vs ambient {n}")
-    return _sparse_vec(v)
+    return v
 
 
-def _dense_rows(rows, ncols: int, zero) -> tuple:
-    out = []
-    for row in rows:
-        d = [zero] * ncols
-        for j, x in row.items():
-            d[j] = x
-        out.append(tuple(d))
+def _dense_rows(rows, ncols: int, field: Field) -> tuple:
+    """The dense tuples of canonical values of rows, primitive or not."""
+    zero, p, out = field.zero(), field.p, []
+    for row, d in rows:
+        v = [zero] * ncols
+        if p is not None:
+            for j, x in row.items():
+                v[j] = x
+        else:
+            for j, x in row.items():
+                v[j] = Fraction(x) if d == 1 else Fraction(x, d)
+        out.append(tuple(v))
     return tuple(out)
 
 
-def _canonical(acc: dict, p) -> dict:
-    """Sparse row of the nonzero values of ``acc``, reduced mod ``p``."""
-    if p is None:
-        return {j: v for j, v in acc.items() if v}
-    out = {}
-    for j, v in acc.items():
-        v %= p
-        if v:
-            out[j] = v
-    return out
+def stored_row(field: Field, values: dict) -> tuple:
+    """The row of a sparse dict of nonzero canonical values (or ints): over
+    Q the numerators over their least common denominator, primitive."""
+    if field.p is not None:
+        return values, 1
+    d = lcm(*[x.denominator for x in values.values()])
+    return {j: x.numerator * (d // x.denominator) for j, x in values.items()}, d
 
+
+def vector_row(field: Field, n: int, v) -> tuple:
+    """The row of a vector of length n, its entries coerced."""
+    return stored_row(field, _sparse_vec(_coerced(field, n, v)))
+
+
+def row_vector(field: Field, n: int, row: tuple) -> tuple:
+    """The dense vector of length n of a row."""
+    return _dense_rows([row], n, field)[0]
+
+
+def row_values(field: Field, row: tuple) -> dict:
+    """The nonzero entries of a row as canonical values, column -> value;
+    over F_p the stored dict itself, which must not be modified."""
+    v, d = row
+    return v if field.p is not None else {j: Fraction(x, d) for j, x in v.items()}
+
+
+def row_key(row: tuple):
+    """A hashable key of a row, equal for equal rows."""
+    return frozenset(row[0].items()), row[1]
+
+
+def combine(field: Field, coeffs: tuple, rows) -> tuple:
+    """The row sum of c_m * rows[m] over the entries c_m of the row
+    ``coeffs``; ``rows`` is indexed by the columns of ``coeffs``.  The
+    rows are summed as integers over their least common denominator."""
+    p, (v, d) = field.p, coeffs
+    e = 1 if p is not None else lcm(*[rows[m][1] for m in v])
+    acc = {}
+    for m, x in v.items():
+        b, db = rows[m]
+        if db != e:
+            x *= e // db
+        for k, y in b.items():
+            acc[k] = acc.get(k, 0) + x * y
+    return _primitive(acc, d * e, p)
+
+
+def row_combination(field: Field, terms) -> tuple:
+    """The row sum of c * v over the pairs (c, v) of ``terms``, for
+    canonical scalars (or ints) c and rows v; zero coefficients are
+    skipped."""
+    terms = [(c, v) for c, v in terms if c]
+    return combine(field, stored_row(field, {i: c for i, (c, _) in enumerate(terms)}),
+                   [v for _, v in terms])
+
+
+def vec_combination(field: Field, n: int, terms) -> tuple:
+    """Sum of c * v over the pairs (c, v) of ``terms``, for vectors v of
+    length n of canonical values; zero coefficients are skipped."""
+    return row_vector(field, n, row_combination(
+        field, ((c, stored_row(field, _sparse_vec(v))) for c, v in terms if c)))
+
+
+def table_product(field: Field, x, y, table) -> tuple:
+    """The dense vector sum of x_j y_k table[j][k] over a square table of
+    rows, for dense vectors x and y of canonical values."""
+    xs, ys = (stored_row(field, _sparse_vec(v)) for v in (x, y))
+    return row_vector(field, len(table), combine(
+        field, xs, {j: combine(field, ys, table[j]) for j in xs[0]}))
+
+
+# -- matrices ----------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False, slots=True)
 class Matrix:
-    """Immutable matrix over an exact field, stored as its sparse rows.
+    """Immutable matrix over an exact field, stored as its rows ``(N, d)``.
 
-    ``rows`` is a list of one dict per row, column -> nonzero canonical
-    value, shared between matrices and never modified.  ``data``, ``flat()`` and
-    ``col()`` are dense views, built when read.  Equality and the hash (kept
-    once taken) ignore the order in which a row's columns were inserted.
+    ``rows`` is a list of one row per matrix row, shared between matrices
+    and never modified.  ``data``, ``flat()`` and ``col()`` are dense
+    views, built when read.  Equality and the hash (kept once taken) ignore
+    the order in which a row's columns were inserted.
     """
 
     field: Field
@@ -255,7 +300,7 @@ class Matrix:
 
     @property
     def data(self) -> tuple:
-        return _dense_rows(self.rows, self.ncols, self.field.zero())
+        return _dense_rows(self.rows, self.ncols, self.field)
 
     def __eq__(self, other):
         if other.__class__ is not Matrix:
@@ -266,7 +311,7 @@ class Matrix:
     def __hash__(self):
         if self._hash is None:
             _set(self, "_hash", hash((self.field, self.shape,
-                                      tuple(frozenset(r.items()) for r in self.rows))))
+                                      tuple(map(row_key, self.rows)))))
         return self._hash
 
     # -- construction ------------------------------------------------------
@@ -274,20 +319,17 @@ class Matrix:
     @staticmethod
     def from_rows(field: Field, rows) -> "Matrix":
         rows = [list(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        if any(len(r) != ncols for r in rows):
-            raise ShapeMismatch("ragged rows in matrix literal")
+        ncols = len(rows[0]) if rows else 0  # a ragged row is refused
         return Matrix(field, len(rows), ncols,
-                      [_sparse_vec(map(field.coerce, r)) for r in rows])
+                      [vector_row(field, ncols, r) for r in rows])
 
     @staticmethod
     def zeros(field: Field, nrows: int, ncols: int) -> "Matrix":
-        return Matrix(field, nrows, ncols, [{} for _ in range(nrows)])
+        return Matrix(field, nrows, ncols, [({}, 1) for _ in range(nrows)])
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
-        one = field.one()
-        return Matrix(field, n, n, [{i: one} for i in range(n)])
+        return Matrix(field, n, n, [({i: 1}, 1) for i in range(n)])
 
     @staticmethod
     def from_flat(field: Field, nrows: int, ncols: int, flat) -> "Matrix":
@@ -295,22 +337,25 @@ class Matrix:
         flat = list(flat)
         if len(flat) != nrows * ncols:
             raise ShapeMismatch(f"expected {nrows * ncols} entries, got {len(flat)}")
-        return Matrix.from_sparse_flat(field, nrows, ncols, _sparse_vec(flat))
+        return Matrix(field, nrows, ncols,
+                      [stored_row(field, _sparse_vec(flat[i * ncols:(i + 1) * ncols]))
+                       for i in range(nrows)])
 
     @staticmethod
-    def from_sparse_flat(field: Field, nrows: int, ncols: int, row: dict) -> "Matrix":
-        """The matrix whose row-major flattening is the sparse row ``row``."""
-        rows = [{} for _ in range(nrows)]
-        for k, x in row.items():
+    def from_sparse_flat(field: Field, nrows: int, ncols: int, row: tuple) -> "Matrix":
+        """The matrix whose row-major flattening is the row ``row``."""
+        v, d = row
+        parts = [{} for _ in range(nrows)]
+        for k, x in v.items():
             i, j = divmod(k, ncols)
-            rows[i][j] = x
-        return Matrix(field, nrows, ncols, rows)
+            parts[i][j] = x
+        return Matrix(field, nrows, ncols, [_primitive(r, d, field.p) if d != 1
+                                            else (r, 1) for r in parts])
 
     # -- basic access ------------------------------------------------------
 
     def col(self, j: int) -> tuple:
-        zero = self.field.zero()
-        return tuple(row.get(j, zero) for row in self.rows)
+        return tuple(r[j] for r in self.data)
 
     def flat(self) -> tuple:
         """Row-major flattening."""
@@ -321,20 +366,14 @@ class Matrix:
         return (self.nrows, self.ncols)
 
     def is_zero(self) -> bool:
-        return not any(self.rows)
+        return not any(v for v, _ in self.rows)
 
     def is_identity(self) -> bool:
         """Square, with each row holding only a one on the diagonal."""
         return self.nrows == self.ncols and all(
-            len(row) == 1 and row.get(i) == 1 for i, row in enumerate(self.rows))
+            d == 1 and len(v) == 1 and v.get(i) == 1 for i, (v, d) in enumerate(self.rows))
 
     # -- arithmetic --------------------------------------------------------
-
-    def _check_same_shape(self, other: "Matrix"):
-        if self.field != other.field:
-            raise FieldMismatch("matrices over different fields")
-        if self.shape != other.shape:
-            raise ShapeMismatch(f"shape {self.shape} vs {other.shape}")
 
     def __add__(self, other: "Matrix") -> "Matrix":
         return self._plus(other, 1)
@@ -344,14 +383,13 @@ class Matrix:
 
     def _plus(self, other: "Matrix", c: int) -> "Matrix":
         """self + c * other."""
-        self._check_same_shape(other)
-        out = []
-        for a, b in zip(self.rows, other.rows):
-            acc = dict(a)
-            for j, y in b.items():
-                acc[j] = acc.get(j, 0) + c * y
-            out.append(_canonical(acc, self.field.p))
-        return Matrix(self.field, self.nrows, self.ncols, out)
+        if self.field != other.field:
+            raise FieldMismatch("matrices over different fields")
+        if self.shape != other.shape:
+            raise ShapeMismatch(f"shape {self.shape} vs {other.shape}")
+        return Matrix(self.field, self.nrows, self.ncols,
+                      [combine(self.field, ({0: 1, 1: c}, 1), pair)
+                       for pair in zip(self.rows, other.rows)])
 
     def __neg__(self) -> "Matrix":
         return self.scale(-1)
@@ -359,58 +397,44 @@ class Matrix:
     def scale(self, c) -> "Matrix":
         c = self.field.coerce(c)
         return Matrix(self.field, self.nrows, self.ncols,
-                      [_canonical({j: c * x for j, x in row.items()}, self.field.p)
-                       for row in self.rows])
+                      [row_combination(self.field, [(c, row)]) for row in self.rows])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
             raise FieldMismatch("matrices over different fields")
         if self.ncols != other.nrows:
             raise ShapeMismatch(f"cannot multiply {self.shape} by {other.shape}")
-        p = self.field.p
-        (arows, da), (brows, db) = _integral(self), _integral(other)
-        out = []
-        for a in arows:
-            acc = {}
-            for k, x in a.items():
-                for j, y in brows[k].items():
-                    acc[j] = acc.get(j, 0) + x * y
-            out.append(_scalars(acc, da * db, p))
-        return Matrix(self.field, self.nrows, other.ncols, out)
+        field, brows = self.field, other.rows
+        return Matrix(field, self.nrows, other.ncols,
+                      [combine(field, row, brows) for row in self.rows])
 
     def mat_vec(self, v: tuple) -> tuple:
         if len(v) != self.ncols:
             raise ShapeMismatch(f"vector length {len(v)} vs {self.ncols} columns")
         p = self.field.p
-        rows, d = _integral(self)
-        if p is None:
-            v, dv = _over(dict(enumerate(v)))
-            return tuple(Fraction(sum(x * v[k] for k, x in row.items()), d * dv)
-                         for row in rows)
-        return tuple(sum(x * v[k] for k, x in row.items()) % p for row in rows)
+        if p is not None:
+            return tuple(sum(x * v[k] for k, x in row.items()) % p for row, _ in self.rows)
+        e = lcm(*[x.denominator for x in v])
+        w = [x.numerator * (e // x.denominator) for x in v]
+        return tuple(Fraction(sum(x * w[k] for k, x in row.items()), d * e)
+                     for row, d in self.rows)
 
     def transpose(self) -> "Matrix":
         cols = [{} for _ in range(self.ncols)]
-        for i, row in enumerate(self.rows):
+        e = 1 if self.field.p is not None else lcm(*[d for _, d in self.rows])
+        for i, (row, d) in enumerate(self.rows):
+            f = e // d
             for j, x in row.items():
-                cols[j][i] = x
-        return Matrix(self.field, self.ncols, self.nrows, cols)
+                cols[j][i] = x * f
+        return Matrix(self.field, self.ncols, self.nrows,
+                      [(c, 1) if e == 1 else _primitive(c, e, None) for c in cols])
 
     # -- block assembly ----------------------------------------------------
 
     @staticmethod
     def hstack(blocks) -> "Matrix":
-        blocks = list(blocks)
-        field, nrows = blocks[0].field, blocks[0].nrows
-        rows, ncols = [{} for _ in range(nrows)], 0
-        for b in blocks:
-            if b.nrows != nrows:
-                raise ShapeMismatch("hstack row counts differ")
-            for row, brow in zip(rows, b.rows):
-                for j, x in brow.items():
-                    row[ncols + j] = x
-            ncols += b.ncols
-        return Matrix(field, nrows, ncols, rows)
+        """Side by side: the transpose of the stacked transposes."""
+        return Matrix.vstack([b.transpose() for b in blocks]).transpose()
 
     @staticmethod
     def vstack(blocks) -> "Matrix":
@@ -431,7 +455,7 @@ class Matrix:
     def block_diag(field: Field, blocks) -> "Matrix":
         rows, ncols = [], 0
         for b in blocks:
-            rows += [{ncols + j: x for j, x in r.items()} for r in b.rows]
+            rows += [({ncols + j: x for j, x in v.items()}, d) for v, d in b.rows]
             ncols += b.ncols
         return Matrix(field, len(rows), ncols, rows)
 
@@ -439,34 +463,29 @@ class Matrix:
 
     def rref(self) -> tuple:
         """Reduced row echelon form and pivot columns: ``(R, pivots)``."""
-        rows = [dict(r) for r in self.rows if r]
-        pivots = _eliminate(rows, self.field.p, self.ncols)
-        rows[len(pivots):] = [{}] * (self.nrows - len(pivots))
-        return Matrix(self.field, self.nrows, self.ncols, rows), tuple(pivots)
+        rows = [dict(v) for v, _ in self.rows if v]
+        dens = [d for v, d in self.rows if v]
+        pivots = _eliminate(rows, dens, self.field.p, self.ncols)
+        rank = len(pivots)
+        return Matrix(self.field, self.nrows, self.ncols,
+                      list(zip(rows[:rank], dens)) + [({}, 1)] * (self.nrows - rank)), \
+            tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
 
     def kernel(self) -> "Subspace":
-        """Right kernel {v : Mv = 0} as a subspace of F^ncols."""
-        red, pivots = self.rref()
-        field = self.field
-        one = field.one()
-        vectors = {j: {j: one} for j in range(self.ncols)}
-        for pc in pivots:
-            del vectors[pc]
-        for row, pc in zip(red.rows, pivots):
-            for j, x in row.items():
-                if j != pc:
-                    vectors[j][pc] = field.neg(x)
-        return Subspace._span(field, self.ncols, list(vectors.values()))
+        """Right kernel {v : Mv = 0} as a subspace of F^ncols: spanned by
+        the rows of the quotient map of the row space."""
+        return Subspace._span(self.field, self.ncols,
+                              self.row_space().quotient_matrix().rows)
 
     def column_space(self) -> "Subspace":
         # the transpose's rows are new dicts, free for _span to consume
         return Subspace._span(self.field, self.nrows, self.transpose().rows)
 
     def row_space(self) -> "Subspace":
-        return Subspace._span(self.field, self.ncols, [dict(r) for r in self.rows])
+        return Subspace._span(self.field, self.ncols, [(dict(v), d) for v, d in self.rows])
 
     def solve(self, b: tuple):
         """One solution of Mx = b (free variables zero), or None."""
@@ -497,8 +516,9 @@ def _nonzeros(m, n: int) -> tuple:
     over the one positive denominator d (1 over F_p)."""
     if m is None:
         return [(i, i, 1) for i in range(n)], 1
-    rows, d = _integral(m)
-    return [(i, j, v) for i, row in enumerate(rows) for j, v in row.items()], d
+    d = 1 if m.field.p is not None else lcm(*[e for _, e in m.rows])
+    return [(i, j, v * (d // e)) for i, (row, e) in enumerate(m.rows)
+            for j, v in row.items()], d
 
 
 def linear_system(field: Field, shapes, equations) -> Matrix:
@@ -530,7 +550,8 @@ def linear_system(field: Field, shapes, equations) -> Matrix:
             if lshape != (nr, xr) or rshape != (xc, nc):
                 raise ShapeMismatch(f"term on unknown {k} of shape {(xr, xc)} "
                                     f"does not give a {nr} x {nc} matrix")
-            c = field.coerce(c)
+            if not isinstance(c, int):  # an int is its own numerator
+                c = field.coerce(c)
             (lefts, ld), (rights, rd) = _nonzeros(left, xr), _nonzeros(right, xc)
             parts.append((c.numerator, c.denominator * ld * rd, offsets[k], xc,
                           lefts, rights))
@@ -545,7 +566,7 @@ def linear_system(field: Field, shapes, equations) -> Matrix:
                     row = block[a * nc + b]
                     col = col0 + j
                     row[col] = row.get(col, 0) + lv * rv
-        rows += [_scalars(r, d, p) for r in block]
+        rows += [_primitive(r, d, p) if r else ({}, 1) for r in block]
     return Matrix(field, len(rows), ncols, rows)
 
 
@@ -569,34 +590,37 @@ class Blocks:
 
     def flatten(self, blocks: dict) -> tuple:
         """Coordinates of the blocks; a missing key is a zero block."""
-        return _dense_rows([self.sparse_row(blocks)], self.ambient_dim,
-                           self.field.zero())[0]
+        return row_vector(self.field, self.ambient_dim, self.sparse_row(blocks))
 
-    def sparse_row(self, blocks: dict) -> dict:
-        """The nonzero coordinates of the blocks, column -> value, taken
-        from their sparse rows as they are (already canonical)."""
-        out, pos = {}, 0
+    def sparse_row(self, blocks: dict) -> tuple:
+        """The row of the coordinates of the blocks: their whole rows over
+        the least common denominator, which keeps it primitive."""
+        parts, pos = [], 0
         for key, (r, c) in zip(self.keys, self.shapes):
             m = blocks.get(key)
             if m is not None:
-                for i, row in enumerate(m.rows):
-                    at = pos + i * c
-                    for j, x in row.items():
-                        out[at + j] = x
+                parts += [(pos + i * c, row) for i, row in enumerate(m.rows)]
             pos += r * c
-        return out
+        e = lcm(*[d for _, (_, d) in parts])
+        out = {}
+        for at, (v, d) in parts:
+            f = e // d
+            for j, x in v.items():
+                out[at + j] = x * f
+        return out, e
 
     def unflatten(self, vec) -> dict:
         if len(vec) != self.ambient_dim:
             raise ShapeMismatch(f"expected {self.ambient_dim} coordinates, got {len(vec)}")
-        return self.split(_sparse_vec(vec))
+        return self.split(stored_row(self.field, _sparse_vec(vec)))
 
-    def split(self, row: dict) -> dict:
-        """The blocks whose nonzero coordinates are the sparse row ``row``."""
+    def split(self, row: tuple) -> dict:
+        """The blocks whose coordinates are the row ``row``."""
+        v, d = row
         out, pos = {}, 0
         for key, (r, c) in zip(self.keys, self.shapes):
-            part = {j - pos: x for j, x in row.items() if pos <= j < pos + r * c}
-            out[key] = Matrix.from_sparse_flat(self.field, r, c, part)
+            part = {j - pos: x for j, x in v.items() if pos <= j < pos + r * c}
+            out[key] = Matrix.from_sparse_flat(self.field, r, c, (part, d))
             pos += r * c
         return out
 
@@ -611,17 +635,15 @@ class LinearSolver:
 
     def __init__(self, m: Matrix):
         self.m = m
-        n = m.ncols
-        one = m.field.one()
-        rows = [dict(r) for r in m.rows]
-        for i, row in enumerate(rows):
-            row[n + i] = one
-        self.pivots = tuple(_eliminate(rows, m.field.p, n))
+        n, p = m.ncols, m.field.p
+        rows = [{**v, n + i: d} for i, (v, d) in enumerate(m.rows)]  # (M | I)
+        dens = [d for _, d in m.rows]
+        self.pivots = tuple(_eliminate(rows, dens, p, n))
         # an invertible E with E @ M in reduced echelon form; rows past the
         # rank must vanish on b for Mx = b to be consistent
         self.transform = Matrix(m.field, m.nrows, m.nrows,
-                                [{j - n: x for j, x in row.items() if j >= n}
-                                 for row in rows])
+                                [_primitive({j - n: x for j, x in row.items() if j >= n}, d, p)
+                                 for row, d in zip(rows, dens)])
 
     def solve(self, b: tuple):
         m = self.m
@@ -639,9 +661,10 @@ class LinearSolver:
 @dataclass(frozen=True)
 class Subspace:
     """Subspace of F^ambient, kept as its reduced echelon basis:
-    ``by_pivot`` maps each pivot column, ascending, to its basis row, a
-    sparse row never modified.  The basis is canonical, so equality is
-    equality of subspaces; ``basis`` is the dense view, built when read."""
+    ``by_pivot`` maps each pivot column, ascending, to its basis row
+    ``(N, d)``, never modified, whose pivot numerator ``N[c]`` is d.  The
+    basis is canonical, so equality is equality of subspaces; ``basis`` is
+    the dense view, built when read."""
 
     field: Field
     ambient: int
@@ -650,15 +673,16 @@ class Subspace:
     @staticmethod
     def from_vectors(field: Field, ambient: int, vectors) -> "Subspace":
         return Subspace._span(field, ambient,
-                              [_vector_row(field, ambient, v) for v in vectors])
+                              [vector_row(field, ambient, v) for v in vectors])
 
     @staticmethod
     def _span(field: Field, ambient: int, rows: list) -> "Subspace":
-        """Span of sparse rows of canonical values, which it consumes; the
-        reduced rows become the subspace's basis."""
-        rows = [r for r in rows if r]
-        pivots = _eliminate(rows, field.p, ambient)
-        return Subspace(field, ambient, dict(zip(pivots, rows)))
+        """Span of rows, whose dicts it consumes; the reduced rows become
+        the subspace's basis."""
+        rows = [row for row in rows if row[0]]
+        nums, dens = [v for v, _ in rows], [d for _, d in rows]
+        pivots = _eliminate(nums, dens, field.p, ambient)
+        return Subspace(field, ambient, dict(zip(pivots, zip(nums, dens))))
 
     @staticmethod
     def zero(field: Field, ambient: int) -> "Subspace":
@@ -666,7 +690,7 @@ class Subspace:
 
     @property
     def basis(self) -> tuple:
-        return _dense_rows(self.by_pivot.values(), self.ambient, self.field.zero())
+        return _dense_rows(self.by_pivot.values(), self.ambient, self.field)
 
     @property
     def dim(self) -> int:
@@ -682,46 +706,33 @@ class Subspace:
     def _pivots(self) -> tuple:  # scanned once per subspace
         return tuple(self.by_pivot)
 
-    @cached_property
-    def _reducers(self) -> dict:  # pivot column -> (integer basis row, denominator)
-        if self.field.p is not None:
-            return {c: (row, 1) for c, row in self.by_pivot.items()}
-        return {c: _over(row) for c, row in self.by_pivot.items()}
-
-    def _residue(self, v: dict) -> tuple:
-        """The one reduction: the sparse row v minus v[c] times the basis row
-        with pivot c, for each pivot c of v, as canonical integers acc over
-        a positive denominator d.  Basis rows vanish at each other's
+    def _residue(self, v: tuple) -> tuple:
+        """The one reduction: the row v minus v[c] times the basis row with
+        pivot c, for each pivot c of v.  Basis rows vanish at each other's
         pivots, so the coefficients are the entries of v; the residue is
         empty exactly when v lies in the span."""
-        p, rows = self.field.p, self._reducers
-        terms = [(x, rows[c]) for c, x in v.items() if c in rows]
-        acc, e = _over(v) if p is None else (dict(v), 1)
-        d = lcm(e, *[x.denominator * dc for x, (_, dc) in terms])
-        if d != e:
-            acc = {j: y * (d // e) for j, y in acc.items()}
-        for x, (row, dc) in terms:
-            f = x.numerator * (d // (x.denominator * dc))
-            for j, y in row.items():
-                acc[j] = acc.get(j, 0) - f * y
-        return _canonical(acc, p), d
+        rows, (num, d) = self.by_pivot, v
+        acc, e = combine(self.field, ({c: -x for c, x in num.items() if c in rows}, 1), rows)
+        for k, x in num.items():
+            acc[k] = acc.get(k, 0) + x * e
+        return _primitive(acc, d * e, self.field.p)
 
     def reduce(self, v: tuple) -> tuple:
         """Canonical representative of v modulo this subspace."""
-        acc, d = self._residue(_vector_row(self.field, self.ambient, v))
-        return _dense_rows([_scalars(acc, d, self.field.p)], self.ambient,
-                           self.field.zero())[0]
+        return row_vector(self.field, self.ambient,
+                          self._residue(vector_row(self.field, self.ambient, v)))
 
     def contains(self, v: tuple) -> bool:
-        return not self._residue(_vector_row(self.field, self.ambient, v))[0]
+        return not self._residue(vector_row(self.field, self.ambient, v))[0]
 
     def coordinates(self, v: tuple):
         """Coordinates of v in the canonical basis, or None for v outside
         the span: the entries of v at the pivot columns, certified by
         reducing v to zero."""
-        row = _vector_row(self.field, self.ambient, v)
-        coords = tuple(row.get(c, self.field.zero()) for c in self.by_pivot)
-        return None if self._residue(row)[0] else coords
+        v = _coerced(self.field, self.ambient, v)
+        if self._residue(stored_row(self.field, _sparse_vec(v)))[0]:
+            return None
+        return tuple(v[c] for c in self.by_pivot)
 
     def coordinate_matrix(self, m: Matrix):
         """The dim x m.ncols matrix X with ``column_matrix() @ X == m``, read
@@ -731,7 +742,9 @@ class Subspace:
         for col in m.transpose().rows:
             if self._residue(col)[0]:
                 return None
-            cols.append({i: col[c] for i, c in enumerate(self.by_pivot) if c in col})
+            v, d = col
+            cols.append(_primitive({i: v[c] for i, c in enumerate(self.by_pivot) if c in v},
+                                   d, self.field.p))
         return Matrix(self.field, len(cols), self.dim, cols).transpose()
 
     def contains_subspace(self, other: "Subspace") -> bool:
@@ -742,7 +755,8 @@ class Subspace:
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
         return Subspace._span(self.field, self.ambient,
-                              [dict(r) for s in (self, other) for r in s.by_pivot.values()])
+                              [(dict(v), d) for s in (self, other)
+                               for v, d in s.by_pivot.values()])
 
     def intersection(self, other: "Subspace") -> "Subspace":
         """Zassenhaus: reduce the rows (u, u) for u in this basis and (w, 0)
@@ -750,11 +764,14 @@ class Subspace:
         echelon basis of the intersection."""
         self._check_compatible(other)
         n = self.ambient
-        rows = [{**u, **{n + j: x for j, x in u.items()}} for u in self.by_pivot.values()]
-        rows += [dict(w) for w in other.by_pivot.values()]
-        pivots = _eliminate(rows, self.field.p, 2 * n)
-        return Subspace(self.field, n, {pc - n: {j - n: x for j, x in row.items()}
-                                        for row, pc in zip(rows, pivots) if pc >= n})
+        rows = [({**u, **{n + j: x for j, x in u.items()}}, d)
+                for u, d in self.by_pivot.values()]
+        rows += [(dict(w), d) for w, d in other.by_pivot.values()]
+        nums, dens = [v for v, _ in rows], [d for _, d in rows]
+        pivots = _eliminate(nums, dens, self.field.p, 2 * n)
+        return Subspace(self.field, n, {pc - n: ({j - n: x for j, x in v.items()}, d)
+                                        for v, d, pc in zip(nums, dens, pivots)
+                                        if pc >= n})
 
     def _check_compatible(self, other: "Subspace"):
         if self.field != other.field:
@@ -767,57 +784,33 @@ class Subspace:
         return Matrix(self.field, self.dim, self.ambient,
                       list(self.by_pivot.values())).transpose()
 
-    def _free(self) -> dict:
-        """The non-pivot columns, each to its position among them."""
-        free = [j for j in range(self.ambient) if j not in self.by_pivot]
-        return {j: i for i, j in enumerate(free)}
-
     def quotient_matrix(self) -> Matrix:
         """Linear map F^ambient -> F^(ambient-dim) with kernel exactly this
         subspace: reduce modulo the basis, keep the non-pivot coordinates.
         Reducing e_j leaves it alone for a non-pivot j and subtracts the
-        basis row with pivot j otherwise; a basis row holds no other pivot."""
+        basis row with pivot j otherwise; a basis row holds no other pivot.
+        So row k, for a non-pivot k, is e_k minus, at each pivot c, the
+        entry at k of the basis row with pivot c."""
         field = self.field
-        free = self._free()
-        rows = [{k: field.one()} for k in free]
-        for pc, b in self.by_pivot.items():
+        rows = {k: ({k: 1}, 1) for k in range(self.ambient) if k not in self.by_pivot}
+        for pc, (b, d) in self.by_pivot.items():
             for k, x in b.items():
                 if k != pc:
-                    rows[free[k]][pc] = field.neg(x)
-        return Matrix(field, len(rows), self.ambient, rows)
+                    row, e = rows[k]
+                    if d != e:  # over Q: both over their lcm
+                        f = lcm(d, e)
+                        row = {j: y * (f // e) for j, y in row.items()}
+                        x *= f // d
+                        rows[k] = row, f
+                    row[pc] = field.neg(x)
+        return Matrix(field, len(rows), self.ambient,
+                      [(v, 1) if e == 1 else _primitive(v, e, None) for v, e in rows.values()])
 
     def section_matrix(self) -> Matrix:
         """Right inverse of ``quotient_matrix`` (standard basis vectors on
         the non-pivot coordinates), shape ambient x (ambient - dim)."""
-        free = self._free()
-        return Matrix(self.field, self.ambient, len(free),
-                      [{free[j]: self.field.one()} if j in free else {}
-                       for j in range(self.ambient)])
-
-
-# -- vector helpers ---------------------------------------------------------
-
-def vec_combination(field: Field, n: int, terms) -> tuple:
-    """Sum of c * v over the pairs (c, v) of ``terms``, for vectors v of
-    length n; zero coefficients and coordinates are skipped."""
-    row = row_combination(field, ((c, _sparse_vec(v)) for c, v in terms if c))
-    return _dense_rows([row], n, field.zero())[0]
-
-def row_combination(field: Field, terms) -> dict:
-    """The sparse row sum of c * v over the pairs (c, v) of ``terms``, for
-    sparse rows v of canonical values; zero coefficients are skipped."""
-    p = field.p
-    terms = [(c, v) for c, v in terms if c]
-    acc = {}
-    if p is None:  # over one denominator for the coefficients and one for the rows
-        d = lcm(*[c.denominator for c, _ in terms])
-        e = lcm(*[x.denominator for _, v in terms for x in v.values()])
-        for c, v in terms:
-            f = c.numerator * (d // c.denominator)
-            for k, x in v.items():
-                acc[k] = acc.get(k, 0) + f * x.numerator * (e // x.denominator)
-        return _scalars(acc, d * e, p)
-    for c, v in terms:
-        for k, x in v.items():
-            acc[k] = acc.get(k, 0) + c * x
-    return _canonical(acc, p)
+        free = [j for j in range(self.ambient) if j not in self.by_pivot]
+        rows = [({}, 1)] * self.ambient
+        for i, j in enumerate(free):
+            rows[j] = ({i: 1}, 1)
+        return Matrix(self.field, self.ambient, len(free), rows)

@@ -14,13 +14,13 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .algebra import FDAlgebra, radical as algebra_radical
 from .errors import (AlgebraMismatch, MissingIdempotents, ShapeMismatch,
                      ValidationFailure)
-from .linalg import Matrix, Subspace, linear_system, row_combination
+from .linalg import (Matrix, Subspace, combine, linear_system, row_combination,
+                     vector_row)
 
 
 @dataclass(frozen=True)
@@ -58,14 +58,13 @@ class ModuleRep:
     def field(self):
         return self.algebra.field
 
-    def rho(self, x: dict) -> Matrix:
-        """Action matrix of the element with sparse row x (basis index ->
-        nonzero canonical coordinate, the form of a structure-constant row):
-        the sum of the sparse rows of the action matrices it weights."""
-        terms = [(c, self.action[j].rows) for j, c in x.items()]
+    def rho(self, x: tuple) -> Matrix:
+        """Action matrix of the element with row x (the form of a
+        structure-constant row): row i combines the rows i of the action
+        matrices by x."""
         return Matrix(self.field, self.dim, self.dim,
-                      [row_combination(self.field, [(c, rows[i]) for c, rows in terms])
-                       for i in range(self.dim)])
+                      [combine(self.field, x, rows)
+                       for rows in zip(*(a.rows for a in self.action))])
 
 
 def make_module(algebra: FDAlgebra, matrices) -> ModuleRep:
@@ -218,7 +217,7 @@ RATIONAL_ROUNDS = 8
 def search_invertible_combination(field, basis_rows, realize, is_good,
                                   seed: int = 0) -> WitnessSearch:
     """Search c -> realize(sum c_i basis_i) for an element with is_good,
-    over the sparse rows ``basis_rows``; ``realize`` reads a sparse row.
+    over the rows ``basis_rows``; ``realize`` reads a row.
 
     Over F_q the coefficient space is enumerated exhaustively when
     q^dim <= ENUM_LIMIT (so a negative is proven); otherwise RANDOM_TRIALS
@@ -254,7 +253,7 @@ def search_invertible_combination(field, basis_rows, realize, is_good,
     bound = 1
     for _ in range(RATIONAL_ROUNDS):
         for _ in range(8):
-            coeffs = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(k))
+            coeffs = tuple(rng.randint(-bound, bound) for _ in range(k))
             got = attempt(coeffs)
             if got is not None:
                 return WitnessSearch(True, True, got)
@@ -293,7 +292,7 @@ def _top(m: ModuleRep) -> list:
     to_top = radical_submodule(m).quotient_matrix()
     generators = []
     for vi, e in enumerate(m.algebra.primitive_idempotents()):
-        image = m.rho({j: c for j, c in enumerate(e) if c}).column_space()
+        image = m.rho(vector_row(m.field, len(e), e)).column_space()
         basis = image.column_matrix()
         generators += [(vi, basis.col(t)) for t in (to_top @ basis).rref()[1]]
     return generators

@@ -38,7 +38,8 @@ from .derived import derived_hom_dim
 from .errors import (BudgetExceeded, NotAlmostProjective,
                      UnsupportedCharacteristic, ValidationFailure)
 from .fields import Field
-from .linalg import Matrix, row_combination, vec_combination
+from .linalg import (Matrix, row_combination, row_values, stored_row,
+                     vec_combination)
 from .modules import ModuleRep, hom_space, validate_module, zero_module
 from .tangent import quotient_dim
 
@@ -106,7 +107,7 @@ def _module_candidates(algebra: FDAlgebra, d: int) -> list:
     checks = [[] for _ in range(s)]  # identities decided once a_m is chosen;
     for j in range(1, s):              # those with a_0 = 1 hold already
         for k in range(1, s):
-            support = [(c, l) for l, c in algebra.products[j][k].items()]
+            support = [(c, l) for l, c in row_values(field, algebra.products[j][k]).items()]
             checks[max([j, k] + [l for _, l in support])].append((j, k, support))
     prefixes = [[Matrix.identity(field, d).flat()]]
     for m in range(1, s):  # choose a_m after every surviving prefix
@@ -261,7 +262,7 @@ def _group_generators(field: Field, dims) -> list:
     of GL_d.  The search for w is bounded as p - 1 <= |G|."""
     def element(degree, d, a, b, c):  # the identity with entry (a, b) = c
         rows = list(one.rows)  # shared rows, never modified
-        rows[a] = {**rows[a], b: c}
+        rows[a] = stored_row(field, {**row_values(field, rows[a]), b: c})
         return GroupElement(((degree, Matrix(field, d, d, rows)),))
 
     p, top, out = field.p, len(dims) - 1, []
@@ -370,7 +371,8 @@ def _moved(g: Matrix) -> list:
     """The nonzero entries (r, k, c) of g - I, for a square g over F_p; a
     row of g that is e_r has none."""
     p = g.field.p
-    return [(r, k, c) for r, row in enumerate(g.rows) if len(row) != 1 or row.get(r) != 1
+    rows = (row_values(g.field, row) for row in g.rows)
+    return [(r, k, c) for r, row in enumerate(rows) if len(row) != 1 or row.get(r) != 1
             for k, v in {r: 0, **row}.items() if (c := (v - (r == k)) % p)]
 
 

@@ -20,9 +20,10 @@ first.  Complex files fix the window bottom at degree 0::
       "differentials": [matrix, ...] }                    # d_m, ..., d_1
 
 Matrices are lists of rows; scalars are "num/den" strings (or ints) over Q
-and plain integers over F_p.  Parsing validates the result and raises
-ValidationFailure naming the broken condition; structural problems raise
-SchemaError instead.
+and plain integers over F_p.  A string scalar is an optional sign and ASCII
+digits, optionally followed by '/' and ASCII digits.  Parsing validates the
+result and raises ValidationFailure naming the broken condition; structural
+problems raise SchemaError instead.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .complexes import ComplexPoint, validate_point, with_bottom_zero
 from .errors import (BudgetExceeded, SchemaError, UnsupportedCharacteristic,
                      ValidationFailure)
 from .fields import Field, GF, parse_scalar_string
-from .linalg import Matrix
+from .linalg import Matrix, row_values, stored_row
 from .modules import ModuleRep, validate_module
 
 CONDITION_SYMBOLS = {"alpha": "(α)", "beta": "(β)", "gamma": "(γ)"}
@@ -86,7 +87,7 @@ def parse_matrix(field: Field, rows, nrows: int, ncols: int, where: str) -> Matr
             for c, v in enumerate(row):
                 parse_scalar(field, v, f"{where}[{r}][{c}]")
             raise
-        data.append({c: x for c, x in enumerate(values) if x})
+        data.append(stored_row(field, {c: x for c, x in enumerate(values) if x}))
     # parse_scalar returns canonical values: no second coercion
     return Matrix(field, nrows, ncols, data)
 
@@ -210,7 +211,7 @@ def algebra_to_json(a: FDAlgebra) -> dict:
     constants = []
     for j in range(1, a.dim):
         for k in range(1, a.dim):
-            row = a.products[j][k]
+            row = row_values(a.field, a.products[j][k])
             for l in sorted(row):
                 constants.append([j + 1, k + 1, l + 1, a.field.format_scalar(row[l])])
     return {
@@ -314,7 +315,9 @@ def complex_to_json(x: ComplexPoint) -> dict:
 
 def load_json(path: str):
     """Read a JSON document; malformed content raises SchemaError with the
-    line/column position."""
+    line/column position, and so does content the decoder cannot hold: an
+    integer literal past Python's digit limit (ValueError) or nesting past
+    the recursion limit (RecursionError)."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -322,6 +325,8 @@ def load_json(path: str):
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: malformed JSON at line {exc.lineno} "
                           f"column {exc.colno}: {exc.msg}")
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(f"{path}: unreadable JSON: {exc}")
 
 
 def parse_complex_file(path: str, algebra: FDAlgebra,

@@ -37,7 +37,7 @@ from .complexes import (ChainMap, ComplexPoint, chain_map_from_components,
 from .derived import derived_hom_dim
 from .errors import NotProjectiveComplex, ShapeMismatch, ValidationFailure
 from .linalg import (Blocks, LinearSolver, Matrix, Subspace, linear_system,
-                     row_combination)
+                     row_combination, row_values)
 from .modules import ext1_dim_oracle, make_module
 
 
@@ -163,7 +163,7 @@ def tangent_system_matrix(x: ComplexPoint, layout: TangentLayout) -> Matrix:
             terms = [(1, None, unk["delta", i, j], acts[k]),
                      (1, acts[j], unk["delta", i, k], None)]
             terms += [(-c, None, unk["delta", i, l], None)
-                      for l, c in x.algebra.products[j][k].items()]
+                      for l, c in row_values(x.field, x.algebra.products[j][k]).items()]
             equations.append((d, d, terms))
     # (b): compatibility of sigma with the module actions, for j >= 1
     for i in range(x.bottom + 1, x.top + 1):

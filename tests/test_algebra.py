@@ -13,7 +13,8 @@ from compvar.algebra import (FDAlgebra, QuiverPresentation, _concat, _enumerate_
 from compvar.errors import (BudgetExceeded, MissingIdempotents, ShapeMismatch,
                             UnsupportedCharacteristic, ValidationFailure)
 from compvar.fields import GF, QQ
-from compvar.linalg import LinearSolver, Matrix, Subspace, vec_combination
+from compvar.linalg import (LinearSolver, Matrix, Subspace, row_values, row_vector,
+                            stored_row, vec_combination, vector_row)
 from compvar.samples import (a2_algebra, base_field_algebra, dual_numbers,
                              two_loop_truncated)
 
@@ -47,13 +48,13 @@ def test_broken_associativity_is_caught():
 
 
 def _dense(a, row):
-    """The coordinate vector of a sparse row of the table of a."""
-    return tuple(row.get(l, a.field.zero()) for l in range(a.dim))
+    """The coordinate vector of a row of the table of a."""
+    return row_vector(a.field, a.dim, row)
 
 
-def _sparse(vec):
-    """The sparse row of a coordinate vector."""
-    return {l: c for l, c in enumerate(vec) if c}
+def _sparse(field, vec):
+    """The stored row of a coordinate vector."""
+    return vector_row(field, len(vec), vec)
 
 
 def _first_nonassociative_triple(a):
@@ -73,7 +74,8 @@ def _rebased(alg, rows):
     basis = [alg.unit_vec()] + [tuple(map(field.coerce, r)) for r in rows]
     solver = LinearSolver(Matrix.from_rows(field, basis).transpose())
     return FDAlgebra(field, alg.dim, alg.labels, tuple(
-        tuple(_sparse(solver.solve(alg.mul_vec(u, v))) for v in basis) for u in basis))
+        tuple(_sparse(field, solver.solve(alg.mul_vec(u, v))) for v in basis)
+        for u in basis))
 
 
 @pytest.mark.parametrize("field", [QQ, F5])
@@ -93,7 +95,7 @@ def test_associativity_witness_matches_vector_products(field):
                         changed = field.coerce(cell[l] + Fraction(1, 3))
                         table[j][k] = cell[:l] + (changed,) + cell[l + 1:]
                         broken = FDAlgebra(field, alg.dim, alg.labels, tuple(
-                            tuple(map(_sparse, row)) for row in table))
+                            tuple(_sparse(field, v) for v in row) for row in table))
                         table[j][k] = cell
                         assert validate_algebra(broken) == \
                             _first_nonassociative_triple(broken)
@@ -114,9 +116,11 @@ def test_constant_index_outside_the_basis_is_refused(key):
 
 def test_equality_and_hash_ignore_the_order_of_row_keys():
     alg = _rebased(a2_algebra(QQ), [(2, 3, 1), (4, 1, 3)])
-    assert any(len(cell) > 1 for row in alg.products for cell in row)
-    reordered = FDAlgebra(alg.field, alg.dim, alg.labels, tuple(
-        tuple(dict(reversed(cell.items())) for cell in row) for row in alg.products))
+    field = alg.field
+    assert any(len(row_values(field, cell)) > 1 for row in alg.products for cell in row)
+    reordered = FDAlgebra(field, alg.dim, alg.labels, tuple(
+        tuple(stored_row(field, dict(reversed(row_values(field, cell).items())))
+              for cell in row) for row in alg.products))
     assert reordered == alg and hash(reordered) == hash(alg)
 
 
@@ -359,7 +363,7 @@ def _two_branch_path_algebra(q, field):
         idempotents = tuple(new_coords(axis(nb, i)) for i in trivial_pos)
         radical_vectors = tuple(new_coords(axis(nb, i)) for i in rest_pos)
     alg = FDAlgebra(field, nb, tuple(labels),
-                    tuple(tuple(map(_sparse, row)) for row in products),
+                    tuple(tuple(_sparse(field, v) for v in row) for row in products),
                     idempotents=idempotents, radical_vectors=radical_vectors)
     witness = validate_algebra(alg)
     if witness is not None:

@@ -206,6 +206,49 @@ def test_malformed_json_exits_4_with_position(tmp_path, capsys):
     assert "line 1" in err and "column" in err
 
 
+@pytest.mark.parametrize("entry", ["1.0", "1e0", "1_0", " 1", "1 ", "1/2.0", "0x10",
+                                   "1/+2", "--1", "", "/2", "\u0661", "1e10000000",
+                                   "1e300000000"])
+def test_q_scalar_outside_the_grammar_exits_4_naming_the_entry(entry, tmp_path, capsys):
+    """A Q scalar string is [+-]?[0-9]+(/[0-9]+)?; anything else, an
+    exponent that would take seconds to expand among them, is refused
+    before any arithmetic."""
+    doc = json.loads(Path(fx("complex_axa_q.json")).read_text())
+    doc["modules"][1][1][1][0] = entry
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code = run_cli("validate", "--algebra", fx("algebra_q_dual_numbers_quiver.json"),
+                   "--complex", str(bad))
+    assert time.perf_counter() - start < 1
+    assert code == 4
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: complex.modules[1][1][1][0]: bad rational scalar {entry!r}"]
+
+
+def test_q_scalar_grammar_accepts_signs_and_leading_zeros():
+    a = dual_numbers(QQ)
+    obj = complex_to_json(axa_complex(QQ))
+    obj["modules"][0][1][1][0] = "+007/7"
+    obj["modules"][0][1][0][0] = "-0/5"
+    obj["differentials"][0][1][0] = "+1"
+    assert parse_complex(obj, a) == axa_complex(QQ)
+
+
+@pytest.mark.parametrize("text", ["1" * 5001, "[" * 200000])
+def test_json_past_the_decoder_limits_exits_4(text, tmp_path, capsys):
+    """An integer literal past Python's 4,300-digit limit raises ValueError
+    and deep nesting RecursionError inside the decoder; both are malformed
+    input, not a failed validation."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code = run_cli("validate", "--algebra", fx("algebra_q_dual_numbers_quiver.json"),
+                   "--complex", str(bad))
+    assert code == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {bad}: unreadable JSON: ")
+
+
 def test_composite_characteristic_exits_2(tmp_path, capsys):
     alg = tmp_path / "f9.json"
     alg.write_text(json.dumps({"field": {"type": "Fp", "p": 9}, "dim": 1,

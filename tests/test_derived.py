@@ -7,15 +7,15 @@ import pytest
 
 from compvar.algebra import FDAlgebra, center, radical
 from compvar.complexes import (MAX_TOWER_STEPS, ChainMap, GroupElement, act,
-                               direct_sum, homology_dims, homotopy_hom,
+                               chain_map_from_components, direct_sum,
+                               homology_dims, homotopy_hom,
                                identity_chain_map, is_acyclic, make_complex,
                                mapping_cone, projective_extension, stalk)
 from compvar.derived import (acyclic_splitter, derived_hom, derived_hom_dim,
-                             end_algebra, lift_idempotent, semisplit_ext_dim,
-                             verdier_xi)
+                             end_algebra, lift_idempotent)
 from compvar.errors import NotAlmostProjective, ValidationFailure
 from compvar.fields import GF, QQ
-from compvar.linalg import LinearSolver, Matrix, Subspace
+from compvar.linalg import LinearSolver, Matrix, Subspace, vector_row
 from compvar.modules import (direct_sum_modules, ext1_dim_oracle,
                              indecomposable_projectives, regular_module,
                              simple_modules)
@@ -265,8 +265,8 @@ def _greedy_end_algebra(x):
             chosen.append(v)
     maps = [cms.unflatten(v) for v in chosen]
     solver = LinearSolver(Matrix.from_rows(field, chosen).transpose())
-    products = tuple(tuple({l: c for l, c in enumerate(solver.solve(cms.flatten(f.then(g))))
-                            if c} for g in maps)
+    products = tuple(tuple(vector_row(field, len(chosen), solver.solve(cms.flatten(f.then(g))))
+                           for g in maps)
                      for f in maps)
     ideal = Subspace.from_vectors(field, len(chosen),
                                   [solver.solve(v) for v in hom.nullhomotopic.basis])
@@ -441,17 +441,21 @@ def test_splitter_composites_are_homotopy_inverse():
 
 
 def test_semisplit_dimension():
+    """Degreewise-split extensions of X by X modulo equivalence are the
+    homotopy classes of shift-1 chain maps."""
     x = axa_complex(QQ)
-    assert semisplit_ext_dim(x, x) == 1
-    assert semisplit_ext_dim(x, x) == derived_hom_dim(x, x, 1)
+    assert homotopy_hom(x, x, 1).hom_dim == 1
+    assert homotopy_hom(x, x, 1).hom_dim == derived_hom_dim(x, x, 1)
 
 
 def test_verdier_xi_boundary_is_nullhomotopic():
+    """The sigma blocks of a degreewise-split extension assemble into its
+    connecting map, a validated shift-1 chain map X -> X[1]."""
     x = axa_complex(QQ)
-    xi = verdier_xi(x, x, {1: x.diff(1)})
+    xi = chain_map_from_components(x, x, 1, {1: x.diff(1)})
     assert xi.validate() is None
     h = homotopy_hom(x, x, 1)
     # sigma = t d - d t with t = (id, 0) gives a null-homotopic connecting map
-    t_boundary = verdier_xi(x, x, {1: -x.diff(1)})
+    t_boundary = chain_map_from_components(x, x, 1, {1: -x.diff(1)})
     assert h.nullhomotopic.contains(h.space.flatten(t_boundary))
     assert h.nullhomotopic.contains(h.space.flatten(xi))

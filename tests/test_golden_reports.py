@@ -6,6 +6,8 @@ the report) and compares stdout with ``tests/golden/<name>.json``.
 
 A deliberate change to a report regenerates the files with
 ``PYTHONPATH=src python tests/test_golden_reports.py``; review the diff.
+The ``heavy-`` cases read larger inputs from ``tests/heavy/``, which
+``tests/heavy_inputs.py`` writes from fixed seeds.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ P2P1 = "fixtures/complex_p2_p1_a2.json"
 SIMPLE = "fixtures/complex_stalk_simple_q.json"
 REGULAR = "fixtures/complex_stalk_regular_q.json"
 PIN = "fixtures/pin_regular_f2_dual.json"
+HEAVY = "tests/heavy/"
 
 # (algebra, complex, short name) for every valid complex fixture
 POINTS = [
@@ -78,6 +81,18 @@ def _cases() -> dict:
     cases["rigid-scan-f2dual-2-2-2"] = ["rigid-scan", "--algebra", F2_DUAL,
                                         "--dims", "2,2,2",
                                         "--max-points", "2000000"]
+    for short, alg in (("dual-2", Q_DUAL), ("a2-4", Q_A2)):
+        cases[f"strip-acyclic-heavy-{short}"] = [
+            "strip-acyclic", "--algebra", alg,
+            "--complex", f"{HEAVY}strip-{short}.json"]
+    for short in ("a5-q", "a5-f101"):
+        cases[f"theorem7-heavy-{short}"] = [
+            "theorem7", "--algebra", f"{HEAVY}{short}.json",
+            "--complex", f"{HEAVY}{short}-stalk.json"]
+    for n in (0, 1, 2):
+        cases[f"derived-hom-heavy-dual-sum-shift{n}"] = [
+            "derived-hom", "--algebra", Q_DUAL,
+            "--complex", f"{HEAVY}dual-sum.json", "--shift", str(n)]
     return cases
 
 

@@ -12,7 +12,8 @@ import pytest
 from compvar.errors import ShapeMismatch
 from compvar.fields import GF, QQ, Field
 from compvar.linalg import (Blocks, LinearSolver, Matrix, Subspace,
-                            _eliminate, linear_system, vec_combination)
+                            _eliminate, linear_system, row_values, stored_row,
+                            vec_combination)
 
 F2 = GF(2)
 F5 = GF(5)
@@ -24,6 +25,11 @@ def rand_matrix(field: Field, nrows: int, ncols: int, rng: random.Random) -> Mat
     else:
         entries = [rng.randrange(field.p) for _ in range(nrows * ncols)]
     return Matrix.from_flat(field, nrows, ncols, [field.coerce(e) for e in entries])
+
+
+def _matrix(field: Field, ncols: int, rows: list) -> Matrix:
+    """The matrix whose rows hold the nonzero canonical values ``rows``."""
+    return Matrix(field, len(rows), ncols, [stored_row(field, r) for r in rows])
 
 
 # -- frozen examples ---------------------------------------------------------
@@ -323,14 +329,14 @@ def test_blocks_columns_match_linear_system(field):
         key, (r, c) = layout.keys[k], layout.shapes[k]
         i, j = rng.randrange(r), rng.randrange(c)
         value = _random_entry(field, rng)
-        block = Matrix(field, r, c,
-                       [{j: field.coerce(value)} if a == i else {} for a in range(r)])
+        block = _matrix(field, c,
+                        [{j: field.coerce(value)} if a == i else {} for a in range(r)])
         vec = layout.flatten({key: block})
         cols = [col for col, x in enumerate(vec) if x]
         assert len(cols) == 1 and vec[cols[0]] == field.coerce(value)
         assert layout.index[key] == k
-        left = Matrix(field, 1, r, [{i: one}])
-        right = Matrix(field, c, 1, [{0: one} if b == j else {} for b in range(c)])
+        left = _matrix(field, r, [{i: one}])
+        right = _matrix(field, 1, [{0: one} if b == j else {} for b in range(c)])
         row = linear_system(field, layout.shapes, [(1, 1, [(1, left, k, right)])])
         assert row.data == (tuple(one if col == cols[0] else field.zero()
                                   for col in range(layout.ambient_dim)),)
@@ -571,8 +577,8 @@ def test_hash_is_kept_and_ignores_the_stored_form(field):
     the hash is kept once taken."""
     two, one = field.coerce(2), field.one()
     dense = Matrix.from_rows(field, [[0, 2, 1], [1, 0, 0]])
-    forward = Matrix(field, 2, 3, [{1: two, 2: one}, {0: one}])
-    backward = Matrix(field, 2, 3, [{2: one, 1: two}, {0: one}])
+    forward = _matrix(field, 3, [{1: two, 2: one}, {0: one}])
+    backward = _matrix(field, 3, [{2: one, 1: two}, {0: one}])
     product = (Matrix.from_rows(field, [[0, 1], [1, 0]])
                @ Matrix.from_rows(field, [[1, 0, 0], [0, 2, 1]]))
     for m in (forward, backward, product):
@@ -589,7 +595,8 @@ def test_builders_and_views_match_lists_of_lists(hypothesis):
 
     def check(m, ref, ncols):
         assert (m.nrows, m.ncols) == (len(ref), ncols)
-        assert m.rows == [{j: x for j, x in enumerate(row) if x} for row in ref]
+        assert m.rows == [stored_row(m.field, {j: x for j, x in enumerate(row) if x})
+                          for row in ref]
         assert m.data == tuple(map(tuple, ref))
         assert m.flat() == tuple(x for row in ref for x in row)
         assert all(m.col(j) == tuple(row[j] for row in ref) for j in range(ncols))
@@ -673,12 +680,12 @@ def _sweep(rows: list, p, stop: int) -> list:
 def _sweep_solver(m: Matrix) -> tuple:
     """``(pivots, transform)`` of ``LinearSolver(m)``, eliminated by the
     sweep: the transform's rows past the rank are rows the sweep left."""
-    n = m.ncols
-    rows = [{**row, n + i: m.field.one()} for i, row in enumerate(m.rows)]
-    pivots = _sweep(rows, m.field.p, n)
-    return tuple(pivots), Matrix(m.field, m.nrows, m.nrows,
-                                 [{j - n: x for j, x in row.items() if j >= n}
-                                  for row in rows])
+    n, field = m.ncols, m.field
+    rows = [{**row_values(field, row), n + i: field.one()} for i, row in enumerate(m.rows)]
+    pivots = _sweep(rows, field.p, n)
+    return tuple(pivots), _matrix(field, m.nrows,
+                                  [{j - n: x for j, x in row.items() if j >= n}
+                                   for row in rows])
 
 
 def _assert_same_as_sweep(m: Matrix, stops):
@@ -686,10 +693,11 @@ def _assert_same_as_sweep(m: Matrix, stops):
     the nonzero rows of m for each stop, and so does ``LinearSolver``."""
     field = m.field
     for stop in stops:
-        core = [dict(row) for row in m.rows if row]
-        sweep = [dict(row) for row in core]
-        assert _eliminate(core, field.p, stop) == _sweep(sweep, field.p, stop)
-        assert core == sweep
+        core = [(dict(v), d) for v, d in m.rows if v]
+        nums, dens = [v for v, _ in core], [d for _, d in core]
+        sweep = [dict(row_values(field, row)) for row in core]
+        assert _eliminate(nums, dens, field.p, stop) == _sweep(sweep, field.p, stop)
+        assert [row_values(field, row) for row in zip(nums, dens)] == sweep
     solver = LinearSolver(m)
     assert (solver.pivots, solver.transform) == _sweep_solver(m)
 
@@ -747,7 +755,7 @@ def test_eliminate_matches_the_sweep_on_drawn_systems(hypothesis):
         if rows:
             rows += [dict(r) for r in draw(st.lists(st.sampled_from(rows), max_size=3))]
             rows = draw(st.permutations(rows))
-        return Matrix(field, len(rows), ncols, rows), draw(st.integers(0, ncols))
+        return _matrix(field, ncols, rows), draw(st.integers(0, ncols))
 
     @hypothesis.given(systems())
     def check(system):
@@ -910,7 +918,7 @@ def test_elimination_cost_follows_the_fill(field):
     rows = [{}] * n
     for i in range(n):
         rows[perm[i]] = {perm[i]: one, perm[i + 1]: minus} if i + 1 < n else {perm[i]: one}
-    m = Matrix(field, n, n, rows)
+    m = _matrix(field, n, rows)
     start = time.perf_counter()
     assert m.rank() == n
     assert time.perf_counter() - start < 2
@@ -931,7 +939,7 @@ def test_elimination_of_a_chain_is_not_quadratic(field):
     rows = [{}] * n
     for i in range(n):
         rows[perm[i]] = {i: one, i + 1: minus} if i + 1 < n else {i: one}
-    m = Matrix(field, n, n, rows)
+    m = _matrix(field, n, rows)
     start = time.perf_counter()
     assert m.rank() == n
     assert time.perf_counter() - start < 0.5

@@ -11,7 +11,7 @@ from compvar.derived import derived_hom_dim
 from compvar.errors import (NotAlmostProjective, NotProjectiveComplex,
                             ValidationFailure)
 from compvar.fields import GF, QQ
-from compvar.linalg import Matrix, Subspace, linear_system
+from compvar.linalg import Matrix, Subspace, linear_system, row_values
 from compvar.modules import (conjugate_module, direct_sum_modules,
                              indecomposable_projectives, make_module,
                              regular_module, simple_modules)
@@ -110,7 +110,8 @@ def full_tangent_system(x, layout):
                     terms = [(1, None, unk["delta", i, j], acts[k]),
                              (1, acts[j], unk["delta", i, k], None)]
                     terms += [(-c, None, unk["delta", i, l], None)
-                              for l, c in x.algebra.products[j][k].items()]
+                              for l, c in row_values(x.field,
+                                                     x.algebra.products[j][k]).items()]
                     equations.append((d, d, terms))
     for i in range(x.bottom + 1, x.top + 1):
         if x.dim_at(i - 1) and x.dim_at(i):
