@@ -18,6 +18,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 import sys
 
 from . import __version__
@@ -237,20 +238,25 @@ def _cmd_voigt(args):
     return report, text
 
 
+def _integer(text: str, pattern: str = "[+-]?[0-9]+") -> int:
+    """int() of ASCII digits only; int() itself also takes '1_0', other
+    scripts' digits and surrounding spaces."""
+    if not re.fullmatch(pattern, text):
+        raise argparse.ArgumentTypeError(f"expected an integer ({pattern}), got {text!r}")
+    return int(text)
+
+
 def _parse_dims(text: str) -> tuple:
-    try:
-        dims = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise SchemaError(f"--dims expects comma-separated integers, got {text!r}")
-    if not dims:
-        raise SchemaError("--dims must not be empty")
-    return dims
+    if not re.fullmatch("[0-9]+(,[0-9]+)*", text):
+        raise SchemaError(f"--dims expects comma-separated non-negative integers, got {text!r}")
+    return tuple(map(int, text.split(",")))
 
 
 def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) == 0:
+    n = _integer(text, "[0-9]+")
+    if n == 0:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
+    return n
 
 
 def _pin_modules(algebra, cxs, dims):
@@ -360,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_complex:
             p.add_argument("--complex", required=True,
                            help="complex JSON file")
-        p.add_argument("--seed", type=int, default=0,
+        p.add_argument("--seed", type=_integer, default=0,
                        help="seed for randomized searches (default 0)")
         p.add_argument("--json", action="store_true",
                        help="print the JSON report instead of text")
@@ -379,14 +385,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--other", default=None,
                    help="second complex JSON file (default: X itself)")
-    p.add_argument("--shift", type=int, default=1,
+    p.add_argument("--shift", type=_integer, default=1,
                    help="shift n (default 1)")
     common(sub.add_parser("strip-acyclic",
                           help="split off the maximal acyclic direct summand"))
     p = sub.add_parser("voigt",
                        help="module-variety tangent quotient vs Ext^1")
     common(p)
-    p.add_argument("--degree", type=int, default=0,
+    p.add_argument("--degree", type=_integer, default=0,
                    help="degree in which to place the module (default 0)")
     for name, desc in (("census", "orbit census over a finite field"),
                        ("rigid-scan", "census of rigid complexes")):

@@ -199,7 +199,12 @@ def _ideal_identity(field, quot_dim, ideal, q_mul):
 def acyclic_splitter(x: ComplexPoint) -> SplitterResult:
     """Split off the largest contractible direct summand: find the identity
     of (H + J)/J in the semisimple quotient of the endomorphism algebra,
-    lift it to a chain idempotent f, and cut X along e = 1 - f."""
+    lift it to a chain idempotent f, and cut X along e = 1 - f.  The zero
+    complex, which has no unital endomorphism algebra, is its own kept
+    part."""
+    if x.total_dim() == 0:
+        ident = identity_chain_map(x)
+        return SplitterResult(ident, x, x, ident, ident, 0)
     pkg = end_algebra(x)
     field = x.field
     bhat, h_sub, j_sub = pkg.bhat, pkg.H, pkg.radical

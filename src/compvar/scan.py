@@ -12,7 +12,8 @@ coordinate varying fastest.  Points come out in that grid order, but only
 candidates that satisfy (alpha) and (beta) are built: module structures
 are pruned while their action matrices are chosen, and each differential
 is drawn from the Hom_A space between its terms, so only (gamma) is left
-to filter.  Every returned point is still validated in full.
+to filter.  A module keeps the verdict of the checks it passed while it
+was chosen, and every returned point still passes ``validate_point``.
 
 A census partitions the points into G-orbits, walked as closures under
 generators of G.  The walk keys each point by its flat F_p entries and
@@ -95,10 +96,11 @@ def _flat_mul(a: tuple, b: tuple, n: int, p: int) -> tuple:
 def _module_candidates(algebra: FDAlgebra, d: int) -> list:
     """Every valid module structure of dimension d, in enumeration order.
 
-    The action matrices are chosen in basis order, as flat tuples, and a
-    choice is dropped as soon as an identity a_j a_k = sum c_jkl a_l whose
-    indices all lie among the matrices chosen so far fails; every complete
-    choice is then validated."""
+    The action matrices are chosen in basis order after a_0 = 1, as flat
+    tuples, and a choice is dropped as soon as an identity a_j a_k =
+    sum c_jkl a_l whose indices all lie among the matrices chosen so far
+    fails.  A complete choice has passed every check of ``validate_module``
+    and keeps that verdict."""
     field = algebra.field
     if d == 0:
         return [zero_module(algebra)]
@@ -120,9 +122,11 @@ def _module_candidates(algebra: FDAlgebra, d: int) -> list:
                        for j, k, support in checks[m]):
                     longer.append(chosen)
         prefixes = longer
-    modules = (ModuleRep(algebra, d, tuple(Matrix.from_flat(field, d, d, f)
-                                           for f in chosen)) for chosen in prefixes)
-    return [m for m in modules if validate_module(m) is None]
+    modules = [ModuleRep(algebra, d, tuple(Matrix.from_flat(field, d, d, f)
+                                           for f in chosen)) for chosen in prefixes]
+    for m in modules:
+        vars(m)["_witness"] = None  # the prefix checks were validate_module's
+    return modules
 
 
 def enumerate_points(algebra: FDAlgebra, dims, budget: ScanBudget,

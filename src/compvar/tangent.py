@@ -9,16 +9,16 @@ d_{i-1} x d_i), subject to the linearized defining conditions:
   (b)  v_i A_ij + del_i w_ij = w_{i-1,j} del_i + A_{i-1,j} v_i
   (c)  v_{i-1} del_i + del_{i-1} v_i = 0
 
-with A_ij the action of a_j on X_i, del_i the differential, and out-of-range
-symbols zero.  The system keeps (a) for the pair (0, 0) and the pairs
-j, k >= 1, and (b) for j >= 1: (a) at (0, 0) reads w_i0 + w_i0 = w_i0, so
-delta_i(1) = 0, and then A_i0 = I (checked by (α)) and the unit laws of
-the algebra make every other equation with j = 0 or k = 0 read w_ij = w_ij
-or v_i = v_i.  The kernel is that of the whole system; over dual numbers (a) and (b) keep half their
-rows, and over a 3-dimensional algebra (a) keeps 5 of its 9 pairs.
+with A_ij the action of a_j on X_i (a_0 = 1), del_i the differential, and
+out-of-range symbols zero.  Since A_i0 = I at every point, w_i0 = 0 for
+every tangent vector, so the unknowns are the coordinates of the variety:
+w_ij for j >= 1 and the v_i.  Given (α) and the unit laws of the algebra,
+every equation with j = 0 or k = 0 then reads w_ij = w_ij or v_i = v_i, so
+the system keeps (a) for the pairs j, k >= 1 (without w_i0 in its sum) and
+(b) for j >= 1; over a 3-dimensional algebra (a) keeps 4 of its 9 pairs.
 
-Tangent coordinates are one ``Blocks`` layout: the blocks
-("delta", i, j) (degrees descending, then j ascending), then ("sigma", i)
+Tangent coordinates are one ``Blocks`` layout: the blocks ("delta", i, j)
+for j >= 1 (degrees descending, then j ascending), then ("sigma", i)
 (degrees descending), zero-sized ones left out.  The Lie coordinates t_i
 of the orbit map are another, keyed by degree, descending.  This fixed
 order makes every reported basis reproducible.
@@ -45,7 +45,7 @@ from .modules import ext1_dim_oracle, make_module
 class TangentVector:
     """The blocks of a tangent vector at ``complex``: delta_i(a_j) under
     ("delta", i, j) and sigma_i, mapping degree i to degree i-1, under
-    ("sigma", i).  An absent key is a zero block."""
+    ("sigma", i).  An absent key, such as delta_i(1), is a zero block."""
 
     complex: ComplexPoint
     blocks: dict
@@ -74,15 +74,19 @@ class TangentVector:
 
 def tangent_vector(x: ComplexPoint, deltas: dict, sigmas: dict) -> TangentVector:
     """Assemble a tangent vector from matrices keyed by degree (``deltas``
-    holds the s matrices delta_i(a_j) per degree); shapes are checked, the
-    linear invariants are checked by membership or by chi."""
+    holds the s matrices delta_i(a_j) per degree, the first of which, at the
+    identity, must be zero); shapes are checked, the linear invariants are
+    checked by membership or by chi."""
     given = {("sigma", i): m for i, m in sigmas.items()}
     for i, mats in deltas.items():
         mats = tuple(mats)
         if len(mats) != x.algebra.dim:
             raise ShapeMismatch(f"need {x.algebra.dim} delta matrices at degree {i}")
-        given.update((("delta", i, j), m) for j, m in enumerate(mats))
-    layout = tangent_layout(x).coords
+        if not mats[0].is_zero():
+            raise ValidationFailure(f"delta at the identity is nonzero at degree {i}: "
+                                    f"not a tangent direction")
+        given.update((("delta", i, j), m) for j, m in enumerate(mats[1:], 1))
+    layout = tangent_layout(x)
     blocks = {}
     for key, shape in zip(layout.keys, layout.shapes):
         m = given.get(key)
@@ -98,42 +102,19 @@ def zero_tangent_vector(x: ComplexPoint) -> TangentVector:
     return tangent_vector(x, {}, {})
 
 
-@dataclass(frozen=True, eq=False)
-class TangentLayout:
-    """The tangent coordinates at ``complex``: ``blocks`` are the block
-    keys in flattening order."""
-
-    complex: ComplexPoint
-    coords: Blocks
-
-    @property
-    def blocks(self) -> tuple:
-        return self.coords.keys
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.coords.ambient_dim
-
-    def flatten(self, v: TangentVector) -> tuple:
-        return self.coords.flatten(v.blocks)
-
-    def unflatten(self, vec: tuple) -> TangentVector:
-        return TangentVector(self.complex, self.coords.unflatten(vec))
-
-
-def tangent_layout(x: ComplexPoint) -> TangentLayout:
+def tangent_layout(x: ComplexPoint) -> Blocks:
     keys, shapes = [], []
     for i in range(x.top, x.bottom - 1, -1):
         d = x.dim_at(i)
         if d:
-            keys += [("delta", i, j) for j in range(x.algebra.dim)]
-            shapes += [(d, d)] * x.algebra.dim
+            keys += [("delta", i, j) for j in range(1, x.algebra.dim)]
+            shapes += [(d, d)] * (x.algebra.dim - 1)
     for i in range(x.top, x.bottom, -1):
         rows, cols = x.dim_at(i - 1), x.dim_at(i)
         if rows and cols:
             keys.append(("sigma", i))
             shapes.append((rows, cols))
-    return TangentLayout(x, Blocks(x.field, tuple(keys), tuple(shapes)))
+    return Blocks(x.field, tuple(keys), tuple(shapes))
 
 
 def _require_point(x: ComplexPoint) -> None:
@@ -145,26 +126,27 @@ def _require_point(x: ComplexPoint) -> None:
                                 witness=witness)
 
 
-def tangent_system_matrix(x: ComplexPoint, layout: TangentLayout) -> Matrix:
-    """Coefficient matrix of the linear system (a), (b), (c), without the
-    equations that the unit laws imply at a point that has passed (α)
-    (see the module docstring)."""
+def tangent_system_matrix(x: ComplexPoint, layout: Blocks) -> Matrix:
+    """Coefficient matrix of the linear system (a), (b), (c) in the
+    coordinates of ``tangent_layout``, without the equations that the unit
+    laws imply at a point that has passed (α) (see the module docstring)."""
     s = x.algebra.dim
-    unk = layout.coords.index
+    unk = layout.index
     equations = []
-    # (a): derivation rule per degree, for (0, 0) and the pairs j, k >= 1
-    pairs = [(0, 0)] + [(j, k) for j in range(1, s) for k in range(1, s)]
+    # (a): derivation rule per degree, for the pairs j, k >= 1; delta_i(1) = 0
     for i in x.degrees():
         d = x.dim_at(i)
         if d == 0:
             continue
         acts = x.term(i).action
-        for j, k in pairs:
-            terms = [(1, None, unk["delta", i, j], acts[k]),
-                     (1, acts[j], unk["delta", i, k], None)]
-            terms += [(-c, None, unk["delta", i, l], None)
-                      for l, c in row_values(x.field, x.algebra.products[j][k]).items()]
-            equations.append((d, d, terms))
+        for j in range(1, s):
+            for k in range(1, s):
+                terms = [(1, None, unk["delta", i, j], acts[k]),
+                         (1, acts[j], unk["delta", i, k], None)]
+                terms += [(-c, None, unk["delta", i, l], None)
+                          for l, c in row_values(x.field, x.algebra.products[j][k]).items()
+                          if l]
+                equations.append((d, d, terms))
     # (b): compatibility of sigma with the module actions, for j >= 1
     for i in range(x.bottom + 1, x.top + 1):
         dlo, dhi = x.dim_at(i - 1), x.dim_at(i)
@@ -183,7 +165,7 @@ def tangent_system_matrix(x: ComplexPoint, layout: TangentLayout) -> Matrix:
             equations.append((x.dim_at(i - 2), x.dim_at(i), [
                 (1, None, unk["sigma", i - 1], x.diff(i)),
                 (1, x.diff(i - 1), unk["sigma", i], None)]))
-    return linear_system(x.field, layout.coords.shapes, equations)
+    return linear_system(x.field, layout.shapes, equations)
 
 
 def tangent_space(x: ComplexPoint):
@@ -195,7 +177,7 @@ def tangent_space(x: ComplexPoint):
 
 def tangent_space_basis(x: ComplexPoint) -> list:
     layout, space = tangent_space(x)
-    return [TangentVector(x, layout.coords.split(row)) for row in space.by_pivot.values()]
+    return [TangentVector(x, layout.split(row)) for row in space.by_pivot.values()]
 
 
 # -- orbit tangent space ------------------------------------------------------------
@@ -212,14 +194,14 @@ def _commutator(k: int, a: Matrix) -> list:
     return [(1, None, k, a), (-1, a, k, None)]
 
 
-def orbit_map_matrix(x: ComplexPoint, layout: TangentLayout) -> Matrix:
+def orbit_map_matrix(x: ComplexPoint, layout: Blocks) -> Matrix:
     """Matrix of t = (t_i) |-> (delta_i(a_j) = t_i A_ij - A_ij t_i,
     sigma_i = t_{i-1} del_i - del_i t_i), columns indexed by Lie coordinates
     (the Lie layout)."""
     lie = _lie_layout(x)
     t = lie.index
     equations = []
-    for key, (rows, cols) in zip(layout.blocks, layout.coords.shapes):
+    for key, (rows, cols) in zip(layout.keys, layout.shapes):
         i = key[1]
         if key[0] == "delta":
             equations.append((rows, cols, _commutator(t[i], x.term(i).action[key[2]])))
@@ -323,7 +305,7 @@ def chi_splitting(x: ComplexPoint, v: TangentVector):
     lies outside the orbit tangent space)."""
     layout = tangent_layout(x)
     m = orbit_map_matrix(x, layout)
-    coeffs = LinearSolver(m).solve(layout.flatten(v))
+    coeffs = LinearSolver(m).solve(layout.flatten(v.blocks))
     if coeffs is None:
         return None
     return _lie_layout(x).unflatten(coeffs)
@@ -376,7 +358,7 @@ def eta_kernel(x: ComplexPoint):
     qm = hom1.nullhomotopic.quotient_matrix()
     columns, rows = [], list(tspace.by_pivot.values())
     for row in rows:
-        sp = eta(x, TangentVector(x, layout.coords.split(row)), _solvers=solvers)
+        sp = eta(x, TangentVector(x, layout.split(row)), _solvers=solvers)
         columns.append(list(qm.mat_vec(hom1.space.flatten(sp))))
     field = x.field
     if not columns:

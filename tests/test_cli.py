@@ -181,6 +181,23 @@ def test_validate_zero_complex(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("m", [0, 1])
+def test_strip_acyclic_keeps_the_zero_complex(m, tmp_path, capsys):
+    zero = {"m": m, "dims": [0] * (m + 1), "modules": [[[], []]] * (m + 1),
+            "differentials": [[]] * m}
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(zero))
+    code = run_cli("strip-acyclic",
+                   "--algebra", fx("algebra_q_dual_numbers_quiver.json"),
+                   "--complex", str(path), "--json")
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["kept_dims"] == report["stripped_dims"] == [0] * (m + 1)
+    assert report["stripped_acyclic"] is True
+    assert report["split_ideal_dim"] == 0
+    assert report["kept_complex"] == zero
+
+
 def test_validate_broken_gamma_exits_1(capsys):
     code = run_cli("validate",
                    "--algebra", fx("algebra_q_dual_numbers_quiver.json"),
@@ -405,13 +422,41 @@ def test_bad_usage_exits_4(capsys):
                    "--dims", "one,two") == 4
     capsys.readouterr()
     # a budget is a positive integer, and the group has no budget of its own
-    for flags in (("--max-points", "0"), ("--max-points", "-5"),
-                  ("--max-points", "many"), ("--max-group-elements", "100")):
-        assert run_cli("census", "--algebra", fx("algebra_f2.json"),
-                       "--dims", "1,1", *flags) == 4
+    census = ("census", "--algebra", fx("algebra_f2.json"))
+    point = ("--algebra", fx("algebra_q_dual_numbers_quiver.json"),
+             "--complex", fx("complex_stalk_simple_q.json"))
+    for argv in (
+            census + ("--dims", "1,1", "--max-points", "0"),
+            census + ("--dims", "1,1", "--max-points", "-5"),
+            census + ("--dims", "1,1", "--max-points", "many"),
+            census + ("--dims", "1,1", "--max-group-elements", "100"),
+            # integers are ASCII digits only: no '_', no other scripts,
+            # no spaces, and no sign on a dimension or a budget
+            census + ("--dims", "1,1", "--max-points", "\u0661\u0660"),
+            census + ("--dims", "1,1", "--max-points", "+10"),
+            census + ("--dims", "\u0661,\u0661"),
+            census + ("--dims", "-1"),
+            census + ("--dims", "1, 1"),
+            census + ("--dims", ""),
+            census + ("--dims", "1,1", "--seed", "1_2"),
+            ("derived-hom",) + point + ("--shift", "1_0"),
+            ("derived-hom",) + point + ("--shift", "\u0662"),
+            ("derived-hom",) + point + ("--shift", " 1"),
+            ("derived-hom",) + point + ("--shift", "+"),
+            ("voigt",) + point + ("--degree", "\u0662")):
+        assert run_cli(*argv) == 4, argv
         captured = capsys.readouterr()
         assert captured.out == "" and len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: ")
+
+
+def test_signed_integer_options_keep_their_sign(capsys):
+    point = ("--algebra", fx("algebra_q_dual_numbers_quiver.json"),
+             "--complex", fx("complex_axa_q.json"), "--json")
+    for text, shift in (("-1", -1), ("+2", 2), ("0", 0)):
+        assert run_cli("derived-hom", *point, "--shift", text, "--seed", text) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["shift"] == report["seed"] == shift
 
 
 def test_parser_is_built_once_and_reused(capsys):

@@ -198,6 +198,17 @@ def test_end_algebra_rejects_zero_complex():
         end_algebra(stalk(zero_module(a), 0))
 
 
+def test_splitter_keeps_the_zero_complex():
+    from compvar.modules import zero_module
+    a = dual_numbers(QQ)
+    x = stalk(zero_module(a), 0)
+    res = acyclic_splitter(x)
+    assert res.xe == x and res.xcomp.total_dim() == 0
+    assert res.ideal_dim == 0
+    for f in (res.e, res.inclusion, res.projection):
+        assert f.validate() is None
+
+
 def test_end_algebra_computes_homology_once_per_degree(monkeypatch):
     import compvar.derived as derived_module
     calls = []

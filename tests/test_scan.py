@@ -17,7 +17,8 @@ from compvar.errors import (BudgetExceeded, UnsupportedCharacteristic,
 from compvar.fields import GF, Field
 from compvar.linalg import Matrix
 from compvar.modules import ModuleRep, regular_module, validate_module
-from compvar.samples import a2_algebra, base_field_algebra, dual_numbers
+from compvar.samples import (a2_algebra, base_field_algebra, dual_numbers,
+                             two_loop_truncated)
 from compvar.scan import (OrbitCensus, ScanBudget, _closure_partition,
                           _group_generators, _iso_partition, enumerate_group,
                           enumerate_points, free_coordinate_count,
@@ -94,6 +95,20 @@ def test_base_field_line_points():
     for p in pts:
         assert validate_point(p) is None
         assert p.dims() == (1, 1)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_module_candidates_pass_a_fresh_validation(p):
+    """Candidates keep the verdict of the prefix checks; a fresh module on
+    the same matrices reaches that verdict again."""
+    for build in (dual_numbers, a2_algebra, two_loop_truncated):
+        a = build(GF(p))
+        for d in (1, 2):
+            candidates = scan._module_candidates(a, d)
+            assert candidates
+            for m in candidates:
+                assert validate_module(m) is None
+                assert validate_module(ModuleRep(a, d, m.action)) is None
 
 
 def test_enumeration_is_deterministic():

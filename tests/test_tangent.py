@@ -1,5 +1,6 @@
 """Tangent spaces, orbit tangent spaces, extensions, eta, verdicts."""
 
+import json
 import random
 from pathlib import Path
 
@@ -11,16 +12,17 @@ from compvar.derived import derived_hom_dim
 from compvar.errors import (NotAlmostProjective, NotProjectiveComplex,
                             ValidationFailure)
 from compvar.fields import GF, QQ
-from compvar.linalg import Matrix, Subspace, linear_system, row_values
+from compvar.linalg import Blocks, Matrix, Subspace, linear_system, row_values
 from compvar.modules import (conjugate_module, direct_sum_modules,
                              indecomposable_projectives, make_module,
                              regular_module, simple_modules)
 from compvar.samples import (a2_algebra, axa_complex, base_field_algebra,
                              dual_numbers, simple_over_dual,
                              two_loop_truncated)
-from compvar.tangent import (chi, chi_splitting, eta, eta_kernel, is_rigid,
-                             corollary8_check, orbit_tangent,
-                             orbit_tangent_basis, quotient_dim, tangent_layout,
+from compvar.tangent import (TangentVector, chi, chi_splitting, eta,
+                             eta_kernel, is_rigid, corollary8_check,
+                             orbit_tangent, orbit_tangent_basis,
+                             quotient_dim, tangent_and_orbit, tangent_layout,
                              tangent_space, tangent_space_basis,
                              tangent_system_matrix, tangent_vector,
                              verify_theorem7, voigt_check,
@@ -41,7 +43,7 @@ def line_complex(field, value):
 def test_line_zero_differential():
     x = line_complex(QQ, 0)
     layout, space = tangent_space(x)
-    assert layout.ambient_dim == 3  # two 1x1 deltas and one sigma
+    assert layout.ambient_dim == 1  # one sigma; delta(1) = 0 is no coordinate
     assert space.dim == 1
     orbit, stab = orbit_tangent_basis(x)
     assert orbit.dim == 0
@@ -62,8 +64,8 @@ def test_line_unit_differential():
 def test_stalk_of_simple_tangent():
     s = stalk(simple_over_dual(QQ), 0)
     layout, space = tangent_space(s)
-    assert layout.ambient_dim == 2  # delta(1) and delta(x), both 1x1
-    assert space.dim == 1           # delta(1) forced to zero, delta(x) free
+    assert layout.ambient_dim == 1  # delta(x), 1x1; delta(1) = 0 is no coordinate
+    assert space.dim == 1           # delta(x) free
     orbit, stab = orbit_tangent_basis(s)
     assert orbit.dim == 0
     assert stab == 1
@@ -93,13 +95,29 @@ def test_projective_stalk_is_rigid_point():
     assert quotient_dim(x) == 0
 
 
-def full_tangent_system(x, layout):
-    """Oracle: the whole linearized system, (a) for all s^2 pairs (j, k)
-    per degree, (b) for all s basis elements per pair of degrees, and (c),
-    including the equations that ``tangent_system_matrix`` leaves to the
-    unit laws."""
+def full_layout(x):
+    """The coordinates with delta_i(1) kept: all s blocks delta_i(a_j) per
+    degree (descending), then the sigmas."""
+    keys, shapes = [], []
+    for i in range(x.top, x.bottom - 1, -1):
+        if x.dim_at(i):
+            keys += [("delta", i, j) for j in range(x.algebra.dim)]
+            shapes += [(x.dim_at(i), x.dim_at(i))] * x.algebra.dim
+    for i in range(x.top, x.bottom, -1):
+        if x.dim_at(i - 1) and x.dim_at(i):
+            keys.append(("sigma", i))
+            shapes.append((x.dim_at(i - 1), x.dim_at(i)))
+    return Blocks(x.field, tuple(keys), tuple(shapes))
+
+
+def full_tangent_system(x):
+    """Oracle: (full layout, the whole linearized system in it), with (a)
+    for all s^2 pairs (j, k) per degree, (b) for all s basis elements per
+    pair of degrees, and (c), including the delta_i(1) unknowns and the
+    equations that ``tangent_system_matrix`` leaves to the unit laws."""
     s = x.algebra.dim
-    unk = layout.coords.index
+    layout = full_layout(x)
+    unk = layout.index
     equations = []
     for i in x.degrees():
         d = x.dim_at(i)
@@ -127,7 +145,21 @@ def full_tangent_system(x, layout):
             equations.append((x.dim_at(i - 2), x.dim_at(i), [
                 (1, None, unk["sigma", i - 1], x.diff(i)),
                 (1, x.diff(i - 1), unk["sigma", i], None)]))
-    return linear_system(x.field, layout.coords.shapes, equations)
+    return layout, linear_system(x.field, layout.shapes, equations)
+
+
+def assert_full_kernel_is(x, space):
+    """Every vector in the kernel of the full system has zero delta_i(1)
+    blocks, and with those blocks dropped that kernel is ``space``."""
+    layout, full = full_tangent_system(x)
+    target, dropped = tangent_layout(x), []
+    for vec in full.kernel().basis:
+        blocks = layout.unflatten(vec)
+        assert all(m.is_zero() for key, m in blocks.items()
+                   if key[0] == "delta" and key[2] == 0)
+        dropped.append(target.flatten(blocks))
+    assert Subspace.from_vectors(x.field, target.ambient_dim, dropped) == space
+    return full
 
 
 def unit_law_cases(field):
@@ -155,8 +187,7 @@ def unit_law_cases(field):
 def test_unit_law_equations_leave_the_tangent_space_unchanged(field):
     for x in unit_law_cases(field):
         layout, space = tangent_space(x)
-        full = full_tangent_system(x, layout)
-        assert full.kernel() == space
+        full = assert_full_kernel_is(x, space)
         assert tangent_system_matrix(x, layout).nrows < full.nrows
 
 
@@ -185,8 +216,8 @@ def test_drawn_stalks_have_the_tangent_space_of_the_whole_system(hypothesis):
     @hypothesis.settings(max_examples=60)
     @hypothesis.given(cases())
     def check(x):
-        layout, space = tangent_space(x)
-        assert full_tangent_system(x, layout).kernel() == space
+        _, space = tangent_space(x)
+        assert_full_kernel_is(x, space)
 
     check()
 
@@ -196,8 +227,8 @@ def test_every_tangent_basis_vector_satisfies_invariants():
               stalk(simple_over_dual(QQ), 0)):
         layout, space = tangent_space(x)
         for vec in space.basis:
-            v = layout.unflatten(vec)
-            assert layout.flatten(v) == vec
+            v = TangentVector(x, layout.unflatten(vec))
+            assert layout.flatten(v.blocks) == vec
             chi(x, v)  # raises if any invariant fails
 
 
@@ -214,16 +245,16 @@ def test_chi_of_zero_is_block_diagonal():
 
 def test_chi_rejects_non_tangent_data():
     x = axa_complex(QQ)
-    bad = tangent_vector(
-        x, {1: tuple(Matrix.identity(QQ, 2) for _ in range(2))}, {})
     with pytest.raises(ValidationFailure):
+        bad = tangent_vector(
+            x, {1: tuple(Matrix.identity(QQ, 2) for _ in range(2))}, {})
         chi(x, bad)  # delta along the identity must vanish
 
 
 def test_chi_dims_and_exactness():
     x = axa_complex(QQ)
     layout, space = tangent_space(x)
-    v = layout.unflatten(space.basis[0])
+    v = TangentVector(x, layout.unflatten(space.basis[0]))
     z, inc, proj = chi(x, v)
     assert z.dims() == (4, 4)
     for i in x.degrees():
@@ -239,8 +270,8 @@ def _submatrix(m: Matrix, rows, cols) -> Matrix:
 def test_chi_is_linear_in_v():
     x = axa_complex(QQ)
     layout, space = tangent_space(x)
-    v1 = layout.unflatten(space.basis[0])
-    v2 = layout.unflatten(space.basis[-1])
+    v1 = TangentVector(x, layout.unflatten(space.basis[0]))
+    v2 = TangentVector(x, layout.unflatten(space.basis[-1]))
     z_sum, _, _ = chi(x, v1.add(v2))
     z1, _, _ = chi(x, v1)
     z2, _, _ = chi(x, v2)
@@ -259,7 +290,7 @@ def test_chi_splitting_detects_orbit_membership():
     orbit, _ = orbit_tangent_basis(x)
     found_inside = found_outside = 0
     for vec in space.basis:
-        v = layout.unflatten(vec)
+        v = TangentVector(x, layout.unflatten(vec))
         ts = chi_splitting(x, v)
         if orbit.contains(vec):
             found_inside += 1
@@ -284,7 +315,7 @@ def test_orbit_vectors_split_and_basis_vectors_flagged():
         orbit, _ = orbit_tangent_basis(x)
         layout = tangent_layout(x)
         for vec in orbit.basis:
-            assert chi_splitting(x, layout.unflatten(vec)) is not None
+            assert chi_splitting(x, TangentVector(x, layout.unflatten(vec))) is not None
 
 
 # -- eta ------------------------------------------------------------------------------
@@ -303,7 +334,7 @@ def test_eta_kills_orbit_vectors():
     orbit, _ = orbit_tangent_basis(x)
     h = homotopy_hom(x, x, 1)
     for vec in orbit.basis:
-        sp = eta(x, layout.unflatten(vec))
+        sp = eta(x, TangentVector(x, layout.unflatten(vec)))
         assert h.nullhomotopic.contains(h.space.flatten(sp))
 
 
@@ -365,12 +396,12 @@ def test_theorem7_classifies_its_point_once(monkeypatch):
 @pytest.mark.parametrize("field", [QQ, GF(101)], ids=str)
 def test_theorem7_on_l4(field):
     """L_4 = A^4 --x--> A^4 --x--> A^4 over A = k[x]/(x^2), x acting
-    block-diagonally: its tangent system is 576 x 512 with 0.24% nonzeros."""
+    block-diagonally: its tangent system is 384 x 320 with 0.42% nonzeros."""
     a = dual_numbers(field)
     term = direct_sum_modules([regular_module(a)] * 4)[0]
     x = Matrix.block_diag(field, [a.right_mult_matrix(a.basis_vec(1))] * 4)
     complex_ = make_complex(a, 0, (term, term, term), (x, x))
-    assert tangent_system_matrix(complex_, tangent_layout(complex_)).shape == (576, 512)
+    assert tangent_system_matrix(complex_, tangent_layout(complex_)).shape == (384, 320)
     assert verify_theorem7(complex_) == {
         "tangent_dim": 144, "orbit_dim": 128, "quotient": 16,
         "derived_hom_dim": 16, "verdict": "equality"}
@@ -394,6 +425,13 @@ def test_rigidity_and_open_orbit():
     assert corollary8_check(stalk(regular_module(a), 0))
 
 
+def regular_plus_simple(field):
+    """A + S over the dual numbers: as a stalk, ambient 9, tangent 5, an
+    embedding verdict."""
+    return direct_sum_modules([regular_module(dual_numbers(field)),
+                               simple_over_dual(field)])[0]
+
+
 @pytest.fixture
 def escaping_orbit(monkeypatch):
     """An orbit map with one extra column outside the tangent space."""
@@ -413,28 +451,75 @@ def escaping_orbit(monkeypatch):
 
 @pytest.mark.parametrize("check", [
     lambda: verify_theorem7(axa_complex(QQ)),
-    lambda: verify_theorem7(stalk(simple_over_dual(QQ), 0)),
-    lambda: quotient_dim(line_complex(GF(101), 1)),
-    lambda: corollary8_check(line_complex(QQ, 1)),
-    lambda: voigt_check(simple_over_dual(QQ)),
+    lambda: verify_theorem7(stalk(regular_plus_simple(QQ), 0)),
+    lambda: quotient_dim(stalk(regular_module(dual_numbers(GF(101))), 0)),
+    lambda: corollary8_check(stalk(regular_module(dual_numbers(QQ)), 0)),
+    lambda: voigt_check(regular_plus_simple(QQ)),
 ], ids=["theorem7", "theorem7-embedding", "quotient_dim", "corollary8", "voigt"])
 def test_every_quotient_certifies_the_orbit(escaping_orbit, check):
     with pytest.raises(ValidationFailure, match="escape the tangent space"):
         check()
 
 
-def test_theorem7_cli_reports_an_escaping_orbit(escaping_orbit, capsys):
+def test_theorem7_cli_reports_an_escaping_orbit(escaping_orbit, tmp_path, capsys):
     # an embedding verdict: a quotient made too small would still pass it
     from compvar.cli import main
+    from compvar.schemas import complex_to_json
     fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    path = tmp_path / "regular_plus_simple.json"
+    path.write_text(json.dumps(complex_to_json(stalk(regular_plus_simple(QQ), 0))))
     code = main(["theorem7",
                  "--algebra", str(fixtures / "algebra_q_dual_numbers_quiver.json"),
-                 "--complex", str(fixtures / "complex_stalk_simple_q.json")])
+                 "--complex", str(path)])
     assert code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: validation failed")
+    assert "escape the tangent space" in lines[0]
+
+
+# -- identities: the stabilizer and the census ambient ------------------------------
+
+
+def fixture_points():
+    """The valid complex fixtures, each with its algebra."""
+    from compvar.schemas import load_json, parse_algebra, parse_complex
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    points = []
+    for algebra, complex_ in (("algebra_q_dual_numbers_quiver.json", "complex_axa_q.json"),
+                              ("algebra_q_a2_quiver.json", "complex_p2_p1_a2.json"),
+                              ("algebra_q_dual_numbers_quiver.json", "complex_stalk_simple_q.json"),
+                              ("algebra_q_dual_numbers_quiver.json", "complex_stalk_regular_q.json")):
+        a = parse_algebra(load_json(str(fixtures / algebra)))
+        points.append(parse_complex(load_json(str(fixtures / complex_)), a))
+    return points
+
+
+def enumerated_points():
+    """Every point of the small windows over F_2 and F_3."""
+    from compvar.scan import ScanBudget, enumerate_points
+    points = []
+    for field in (GF(2), GF(3)):
+        for build in (dual_numbers, a2_algebra, two_loop_truncated):
+            for dims in ((1,), (1, 1), (2, 1), (1, 0, 1)):
+                points += enumerate_points(build(field), dims, ScanBudget(10 ** 6))
+    return points
+
+
+def test_stabilizer_is_the_chain_endomorphisms_and_the_census_shares_the_ambient():
+    """The stabilizer of X in the Lie algebra of G is End_{C(A)}(X), so
+    orbit_dim = sum d_i^2 - dim End_{C(A)}(X); the census counts exactly
+    the tangent coordinates."""
+    from compvar.scan import free_coordinate_count
+    points = fixture_points() + enumerated_points()
+    for x in points:
+        layout, _, orbit, stab = tangent_and_orbit(x)
+        endos = chain_map_space(x, x, 0).dim
+        assert stab == endos
+        assert orbit.dim == sum(d * d for d in x.dims()) - endos
+        assert free_coordinate_count(x.algebra, x.dims()) == layout.ambient_dim
+    assert len(points) > 100
 
 
 # -- group action invariance ------------------------------------------------------------
