@@ -18,7 +18,9 @@ the ``A_5`` tangent system fills in and takes minutes.
 - ``a5-q`` and ``a5-f101``: the stalk of ``A + S1 + ... + S5`` over the
   linearly oriented ``A_5`` (dimension 15), over Q and over F_101, in
   block form;
-- ``dual-sum``: the stalk of ``A + S^2`` over the dual numbers.
+- ``dual-sum``: the stalk of ``A + S^2`` over the dual numbers;
+- ``a3-q`` and ``a3-f101``: the stalk of ``A + S1 + S2 + S3`` over the
+  linearly oriented ``A_3``, over Q and over F_101, moved.
 
 The strip inputs use base changes with determinant a power of 2, so their
 entries hold non-integer rationals, and so does the kept complex of
@@ -45,12 +47,12 @@ Q_DUAL = "fixtures/algebra_q_dual_numbers_quiver.json"
 Q_A2 = "fixtures/algebra_q_a2_quiver.json"
 
 
-def a5_json(field: dict) -> dict:
-    """The path algebra of 1 -> 2 -> 3 -> 4 -> 5, no relations."""
+def an_json(n: int, field: dict) -> dict:
+    """The path algebra of 1 -> 2 -> ... -> n, no relations."""
     return {"field": field,
-            "quiver": {"vertices": 5,
-                       "arrows": [[i, i + 1, f"a{i}"] for i in range(1, 5)],
-                       "relations": [], "nilpotency_bound": 5}}
+            "quiver": {"vertices": n,
+                       "arrows": [[i, i + 1, f"a{i}"] for i in range(1, n)],
+                       "relations": [], "nilpotency_bound": n}}
 
 
 def base_change(field, rng: random.Random, n: int, scale: bool) -> Matrix:
@@ -89,8 +91,9 @@ def strip_input(algebra, top, bottom, diff, proj, k: int, seed: int):
 
 def inputs() -> dict:
     """File stem -> JSON document, for every heavy input."""
-    docs = {"a5-q": a5_json({"type": "Q"}),
-            "a5-f101": a5_json({"type": "Fp", "p": 101})}
+    docs = {f"a{n}-{stem}": an_json(n, field) for n in (3, 5)
+            for stem, field in (("q", {"type": "Q"}),
+                                ("f101", {"type": "Fp", "p": 101}))}
     dual = parse_algebra(json.loads((ROOT / Q_DUAL).read_text()))
     a2 = parse_algebra(json.loads((ROOT / Q_A2).read_text()))
 
@@ -102,10 +105,11 @@ def inputs() -> dict:
                                      p1, 4, seed=4)
     s = simple_modules(dual)[0]
     docs["dual-sum"] = moved(stalk(direct_sum_modules([reg, s, s])[0]), seed=5)
-    for stem in ("a5-q", "a5-f101"):
-        a5 = parse_algebra(docs[stem])
-        m = direct_sum_modules([regular_module(a5)] + simple_modules(a5))[0]
-        docs[f"{stem}-stalk"] = stalk(m)
+    for stem in ("a3-q", "a3-f101", "a5-q", "a5-f101"):
+        an = parse_algebra(docs[stem])
+        m = direct_sum_modules([regular_module(an)] + simple_modules(an))[0]
+        docs[f"{stem}-stalk"] = (moved(stalk(m), seed=7)
+                                 if stem.startswith("a3") else stalk(m))
     return {stem: doc if isinstance(doc, dict) else complex_to_json(doc)
             for stem, doc in docs.items()}
 

@@ -85,7 +85,7 @@ def _cases() -> dict:
         cases[f"strip-acyclic-heavy-{short}"] = [
             "strip-acyclic", "--algebra", alg,
             "--complex", f"{HEAVY}strip-{short}.json"]
-    for short in ("a5-q", "a5-f101"):
+    for short in ("a3-q", "a3-f101", "a5-q", "a5-f101"):
         cases[f"theorem7-heavy-{short}"] = [
             "theorem7", "--algebra", f"{HEAVY}{short}.json",
             "--complex", f"{HEAVY}{short}-stalk.json"]
