@@ -405,22 +405,26 @@ def _radical(a: FDAlgebra) -> Subspace:
 
 
 def _check_radical(a: FDAlgebra, rad: Subspace):
+    """On the stored rows: r a_j combines the rows of a_m a_j by r, and
+    a_j r the rows of a_j a_m; a power's rows times r combine the a_j r."""
+    field, rows = a.field, list(rad.by_pivot.values())
+    times = [[row[j] for row in a.products] for j in range(a.dim)]  # a_m a_j by m
+    lefts = [[combine(field, r, a.products[j]) for j in range(a.dim)] for r in rows]
     # two-sided ideal
-    for r in rad.basis:
+    for r, left in zip(rows, lefts):
         for j in range(a.dim):
-            bj = a.basis_vec(j)
-            if not rad.contains(a.mul_vec(r, bj)):
+            if rad._residue(combine(field, r, times[j]))[0]:
                 raise ValidationFailure("radical candidate not a right ideal")
-            if not rad.contains(a.mul_vec(bj, r)):
+            if rad._residue(left[j])[0]:
                 raise ValidationFailure("radical candidate not a left ideal")
     # nilpotent: rad^(dim+1) = 0 via iterated products
-    power, basis = rad, rad.basis
+    power = rows
     for _ in range(a.dim):
-        if power.is_zero():
+        if not power:
             return
-        power = Subspace.from_vectors(a.field, a.dim,
-                                      [a.mul_vec(u, v) for u in power.basis for v in basis])
-    if not power.is_zero():
+        power = list(Subspace._span(field, a.dim, [combine(field, u, left) for u in power
+                                                   for left in lefts]).by_pivot.values())
+    if power:
         raise ValidationFailure("radical candidate is not nilpotent")
 
 

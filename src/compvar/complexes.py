@@ -51,6 +51,11 @@ class ComplexPoint:
         # kept in the instance dict, not a field: equality ignores it
         return _classify(self)
 
+    @cached_property
+    def _witness(self) -> tuple | None:
+        # kept like _class
+        return _point_witness(self)
+
     # -- window access -------------------------------------------------------
 
     @property
@@ -115,7 +120,12 @@ def make_complex(algebra: FDAlgebra, bottom: int, terms, diffs) -> ComplexPoint:
 
 def validate_point(x: ComplexPoint) -> tuple | None:
     """Check module relations per degree (alpha), A-linearity of every
-    differential (beta), and d.d = 0 (gamma); returns the first failure."""
+    differential (beta), and d.d = 0 (gamma); returns the first failure.
+    A point is checked once: the witness is kept on the instance."""
+    return x._witness
+
+
+def _point_witness(x: ComplexPoint) -> tuple | None:
     for i in x.degrees():
         w = validate_module(x.term(i))
         if w is not None:
@@ -418,8 +428,6 @@ def homotopy_hom(x: ComplexPoint, y: ComplexPoint, n: int) -> HomotopyHom:
     """Hom up to homotopy: null-homotopic maps are boundaries
     (-1)^n dY s + s dX of A-linear families s of shift n+1."""
     cms = chain_map_space(x, y, n)
-    field = x.field
-    sign = field.one() if n % 2 == 0 else field.neg(field.one())
     boundaries = []
     homs = {}  # Hom_A basis per (source, target) pair of term instances
     for i in x.degrees():
@@ -429,12 +437,13 @@ def homotopy_hom(x: ComplexPoint, y: ComplexPoint, n: int) -> HomotopyHom:
         key = (id(src), id(tgt))  # x and y keep both alive during the call
         if key not in homs:
             homs[key] = hom_matrices(src, tgt)
+        dy = y.diff(i - n + 1) if n % 2 == 0 else -y.diff(i - n + 1)
         for h in homs[key]:
-            comps = {i: (y.diff(i - n + 1) @ h).scale(sign)}
+            comps = {i: dy @ h}
             if i + 1 in cms.layout.index:
                 comps[i + 1] = h @ x.diff(i + 1)
             boundaries.append(cms.layout.sparse_row(comps))
-    null = Subspace._span(field, cms.ambient_dim, boundaries)
+    null = Subspace._span(x.field, cms.ambient_dim, boundaries)
     if not cms.subspace.contains_subspace(null):
         raise ValidationFailure("null-homotopic maps escaped the chain map space")
     return HomotopyHom(cms, cms.subspace, null)

@@ -22,10 +22,12 @@ form is decided in this module alone.
 Every cost follows the nonzeros: the linear systems behind tangent spaces,
 orbit maps and hom spaces are more than 99% zeros.  ``_eliminate`` is the
 one elimination routine; every echelon form, rank, kernel, inverse, solver
-and subspace basis comes from it.  ``Subspace._residue`` is the one
-reduction of a vector modulo an echelon basis.  Row reduction always picks
-the leftmost available pivot and the first nonzero row below it, so reduced
-echelon forms, and hence subspaces, are canonical.
+and subspace basis comes from one run of it, which moves no row and indexes
+only the rows not yet pivot rows.  A kernel is read off the pivot rows of
+its matrix with the columns in reverse order.  ``Subspace._residue`` is the
+one reduction of a vector modulo an echelon basis.  Row reduction always
+picks the leftmost available pivot and the first nonzero row below it, so
+reduced echelon forms, and hence subspaces, are canonical.
 """
 
 from __future__ import annotations
@@ -49,31 +51,37 @@ def _eliminate(rows: list, dens: list, p, stop: int) -> list:
     pivot numerator as its denominator, and the other rows hold no column
     below ``stop``; every row is primitive.  Each pivot is the leftmost
     column held by a row not yet a pivot row, taken from the first such
-    row, which is swapped into place.
+    row, as if that row were swapped into place.
 
-    ``holds`` maps each column to the positions of the rows that hold it,
-    kept up to date through swaps, fill-in and cancellation.  On the way
-    down a pivot clears its column from the rows past it, which never gain
-    a column left of the last pivot, so one upward walk over the columns
-    finds every pivot.  Then, in reverse pivot order, each pivot clears its
-    column from the pivot rows above it.  The cost follows the fill, not
-    rows x rank.
+    No row moves until the end: ``at[r]`` is the row that a swapping loop
+    would hold at position r and ``pos`` its inverse, so ties go as they
+    would there, and the rows are put in that order last.  On the way down
+    ``holds`` maps each column to the rows not yet pivot rows that hold it,
+    through fill-in and cancellation, so a pivot clears exactly the rows in
+    its column.  Those never gain a column left of the last pivot, so one
+    upward walk over the columns finds every pivot.  Then ``holds`` is
+    rebuilt over the pivot rows, and in reverse pivot order each pivot
+    clears its column from the pivot rows above it.  The cost follows the
+    fill, not rows x rank.
 
     Over Q a pivot row becomes ``(N, N[c])``, its sign made positive; a
     cleared row becomes ``(dp * N - N[c] * P, D * dp)`` for the pivot row
     ``(P, dp)``; both are then divided by their gcd.
     """
-    holds = {}
-    for i, row in enumerate(rows):
-        for j in row:
-            if j in holds:
-                holds[j].add(i)
-            else:
-                holds[j] = {i}
+    def index(ks) -> dict:
+        """Column -> the rows among ``ks`` that hold it."""
+        out = {}
+        for k in ks:
+            for j in rows[k]:
+                if j in out:
+                    out[j].add(k)
+                else:
+                    out[j] = {k}
+        return out
 
-    def clear(r, c, targets):
-        """Subtract from each row in ``targets`` its c entry times pivot row r."""
-        prow, dp = rows[r], dens[r]
+    def clear(k, c, targets):
+        """Subtract from each row in ``targets`` its c entry times pivot row k."""
+        prow, dp = rows[k], dens[k]
         items = [(j, b) for j, b in prow.items() if j != c]
         for i in targets:
             row = rows[i]
@@ -116,48 +124,49 @@ def _eliminate(rows: list, dens: list, p, stop: int) -> list:
                             del row[j]
                             holds[j].remove(i)
 
-    pivots = []
-    n = len(rows)
-    r = 0
+    pivots, n, moved = [], len(rows), False
+    pos, at = list(range(n)), list(range(n))
+    holds = index(at)
     for c in sorted(holds):
+        r = len(pivots)
         if c >= stop or r == n:
             break
-        targets = holds[c]  # pivot rows above r may hold c too
-        k = min([i for i in targets if i >= r], default=-1)
-        if k < 0:
+        targets = holds[c]
+        if not targets:
             continue
+        k = min(targets, key=pos.__getitem__)
         prow = rows[k]
-        if k != r:
-            low = rows[r]
-            rows[r], rows[k] = prow, low
-            dens[r], dens[k] = dens[k], dens[r]
-            for row, other, was, now in ((low, prow, r, k), (prow, low, k, r)):
-                for j in row:
-                    if j not in other:
-                        moved = holds[j]
-                        moved.remove(was)
-                        moved.add(now)
+        for j in prow:
+            holds[j].remove(k)
+        if pos[k] != r:  # the swap of positions r and pos[k]
+            low, moved = at[r], True
+            at[pos[k]], pos[low] = low, pos[k]
+            at[r], pos[k] = k, r
         pv = prow[c]
         if p is None:
-            if pv != dens[r]:
+            if pv != dens[k]:
                 g = gcd(*prow.values()) if pv > 0 else -gcd(*prow.values())
                 for j, x in prow.items():
                     prow[j] = x // g
-                dens[r] = pv // g
+                dens[k] = pv // g
         elif pv != 1:
             inv = pow(pv, -1, p)
             for j, x in prow.items():
                 prow[j] = x * inv % p
-        below = [i for i in targets if i > r]
-        if below:
-            clear(r, c, below)
-            targets.difference_update(below)
+        if targets:  # holds[c] is not read again
+            clear(k, c, targets)
         pivots.append(c)
-        r += 1
-    for r in range(len(pivots) - 1, 0, -1):
-        above = [i for i in holds[pivots[r]] if i != r]
-        if above:
-            clear(r, pivots[r], above)
+    rank = len(pivots)
+    if rank > 1:
+        holds = index(at[:rank])
+        for r in range(rank - 1, 0, -1):
+            k = at[r]
+            above = holds[pivots[r]]
+            if len(above) > 1:
+                above.discard(k)
+                clear(k, pivots[r], above)
+    if moved:
+        rows[:], dens[:] = [rows[k] for k in at], [dens[k] for k in at]
     return pivots
 
 
@@ -472,13 +481,37 @@ class Matrix:
             tuple(pivots)
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        rows = [dict(v) for v, _ in self.rows if v]
+        return len(_eliminate(rows, [d for v, d in self.rows if v], self.field.p,
+                              self.ncols)) if rows else 0
 
     def kernel(self) -> "Subspace":
-        """Right kernel {v : Mv = 0} as a subspace of F^ncols: spanned by
-        the rows of the quotient map of the row space."""
-        return Subspace._span(self.field, self.ncols,
-                              self.row_space().quotient_matrix().rows)
+        """Right kernel {v : Mv = 0} as a subspace of F^ncols, from one
+        elimination with the columns in reverse order (j -> n-1-j).  In the
+        original order each pivot row R_c then holds, besides its pivot c,
+        only free columns left of c.  So for each free column f the vector
+        e_f - sum_c R_c[f] e_c leads at f and holds no other free column:
+        these vectors are the reduced echelon basis, which is unique."""
+        n, p = self.ncols, self.field.p
+        rows = [{n - 1 - j: x for j, x in v.items()} for v, _ in self.rows if v]
+        dens = [d for v, d in self.rows if v]
+        pivots = _eliminate(rows, dens, p, n)
+        free = {f: [] for f in range(n)}  # f -> (c, R_c[f] numerator, R_c denominator)
+        for c in pivots:
+            del free[n - 1 - c]
+        for c, row, d in zip(pivots, rows, dens):
+            for j, x in row.items():
+                if j != c:
+                    free[n - 1 - j].append((n - 1 - c, x, d))
+        basis = {}
+        for f, col in free.items():
+            if p is not None:
+                basis[f] = ({f: 1, **{c: p - x for c, x, _ in col}}, 1)
+            else:
+                e = lcm(*[d for _, _, d in col])
+                col = {c: -x * (e // d) for c, x, d in col}
+                basis[f] = _primitive({f: e, **col}, e, None)
+        return Subspace(self.field, n, basis)
 
     def column_space(self) -> "Subspace":
         # the transpose's rows are new dicts, free for _span to consume

@@ -369,13 +369,12 @@ def _check_cover(m: ModuleRep, cover: ProjectiveCover):
     for j in range(m.algebra.dim):  # A-linear
         if pi @ p.action[j] != m.action[j] @ pi:
             raise ValidationFailure("cover map is not A-linear")
-    # surjective
-    if pi.rank() != m.dim:
-        raise ValidationFailure("cover map is not surjective")
-    # minimal: kernel inside rad(A) . P
+    # surjective: rank = dim P - dim ker, from the one elimination
     ker = pi.kernel()
-    radp = radical_submodule(p)
-    if not radp.contains_subspace(ker):
+    if pi.ncols - ker.dim != m.dim:
+        raise ValidationFailure("cover map is not surjective")
+    # minimal: kernel inside rad(A) . P; the kernel 0 of a square surjection is
+    if not ker.is_zero() and not radical_submodule(p).contains_subspace(ker):
         raise ValidationFailure("cover is not minimal (kernel escapes the radical)")
 
 

@@ -76,18 +76,19 @@ def parse_matrix(field: Field, rows, nrows: int, ncols: int, where: str) -> Matr
     _expect(isinstance(rows, list), f"{where} must be a list of rows")
     _expect(len(rows) == nrows,
             f"{where} has {len(rows)} rows, expected {nrows}")
-    data = []
+    data, over_fp = [], not field.is_rational
     for r, row in enumerate(rows):
         _expect(isinstance(row, list) and len(row) == ncols,
                 f"{where} row {r} must be a list of {ncols} scalars")
-        try:
-            values = [parse_scalar(field, v, where) for v in row]
+        try:  # exact zeros, the int 0 and over Q the string "0", skip the parser
+            values = [(c, parse_scalar(field, v, where)) for c, v in enumerate(row)
+                      if (v != "0" or over_fp) and (v or type(v) is not int)]
         except SchemaError:
             # parse the row again to name the first malformed entry
             for c, v in enumerate(row):
                 parse_scalar(field, v, f"{where}[{r}][{c}]")
             raise
-        data.append(stored_row(field, {c: x for c, x in enumerate(values) if x}))
+        data.append(stored_row(field, {c: x for c, x in values if x}))
     # parse_scalar returns canonical values: no second coercion
     return Matrix(field, nrows, ncols, data)
 

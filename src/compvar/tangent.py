@@ -87,6 +87,9 @@ def tangent_vector(x: ComplexPoint, deltas: dict, sigmas: dict) -> TangentVector
                                     f"not a tangent direction")
         given.update((("delta", i, j), m) for j, m in enumerate(mats[1:], 1))
     layout = tangent_layout(x)
+    for key, m in given.items():
+        if key not in layout.index and m.nrows * m.ncols:
+            raise ShapeMismatch(f"block {key} lies outside the tangent coordinates")
     blocks = {}
     for key, shape in zip(layout.keys, layout.shapes):
         m = given.get(key)
@@ -368,7 +371,7 @@ def eta_kernel(x: ComplexPoint):
     kernel = Subspace._span(field, layout.ambient_dim,
                             [row_combination(field, zip(coeffs, rows))
                              for coeffs in coeff_kernel.basis])
-    return layout, kernel, m.rank()
+    return layout, kernel, m.ncols - coeff_kernel.dim
 
 
 # -- theorem-level verdicts -------------------------------------------------------------

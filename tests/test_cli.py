@@ -243,6 +243,25 @@ def test_q_scalar_outside_the_grammar_exits_4_naming_the_entry(entry, tmp_path, 
         f"error: complex.modules[1][1][1][0]: bad rational scalar {entry!r}"]
 
 
+@pytest.mark.parametrize("field, entry", [
+    (field, entry) for field in (QQ, GF(101)) for entry in (False, True, 0.0, 1.5)
+] + [(GF(101), "0")], ids=str)
+def test_non_integer_module_entry_exits_4_naming_the_entry(field, entry,
+                                                           tmp_path, capsys):
+    """Only an exact zero (the int 0, and "0" over Q) skips the scalar
+    parser: booleans, floats and "0" over F_p are refused by name."""
+    alg, cx = tmp_path / "alg.json", tmp_path / "cx.json"
+    alg.write_text(json.dumps(algebra_to_json(dual_numbers(field))))
+    doc = complex_to_json(axa_complex(field))
+    doc["modules"][1][1][0][1] = entry  # a zero entry of x's action
+    cx.write_text(json.dumps(doc))
+    assert run_cli("validate", "--algebra", str(alg), "--complex", str(cx)) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: complex.modules[1][1][0][1]: ")
+    assert lines[0].endswith(f"got {entry!r}")
+
+
 def test_q_scalar_grammar_accepts_signs_and_leading_zeros():
     a = dual_numbers(QQ)
     obj = complex_to_json(axa_complex(QQ))

@@ -51,6 +51,26 @@ def test_broken_differential_square_witness():
     assert info.value.witness[0] == "gamma"
 
 
+def test_a_point_is_checked_once(monkeypatch):
+    """make_complex checks the point; validate_point and the tangent
+    space then read the witness kept on it, the (gamma) one included."""
+    from compvar import complexes
+    from compvar.tangent import tangent_space
+    x, calls, check = axa_complex(QQ), [], complexes._point_witness
+    monkeypatch.setattr(complexes, "_point_witness",
+                        lambda x: calls.append(x) or check(x))
+    y = make_complex(x.algebra, 0, x.terms, x.diffs)
+    assert validate_point(y) is None and len(calls) == 1
+    tangent_space(y)
+    assert len(calls) == 1
+    reg, ident = regular_module(x.algebra), Matrix.identity(QQ, 2)
+    broken = complexes.ComplexPoint(x.algebra, 0, (reg, reg, reg), (ident, ident))
+    assert validate_point(broken) == validate_point(broken) == ("gamma", 2)
+    with pytest.raises(ValidationFailure, match="gamma"):
+        tangent_space(broken)
+    assert len(calls) == 2
+
+
 def test_non_linear_differential_witness():
     a = dual_numbers(QQ)
     reg = regular_module(a)

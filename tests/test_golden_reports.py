@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import sys
 from pathlib import Path
@@ -21,6 +22,9 @@ from pathlib import Path
 import pytest
 
 from compvar.cli import main
+from compvar.complexes import stalk
+from compvar.modules import direct_sum_modules, regular_module, simple_modules
+from compvar.schemas import complex_to_json, load_json, parse_algebra
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -112,6 +116,26 @@ def test_report_matches_golden(name, monkeypatch):
     code, out = _run(CASES[name])
     assert code == 0
     assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("short", ["a3-q", "a3-f101"])
+def test_moved_stalk_reports_the_numbers_of_its_block_form(short, tmp_path,
+                                                           monkeypatch):
+    """theorem7 on the stalk of A + S1 + S2 + S3 over A_3 in block form
+    gives the dimensions and verdict pinned for its moved copy."""
+    monkeypatch.chdir(ROOT)
+    algebra = f"{HEAVY}{short}.json"
+    a3 = parse_algebra(load_json(algebra))
+    m = direct_sum_modules([regular_module(a3)] + simple_modules(a3))[0]
+    block = tmp_path / "block.json"
+    block.write_text(json.dumps(complex_to_json(stalk(m))), encoding="utf-8")
+    code, out = _run(["theorem7", "--algebra", algebra, "--complex", str(block)])
+    assert code == 0
+    keys = ("dims", "tangent_dim", "orbit_dim", "quotient", "derived_hom_dim",
+            "verdict")
+    moved = json.loads((GOLDEN / f"theorem7-heavy-{short}.json").read_text())
+    assert [json.loads(out)[k] for k in keys] == [moved[k] for k in keys] \
+        == [[9], 70, 66, 4, 4, "embedding"]
 
 
 if __name__ == "__main__":

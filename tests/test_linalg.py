@@ -765,6 +765,48 @@ def test_eliminate_matches_the_sweep_on_drawn_systems(hypothesis):
     check()
 
 
+def test_kernel_matches_the_two_step_construction(hypothesis):
+    """Oracle: the kernel as the span of the rows of the quotient map of the
+    row space, which eliminates twice.  Drawn over Q, F_2 and F_101, with
+    zero rows, no columns, full rank and dependent rows."""
+    from hypothesis import strategies as st
+
+    @st.composite
+    def matrices(draw):
+        field = draw(st.sampled_from([QQ, F2, GF(101)]))
+        ncols = draw(st.integers(0, 8))
+        if field.p is None:
+            value = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4))
+        else:
+            value = st.integers(1, field.p - 1)
+        row = st.lists(st.one_of(st.just(0), value), min_size=ncols,
+                       max_size=ncols).map(lambda r: {j: x for j, x in enumerate(r) if x})
+        rows = draw(st.lists(row, max_size=8))
+        kind = draw(st.sampled_from(["drawn", "dependent", "full"]))
+        if kind == "full":  # unit upper triangular, rows permuted
+            rows = [{i: field.one(), **{j: x for j, x in r.items() if j > i}}
+                    for i, r in enumerate(draw(st.lists(row, min_size=ncols,
+                                                        max_size=ncols)))]
+            rows = draw(st.permutations(rows))
+        m = _matrix(field, ncols, rows)
+        if kind == "dependent" and rows:
+            mix = _matrix(field, len(rows), draw(st.lists(
+                st.dictionaries(st.integers(0, len(rows) - 1), value, max_size=3),
+                min_size=1, max_size=4)))
+            m = Matrix.vstack([m, mix @ m])
+        return m
+
+    @hypothesis.given(matrices())
+    def check(m):
+        quotient = m.row_space().quotient_matrix()
+        want = Subspace._span(m.field, m.ncols, [(dict(v), d) for v, d in quotient.rows])
+        got = m.kernel()
+        assert got == want and list(got.by_pivot) == list(want.by_pivot)
+        assert (m @ got.column_matrix()).is_zero()
+
+    check()
+
+
 # -- oracle: plain Fraction arithmetic for the kernels over Q -------------------
 
 def _q_values(st):

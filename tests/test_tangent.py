@@ -10,7 +10,7 @@ from compvar.complexes import (GroupElement, act, chain_map_space, direct_sum,
                                homotopy_hom, make_complex, stalk)
 from compvar.derived import derived_hom_dim
 from compvar.errors import (NotAlmostProjective, NotProjectiveComplex,
-                            ValidationFailure)
+                            ShapeMismatch, ValidationFailure)
 from compvar.fields import GF, QQ
 from compvar.linalg import Blocks, Matrix, Subspace, linear_system, row_values
 from compvar.modules import (conjugate_module, direct_sum_modules,
@@ -249,6 +249,23 @@ def test_chi_rejects_non_tangent_data():
         bad = tangent_vector(
             x, {1: tuple(Matrix.identity(QQ, 2) for _ in range(2))}, {})
         chi(x, bad)  # delta along the identity must vanish
+
+
+def test_tangent_vector_refuses_blocks_outside_the_window():
+    """On axa (degrees 0..1) a sigma at the bottom degree and a delta at a
+    degree past the top are no tangent coordinates; given with entries,
+    each is refused by its key, and given empty, it is a zero block."""
+    x = axa_complex(QQ)
+    one, zero = Matrix.identity(QQ, 2), Matrix.zeros(QQ, 2, 2)
+    with pytest.raises(ShapeMismatch, match="outside the tangent coordinates"):
+        tangent_vector(x, {7: (zero, one)}, {0: one, 5: one})
+    with pytest.raises(ShapeMismatch, match=r"^block \('sigma', 0\) lies outside"):
+        tangent_vector(x, {}, {0: one})
+    with pytest.raises(ShapeMismatch, match=r"^block \('delta', 7, 1\) lies outside"):
+        tangent_vector(x, {7: (zero, one)}, {})
+    empty = Matrix.zeros(QQ, 0, 0)
+    assert tangent_vector(x, {7: (empty, empty)}, {0: Matrix.zeros(QQ, 0, 2)}).is_zero()
+    assert not tangent_vector(x, {}, {1: x.diff(1)}).is_zero()
 
 
 def test_chi_dims_and_exactness():
