@@ -13,7 +13,8 @@ the ``A_5`` stalks are moved by a seeded base change in every degree, so
 that their systems are not the 0/1 patterns of the small fixtures; moved,
 the ``A_5`` tangent system fills in and takes minutes.
 
-- ``strip-dual-2``: ``(A --x--> A) + (A --1--> A)^2`` over the dual numbers;
+- ``strip-dual-2`` and ``strip-dual-3``: ``(A --x--> A) + (A --1--> A)^k``
+  over the dual numbers, k = 2 and 3;
 - ``strip-a2-4``: ``(P2 -> P1) + (P1 --1--> P1)^4`` over ``1 -> 2``;
 - ``a5-q`` and ``a5-f101``: the stalk of ``A + S1 + ... + S5`` over the
   linearly oriented ``A_5`` (dimension 15), over Q and over F_101, in
@@ -100,6 +101,7 @@ def inputs() -> dict:
     reg = regular_module(dual)
     x_map = dual.right_mult_matrix(dual.basis_vec(1))
     docs["strip-dual-2"] = strip_input(dual, reg, reg, x_map, reg, 2, seed=2)
+    docs["strip-dual-3"] = strip_input(dual, reg, reg, x_map, reg, 3, seed=3)
     p1, p2 = (m for m, _ in indecomposable_projectives(a2))
     docs["strip-a2-4"] = strip_input(a2, p2, p1, hom_matrices(p2, p1)[0],
                                      p1, 4, seed=4)

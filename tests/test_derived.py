@@ -5,7 +5,8 @@ from dataclasses import replace
 
 import pytest
 
-from compvar.algebra import FDAlgebra, center, radical
+from compvar.algebra import (FDAlgebra, algebra_from_constants, center, radical,
+                            validate_algebra)
 from compvar.complexes import (MAX_TOWER_STEPS, ChainMap, GroupElement, act,
                                chain_map_from_components, direct_sum,
                                homology_dims, homotopy_hom,
@@ -304,6 +305,69 @@ def test_end_algebra_matches_the_greedy_basis(field, k, monkeypatch):
         assert pkg.radical == radical(FDAlgebra(field, pkg.bhat.dim, pkg.bhat.labels,
                                                 products))
     assert pkg.H.dim > 1 and pkg.bhat.dim > 2 * k
+
+
+def _constants_end_table(x):
+    """End(x) in the identity-first basis built from a dense constant map:
+    the coordinates of every composite of basis maps as canonical scalars,
+    checked by ``coordinates``, through ``algebra_from_constants``, which
+    runs the associativity triples."""
+    field = x.field
+    cms = homotopy_hom(x, x, 0).space
+    space = cms.subspace
+    id_vec = cms.flatten(identity_chain_map(x))
+    c = space.coordinates(id_vec)
+    kstar = max(k for k, ck in enumerate(c) if ck)
+    vectors = [id_vec] + [v for k, v in enumerate(space.basis) if k != kstar]
+    maps = [cms.unflatten(v) for v in vectors]
+
+    def coords(v):
+        a = space.coordinates(v)
+        assert a is not None
+        t = field.mul(a[kstar], field.inv(c[kstar]))
+        return (t,) + tuple(field.sub(a[k], field.mul(t, c[k]))
+                            for k in range(space.dim) if k != kstar)
+
+    constants = {(j, k, l): cl for j, f in enumerate(maps)
+                 for k, g in enumerate(maps)
+                 for l, cl in enumerate(coords(cms.flatten(f.then(g))))}
+    return algebra_from_constants(field, space.dim, None, constants)
+
+
+def test_end_table_matches_the_constant_map_oracle(hypothesis):
+    """Drawn moved sums of a minimal complex and contractible pairs over the
+    dual numbers and over 1 -> 2, over Q and F_101: the table End(x) builds
+    on stored rows is the table of the dense constant map, row for row, and
+    it passes ``validate_algebra``."""
+    from hypothesis import strategies as st
+
+    def pieces(field):
+        dual = axa_complex(field)
+        minimal = p2_to_p1_complex(field)
+        p1, p2 = (p for p, _ in indecomposable_projectives(minimal.algebra))
+        pairs = [make_complex(minimal.algebra, 0, (p, p),
+                              (Matrix.identity(field, p.dim),)) for p in (p1, p2)]
+        return {"dual": (dual, [contractible_pair(field)]), "a2": (minimal, pairs)}
+
+    by_field = {str(field): pieces(field) for field in (QQ, GF(101))}
+
+    @st.composite
+    def cases(draw):
+        field = draw(st.sampled_from(sorted(by_field)))
+        minimal, pairs = by_field[field][draw(st.sampled_from(["dual", "a2"]))]
+        x = minimal if draw(st.booleans()) else stalk(minimal.term(0), 0)
+        for pair in draw(st.lists(st.sampled_from(pairs), max_size=2)):
+            x = direct_sum(x, pair)
+        return _moved(x, seed=draw(st.integers(0, 99)))
+
+    @hypothesis.settings(max_examples=12)
+    @hypothesis.given(cases())
+    def check(x):
+        bhat = end_algebra(x).bhat
+        assert bhat.products == _constants_end_table(x).products
+        assert validate_algebra(bhat) is None
+
+    check()
 
 
 def _unimodular(rng: random.Random, n: int) -> Matrix:

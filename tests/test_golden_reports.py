@@ -85,7 +85,7 @@ def _cases() -> dict:
     cases["rigid-scan-f2dual-2-2-2"] = ["rigid-scan", "--algebra", F2_DUAL,
                                         "--dims", "2,2,2",
                                         "--max-points", "2000000"]
-    for short, alg in (("dual-2", Q_DUAL), ("a2-4", Q_A2)):
+    for short, alg in (("dual-2", Q_DUAL), ("dual-3", Q_DUAL), ("a2-4", Q_A2)):
         cases[f"strip-acyclic-heavy-{short}"] = [
             "strip-acyclic", "--algebra", alg,
             "--complex", f"{HEAVY}strip-{short}.json"]
