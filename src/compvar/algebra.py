@@ -3,10 +3,11 @@
 An algebra is its structure-constant table on a basis (a_1, ..., a_s) with
 a_1 = 1: ``products[j][k]`` is the row of a_j a_k, in the one stored form
 of ``linalg``, which every ``Matrix`` and ``Subspace`` holds too.
-``algebra_from_constants`` is the one builder of every table: from table
-files, from a quiver presentation (``path_algebra``, where a product
-of two basis elements is one path, reduced modulo the relations) and from
-the composites of an endomorphism algebra.  Quiver-constructed algebras
+``_assemble`` is the one assembly of every table: through
+``algebra_from_constants`` from table files and from a quiver presentation
+(``path_algebra``, where a product of two basis elements is one path,
+reduced modulo the relations), and from the certified composites of an
+endomorphism algebra.  Quiver-constructed algebras
 additionally record their complete orthogonal primitive idempotents and a
 structural radical basis, both of which downstream module theory needs.
 Algebra elements stay dense coordinate tuples at the API boundary.
@@ -20,7 +21,7 @@ from .errors import (BudgetExceeded, MissingIdempotents, ShapeMismatch,
                      UnsupportedCharacteristic, ValidationFailure)
 from .fields import Field
 from .linalg import (Matrix, Subspace, combine, linear_system, row_combination,
-                     row_key, row_values, stored_row, table_product, vec_combination)
+                     row_key, stored_row, table_product, vec_combination)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,15 +144,35 @@ def algebra_from_constants(field: Field, dim: int, labels, constants,
     units = Matrix.identity(field, dim).rows  # a_1 a_k = a_k, a_j a_1 = a_j
     table = [[stored_row(field, cell) if j and k else units[j + k]
               for k, cell in enumerate(row)] for j, row in enumerate(table)]
-    alg = FDAlgebra(field, dim, labels, tuple(map(tuple, table)),
+    return _assemble(field, labels, tuple(map(tuple, table)), validate_algebra,
+                     idempotents, radical_vectors)
+
+
+def _assemble(field: Field, labels: tuple, products: tuple, check,
+              idempotents=None, radical_vectors=None) -> FDAlgebra:
+    """The one assembly of a table from its rows, refused on a witness of
+    ``check``: ``validate_algebra``, or ``_unit_laws`` for the table of
+    End(X), whose composites certify its rows (``derived.end_algebra``)."""
+    alg = FDAlgebra(field, len(labels), labels, products,
                     idempotents=idempotents, radical_vectors=radical_vectors)
-    witness = validate_algebra(alg)
+    witness = check(alg)
     if witness is not None:
         raise ValidationFailure(f"structure constants invalid: {witness}",
                                 witness=witness)
     if idempotents is not None:
         _check_idempotents(alg)
     return alg
+
+
+def _unit_laws(a: FDAlgebra) -> tuple | None:
+    """The first row a_1 a_k or column a_k a_1 that is not a_k, or None."""
+    units = Matrix.identity(a.field, a.dim).rows
+    for k in range(a.dim):
+        if a.products[0][k] != units[k]:
+            return ("unit-left", k)
+        if a.products[k][0] != units[k]:
+            return ("unit-right", k)
+    return None
 
 
 def validate_algebra(a: FDAlgebra) -> tuple | None:
@@ -163,12 +184,9 @@ def validate_algebra(a: FDAlgebra) -> tuple | None:
     rows of a_m a_l by the row of a_j a_k, and a_j (a_k a_l) the rows of
     a_j a_m by the row of a_k a_l.  Rows are canonical, so the two sides
     compare as rows."""
-    field, units = a.field, Matrix.identity(a.field, a.dim).rows
-    for k in range(a.dim):
-        if a.products[0][k] != units[k]:
-            return ("unit-left", k)
-        if a.products[k][0] != units[k]:
-            return ("unit-right", k)
+    if (witness := _unit_laws(a)) is not None:
+        return witness
+    field = a.field
     times = [[row[l] for row in a.products] for l in range(a.dim)]  # a_m a_l by m
     others = range(1, a.dim)
     for j in others:
@@ -393,13 +411,15 @@ def _radical(a: FDAlgebra) -> Subspace:
         if not (a.field.is_rational or a.field.p > a.dim):
             raise UnsupportedCharacteristic(
                 f"trace-form radical needs char 0 or p > {a.dim}, have p = {a.field.p}")
-        # trace(L_x) is linear in x: the sum of x_l * trace(L_{a_l})
-        values = [[row_values(a.field, cell) for cell in row] for row in a.products]
-        traces = [sum(row[k].get(k, 0) for k in range(a.dim)) for row in values]
-        rows = [[sum(x * traces[l] for l, x in values[u][j].items())
-                 for u in range(a.dim)]  # trace(L_{a_u * a_j})
-                for j in range(a.dim)]
-        rad = Matrix.from_rows(a.field, rows).kernel()
+        # by_l[j][l] is the row over u of c_ujl, the a_l coordinate of a_u a_j;
+        # trace(L_x) is linear in x, so trace(L_{a_u a_j}) over u is the
+        # combination of by_l[j] by the row over l of trace(L_{a_l})
+        field, n = a.field, a.dim
+        by_l = [Matrix(field, n, n, [row[j] for row in a.products]).transpose().rows
+                for j in range(n)]
+        traces = combine(field, stored_row(field, dict.fromkeys(range(n), 1)),
+                         [by_l[k][k] for k in range(n)])
+        rad = Matrix(field, n, n, [combine(field, traces, rows) for rows in by_l]).kernel()
     _check_radical(a, rad)
     return rad
 

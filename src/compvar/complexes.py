@@ -18,7 +18,7 @@ from .errors import (AlgebraMismatch, BudgetExceeded, NotProjectiveComplex,
                      ShapeMismatch, ValidationFailure)
 from .linalg import Blocks, Matrix, Subspace, linear_system, vector_row
 from .modules import (ModuleRep, WitnessSearch, direct_sum_modules,
-                      hom_matrices, is_projective,
+                      hom_space, is_projective,
                       search_invertible_combination, submodule,
                       validate_module, zero_module)
 
@@ -55,6 +55,11 @@ class ComplexPoint:
     def _witness(self) -> tuple | None:
         # kept like _class
         return _point_witness(self)
+
+    @cached_property
+    def _homology(self) -> dict:
+        # degree -> HomologyData, filled by homology(); kept like _class
+        return {}
 
     # -- window access -------------------------------------------------------
 
@@ -218,7 +223,6 @@ class ChainMap:
 
     def validate(self) -> tuple | None:
         x, y, n = self.source, self.target, self.shift
-        sign = y.field.one() if n % 2 == 0 else y.field.neg(y.field.one())
         for i in x.degrees():
             f = self.component(i)
             if f.shape != (y.dim_at(i - n), x.dim_at(i)):
@@ -229,6 +233,12 @@ class ChainMap:
             for j in range(first, x.algebra.dim):
                 if f @ src.action[j] != tgt.action[j] @ f:
                     return ("linearity", i, j)
+        return self._squares()
+
+    def _squares(self) -> tuple | None:
+        """The first degree i where (-1)^n dY f_i != f_{i-1} dX, or None."""
+        x, y, n = self.source, self.target, self.shift
+        sign = y.field.one() if n % 2 == 0 else y.field.neg(y.field.one())
         for i in range(x.bottom, x.top + 2):
             lhs = (y.diff(i - n) @ self.component(i)).scale(sign)
             rhs = self.component(i - 1) @ x.diff(i)
@@ -426,23 +436,25 @@ class HomotopyHom:
 
 def homotopy_hom(x: ComplexPoint, y: ComplexPoint, n: int) -> HomotopyHom:
     """Hom up to homotopy: null-homotopic maps are boundaries
-    (-1)^n dY s + s dX of A-linear families s of shift n+1."""
+    (-1)^n dY s + s dX of A-linear families s of shift n+1: per degree i,
+    the Hom_A(X_i, Y_{i-n+1}) basis rows times the transpose of the one
+    ``linear_system`` of s -> ((-1)^n dY s, s dX) in the chain-map blocks."""
     cms = chain_map_space(x, y, n)
-    boundaries = []
-    homs = {}  # Hom_A basis per (source, target) pair of term instances
+    layout, boundaries = cms.layout, []
+    homs = {}  # Hom_A basis rows per (source, target) pair of term instances
     for i in x.degrees():
         if not x.dim_at(i) or not y.dim_at(i - n + 1):
             continue
         src, tgt = x.term(i), y.term(i - n + 1)
         key = (id(src), id(tgt))  # x and y keep both alive during the call
         if key not in homs:
-            homs[key] = hom_matrices(src, tgt)
-        dy = y.diff(i - n + 1) if n % 2 == 0 else -y.diff(i - n + 1)
-        for h in homs[key]:
-            comps = {i: dy @ h}
-            if i + 1 in cms.layout.index:
-                comps[i + 1] = h @ x.diff(i + 1)
-            boundaries.append(cms.layout.sparse_row(comps))
+            rows = list(hom_space(src, tgt).by_pivot.values())
+            homs[key] = Matrix(x.field, len(rows), tgt.dim * src.dim, rows)
+        terms = {i: [((-1) ** n, y.diff(i - n + 1), 0, None)],
+                 i + 1: [(1, None, 0, x.diff(i + 1))]}
+        boundary = linear_system(x.field, [(tgt.dim, src.dim)], [
+            (r, c, terms.get(k, ())) for k, (r, c) in zip(layout.keys, layout.shapes)])
+        boundaries += (homs[key] @ boundary.transpose()).rows
     null = Subspace._span(x.field, cms.ambient_dim, boundaries)
     if not cms.subspace.contains_subspace(null):
         raise ValidationFailure("null-homotopic maps escaped the chain map space")
@@ -459,11 +471,16 @@ class HomologyData:
 
 
 def homology(x: ComplexPoint, i: int) -> HomologyData:
-    cycles = x.diff(i).kernel()
-    boundaries = x.diff(i + 1).column_space()
-    if not cycles.contains_subspace(boundaries):
-        raise ValidationFailure(f"d^2 != 0 at degree {i}")
-    return HomologyData(cycles.dim - boundaries.dim, cycles, boundaries)
+    """Cycles and boundaries in degree i, computed once per point and
+    degree: the result is kept on the instance."""
+    memo = x._homology
+    if i not in memo:
+        cycles = x.diff(i).kernel()
+        boundaries = x.diff(i + 1).column_space()
+        if not cycles.contains_subspace(boundaries):
+            raise ValidationFailure(f"d^2 != 0 at degree {i}")
+        memo[i] = HomologyData(cycles.dim - boundaries.dim, cycles, boundaries)
+    return memo[i]
 
 
 def homology_dims(x: ComplexPoint) -> tuple:
@@ -536,14 +553,13 @@ def _classify(x: ComplexPoint) -> ComplexClass:
 MAX_TOWER_STEPS = 128
 
 
-def _onto(x: ComplexPoint, lo: int) -> dict:
-    """The canonical map of a tower step onto x from degree lo up: the
-    identity below the top degree ld of x, the cover map of x_ld at ld."""
+def _onto(x: ComplexPoint, lo: int) -> tuple:
+    """The components, descending, of a tower step's canonical map onto x
+    from degree lo up: at x's top degree ld the cover map, below it 1."""
     ld = x.left_degree()
-    comps = {i: Matrix.identity(x.field, x.dim_at(i))
-             for i in range(lo, ld) if x.dim_at(i)}
-    comps[ld] = x.term(ld).cover.pi
-    return comps
+    return ((ld, x.term(ld).cover.pi),) + tuple(
+        (i, Matrix.identity(x.field, x.dim_at(i)))
+        for i in range(ld - 1, lo - 1, -1) if x.dim_at(i))
 
 
 def _extend_once(x: ComplexPoint, met: dict) -> ComplexPoint:
@@ -565,12 +581,15 @@ def _extend_once(x: ComplexPoint, met: dict) -> ComplexPoint:
     diffs.append(k_inc)
     ext = ComplexPoint(x.algebra, x.bottom, terms, tuple(diffs))
     # only degrees ld-1..ld+1 change: check the new terms and maps, their
-    # composite and pi . k = 0 there, at a cost that does not grow with x
+    # composite and pi . k = 0 there, at a cost that does not grow with x;
+    # pi is A-linear by _check_cover, so only the map's squares are checked
     lo = max(x.bottom, ld - 1)
     window = make_complex(x.algebra, lo, terms[lo - x.bottom:], diffs[lo - x.bottom:])
     below = ComplexPoint(x.algebra, lo, tuple(x.term(i) for i in range(lo, ld + 2)),
                          tuple(x.diff(i) for i in range(lo + 1, ld + 2)))
-    chain_map_from_components(window, below, 0, _onto(x, lo))
+    witness = ChainMap(window, below, 0, _onto(x, lo))._squares()
+    if witness is not None:
+        raise ValidationFailure(f"not a chain map: {witness}", witness=witness)
     return ext
 
 
@@ -582,8 +601,7 @@ def projective_extension(x: ComplexPoint, steps: int = 1) -> tuple:
         nxt = _extend_once(current, met)
         if nxt is current:
             break
-        comps = sorted(_onto(current, current.bottom).items(), reverse=True)
-        total = ChainMap(nxt, current, 0, tuple(comps)).then(total)
+        total = ChainMap(nxt, current, 0, _onto(current, current.bottom)).then(total)
         current = nxt
     if not is_acyclic(mapping_cone(total)):
         raise ValidationFailure("canonical replacement map is not a quasi-isomorphism")

@@ -6,20 +6,22 @@ The endomorphism algebra of a complex is taken with multiplication equal to
 convention; every statement about its ideals below depends on that order.
 Null-homotopic self-maps form a two-sided ideal H that kills homology, and
 splitting off the contractible part of a complex amounts to lifting the
-identity of (H + J)/J through the radical J.
+identity of (H + J)/J through the radical J.  The table of End(X) is read
+off certified composites, so it needs no associativity triples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import FDAlgebra, algebra_from_constants, radical as algebra_radical
+from .algebra import FDAlgebra, _assemble, _unit_laws, radical as algebra_radical
 from .complexes import (ChainMap, ComplexPoint, HomotopyHom,
                         chain_map_from_components, classify, homology,
                         homology_dims, homotopy_hom, identity_chain_map,
                         is_acyclic, make_complex, replace_by_projective)
 from .errors import NotAlmostProjective, SplitterFailure, ValidationFailure
-from .linalg import LinearSolver, Matrix, Subspace, vec_combination
+from .linalg import (LinearSolver, Matrix, Subspace, combine, row_combination,
+                     row_values, stored_row, vec_combination)
 from .modules import submodule
 
 
@@ -57,81 +59,90 @@ class EndAlgebraPackage:
     complex: ComplexPoint
     bhat: FDAlgebra
     basis_maps: tuple        # ChainMap per basis index
-    basis_vectors: tuple     # flattened chain-map coordinates per basis index
+    basis_rows: tuple        # chain-map coordinate row per basis index
     H: Subspace              # null-homotopic ideal, bhat coordinates
     radical: Subspace        # J(bhat), bhat coordinates
     hom: HomotopyHom
 
     def realize(self, coords: tuple) -> ChainMap:
         space = self.hom.space
-        return space.unflatten(vec_combination(space.source.field, space.ambient_dim,
-                                               zip(coords, self.basis_vectors)))
+        return space.from_row(row_combination(space.source.field,
+                                              zip(coords, self.basis_rows)))
 
 
 def end_algebra(x: ComplexPoint) -> EndAlgebraPackage:
     """End(x) in the identity-first basis: the identity, then every echelon
     row of the chain-map space but row k*, the last one on which the
-    identity has a nonzero coordinate."""
+    identity has a nonzero coordinate.
+
+    A map's row reduces to zero modulo the space, which certifies it; its
+    entries at the pivots are its echelon coordinates a, and with t =
+    a[k*] / c[k*] for the identity's c, t, then a[k] - t c[k], are its
+    identity-first ones: row k of ``transform`` holds those of e_k.  Each
+    row b_j b_k of the table is so read off the composite of the basis
+    maps, which makes b_j b_k = sum_l c_jkl b_l as maps on the sum of the
+    X_i.  The b_l are independent, so the table is the multiplication of a
+    subalgebra of End_K(sum X_i), associative without the triples of
+    ``validate_algebra``; its unit row and column are checked."""
     if x.total_dim() == 0:
         raise ValidationFailure("the zero complex has no unital endomorphism algebra")
     field = x.field
     hom = homotopy_hom(x, x, 0)
     cms = hom.space
-    space = cms.subspace
-    id_vec = cms.flatten(identity_chain_map(x))
-    c = space.coordinates(id_vec)
+    space, layout = cms.subspace, cms.layout
+    id_row = layout.sparse_row(dict(identity_chain_map(x).comps))
+    c = space._coordinate_row(id_row)
     if c is None:
         raise ValidationFailure("identity map missing from the chain map space")
-    kstar = max(k for k, ck in enumerate(c) if ck)
-    others = [k for k in range(space.dim) if k != kstar]
-    basis_vectors = [id_vec] + [v for k, v in enumerate(space.basis) if k != kstar]
+    c = row_values(field, c)
+    kstar = max(c)
+    position = {k: k + (k < kstar) for k in range(space.dim) if k != kstar}
     inv_ck = field.inv(c[kstar])
+    transform = [stored_row(field, {position[k]: field.one()}) if k != kstar else
+                 stored_row(field, {0: inv_ck, **{position[l]: field.neg(field.mul(cl, inv_ck))
+                                                  for l, cl in c.items() if l != kstar}})
+                 for k in range(space.dim)]
 
-    def bhat_coords(v, what):
-        """Identity-first coordinates of v: with a = its echelon
-        coordinates and t = a[k*] / c[k*], they are t, then a[k] - t c[k]."""
-        a = space.coordinates(v)
+    def bhat_row(row, what):
+        a = space._coordinate_row(row)
         if a is None:
             raise ValidationFailure(f"{what} outside the chain map space")
-        t = field.mul(a[kstar], inv_ck)
-        return (t,) + tuple(field.sub(a[k], field.mul(t, c[k])) for k in others)
+        return combine(field, a, transform)
 
-    basis_maps = tuple(cms.unflatten(v) for v in basis_vectors)
-    # every coordinate, zeros too: the builder checks the identity's row
-    # and column against the composites
-    constants = {(j, k, l): c
-                 for j, bj in enumerate(basis_maps) for k, bk in enumerate(basis_maps)
-                 for l, c in enumerate(bhat_coords(cms.flatten(bj.then(bk)),  # opposite order
-                                                   "composite"))}
+    basis_rows = [id_row] + [v for k, v in enumerate(space.by_pivot.values()) if k != kstar]
+    basis_maps = tuple(map(cms.from_row, basis_rows))
+    products = tuple(tuple(bhat_row(layout.sparse_row(dict(bj.then(bk).comps)),  # opposite order
+                                    "composite") for bk in basis_maps)
+                     for bj in basis_maps)
     labels = ("1",) + tuple(f"b{k}" for k in range(1, space.dim))
-    bhat = algebra_from_constants(field, space.dim, labels, constants)
-    h_coords = [bhat_coords(v, "null-homotopic map") for v in hom.nullhomotopic.basis]
-    h_sub = Subspace.from_vectors(field, space.dim, h_coords)
-    _check_ideal_and_homology_kill(x, bhat, h_sub, basis_vectors, cms)
+    bhat = _assemble(field, labels, products, _unit_laws)
+    h_sub = Subspace._span(field, space.dim, [bhat_row(v, "null-homotopic map")
+                                              for v in hom.nullhomotopic.by_pivot.values()])
+    _check_ideal_and_homology_kill(x, bhat, h_sub, basis_rows, cms)
     rad = algebra_radical(bhat)
-    return EndAlgebraPackage(x, bhat, basis_maps, tuple(basis_vectors),
-                             h_sub, rad, hom)
+    return EndAlgebraPackage(x, bhat, basis_maps, tuple(basis_rows), h_sub, rad, hom)
 
 
-def _check_ideal_and_homology_kill(x, bhat, h_sub, basis_vectors, cms):
-    field = x.field
-    for hv in h_sub.basis:
+def _check_ideal_and_homology_kill(x, bhat, h_sub, basis_rows, cms):
+    """On the rows: h b_k and b_k h lie in H, and h maps cycles into boundaries."""
+    field, rows = x.field, list(h_sub.by_pivot.values())
+    times = [[row[k] for row in bhat.products] for k in range(bhat.dim)]  # a_m b_k by m
+    for hv in rows:
         for k in range(bhat.dim):
-            if not h_sub.contains(bhat.mul_vec(hv, bhat.basis_vec(k))):
+            if h_sub._residue(combine(field, hv, times[k]))[0]:
                 raise ValidationFailure("null-homotopic maps fail right ideal closure")
-            if not h_sub.contains(bhat.mul_vec(bhat.basis_vec(k), hv)):
+            if h_sub._residue(combine(field, hv, bhat.products[k]))[0]:
                 raise ValidationFailure("null-homotopic maps fail left ideal closure")
     # each null-homotopic map sends cycles into boundaries in every degree
-    if not h_sub.dim:
+    if not rows:
         return
-    homologies = {i: homology(x, i) for i in x.degrees()}
-    for hv in h_sub.basis:
-        f = cms.unflatten(vec_combination(field, cms.ambient_dim, zip(hv, basis_vectors)))
-        for i, data in homologies.items():
-            for cyc in data.cycles.basis:
-                if not data.boundaries.contains(f.component(i).mat_vec(cyc)):
-                    raise ValidationFailure(
-                        "null-homotopic map acts nontrivially on homology")
+    homologies = [(i, homology(x, i)) for i in x.degrees()]
+    homologies = [(i, h.boundaries, h.cycles.column_matrix()) for i, h in homologies]
+    for hv in rows:
+        f = cms.from_row(combine(field, hv, basis_rows))
+        for i, boundaries, cycles in homologies:
+            if boundaries.coordinate_matrix(f.component(i) @ cycles) is None:
+                raise ValidationFailure("null-homotopic map acts nontrivially on homology")
 
 
 # -- idempotent lifting ---------------------------------------------------------------

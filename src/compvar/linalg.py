@@ -12,7 +12,7 @@ equal pairs; over F_p the values lie in ``[1, p)`` and d is 1.  Every
 kernel computes on these integers: elimination, products, ``mat_vec``, the
 combinations, the reduction and ``linear_system`` build no Fraction.
 Scalars stay ``Fraction`` values over Q at the boundary: dense tuples
-(``data``, ``flat()``, ``col()``, ``Subspace.basis``, ``reduce``,
+(``data``, ``flat()``, ``Subspace.basis``, ``reduce``,
 ``coordinates``, ``mat_vec``'s result and the vector API) are built only
 when read.  Other modules build and read rows only through the helpers
 here (``stored_row``, ``vector_row``, ``row_vector``, ``row_values``,
@@ -296,8 +296,8 @@ class Matrix:
     """Immutable matrix over an exact field, stored as its rows ``(N, d)``.
 
     ``rows`` is a list of one row per matrix row, shared between matrices
-    and never modified.  ``data``, ``flat()`` and ``col()`` are dense
-    views, built when read.  Equality and the hash (kept once taken) ignore
+    and never modified.  ``data`` and ``flat()`` are dense views, built
+    when read.  Equality and the hash (kept once taken) ignore
     the order in which a row's columns were inserted.
     """
 
@@ -362,9 +362,6 @@ class Matrix:
                                             else (r, 1) for r in parts])
 
     # -- basic access ------------------------------------------------------
-
-    def col(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.data)
 
     def flat(self) -> tuple:
         """Row-major flattening."""
@@ -516,9 +513,6 @@ class Matrix:
     def column_space(self) -> "Subspace":
         # the transpose's rows are new dicts, free for _span to consume
         return Subspace._span(self.field, self.nrows, self.transpose().rows)
-
-    def row_space(self) -> "Subspace":
-        return Subspace._span(self.field, self.ncols, [(dict(v), d) for v, d in self.rows])
 
     def solve(self, b: tuple):
         """One solution of Mx = b (free variables zero), or None."""
@@ -767,17 +761,24 @@ class Subspace:
             return None
         return tuple(v[c] for c in self.by_pivot)
 
+    def _coordinate_row(self, v: tuple):
+        """The coordinate row of the row v in the canonical basis, its entries
+        at the pivots once v reduces to zero; None for v outside the span."""
+        if self._residue(v)[0]:
+            return None
+        num, d = v
+        return _primitive({i: num[c] for i, c in enumerate(self._pivots) if c in num},
+                          d, self.field.p)
+
     def coordinate_matrix(self, m: Matrix):
-        """The dim x m.ncols matrix X with ``column_matrix() @ X == m``, read
-        off the pivot entries of each column of m once the column reduces to
-        zero; None if a column of m lies outside the span."""
+        """The dim x m.ncols matrix X with ``column_matrix() @ X == m``, of the
+        coordinate rows of the columns of m; None if one lies outside the span."""
         cols = []
         for col in m.transpose().rows:
-            if self._residue(col)[0]:
+            row = self._coordinate_row(col)
+            if row is None:
                 return None
-            v, d = col
-            cols.append(_primitive({i: v[c] for i, c in enumerate(self.by_pivot) if c in v},
-                                   d, self.field.p))
+            cols.append(row)
         return Matrix(self.field, len(cols), self.dim, cols).transpose()
 
     def contains_subspace(self, other: "Subspace") -> bool:

@@ -5,8 +5,9 @@ identity acts as the identity matrix).  Homomorphism spaces, isomorphism
 witnesses, tops/radicals, projective covers, projectivity tests and the
 first self-extension oracle live here.  A module keeps its one cover,
 ``ModuleRep.cover``, which projectivity, Ext^1 and replacement towers read,
-and its projectivity verdict, which is preset on the projective of every
-cover: a sum of indecomposable projectives needs no cover of its own.
+and its verdicts.  The projective P of every cover, a sum of A e_i, is
+preset projective and satisfying (alpha); a submodule keeps a good (alpha)
+verdict that its module has taken.
 """
 
 from __future__ import annotations
@@ -158,7 +159,15 @@ def submodule(m: ModuleRep, space: Subspace) -> tuple:
         if coords is None:
             raise ValidationFailure("subspace is not invariant under the action")
         action.append(coords)
-    return ModuleRep(m.algebra, space.dim, tuple(action)), b
+    sub = ModuleRep(m.algebra, space.dim, tuple(action))
+    if _kept_good(m):  # b C_j = M_j b with b injective: (alpha) for m gives it for sub
+        vars(sub)["_witness"] = None
+    return sub, b
+
+
+def _kept_good(m: ModuleRep) -> bool:
+    """Whether m keeps the verdict that (alpha) holds; none is computed."""
+    return vars(m).get("_witness", ()) is None
 
 
 def quotient_module(m: ModuleRep, space: Subspace) -> tuple:
@@ -285,16 +294,16 @@ def radical_submodule(m: ModuleRep) -> Subspace:
 
 
 def _top(m: ModuleRep) -> list:
-    """Generators of the top M / rad M, as (vertex index, vector in M): per
-    vertex i, the echelon basis vectors of e_i M at the pivot columns of
-    their images in M / rad M, so each image is independent of the earlier
-    ones.  Requires a quiver-constructed algebra."""
+    """Generators of the top M / rad M, as (vertex index, row of a vector
+    in M): per vertex i, the echelon basis rows of e_i M at the pivot
+    columns of their images in M / rad M, so each image is independent of
+    the earlier ones.  Requires a quiver-constructed algebra."""
     to_top = radical_submodule(m).quotient_matrix()
     generators = []
     for vi, e in enumerate(m.algebra.primitive_idempotents()):
         image = m.rho(vector_row(m.field, len(e), e)).column_space()
-        basis = image.column_matrix()
-        generators += [(vi, basis.col(t)) for t in (to_top @ basis).rref()[1]]
+        rows = list(image.by_pivot.values())
+        generators += [(vi, rows[t]) for t in (to_top @ image.column_matrix()).rref()[1]]
     return generators
 
 
@@ -343,30 +352,29 @@ def projective_cover(m: ModuleRep) -> ProjectiveCover:
     if m.dim == 0:
         return ProjectiveCover(zero_module(a), Matrix.zeros(m.field, 0, 0), ())
 
-    generators = _top(m)
-    summands = []
-    columns = []
-    for vi, v in generators:
-        p_mod, p_inc = projs[vi]
-        summands.append(p_mod)
-        # basis vector b of A e_i (coordinates in A) acts on v via rho
-        for avec in p_inc.transpose().rows:  # element of A
-            columns.append(m.rho(avec).mat_vec(v))
-    if summands:
-        p_total, _, _ = direct_sum_modules(summands)
-        pi = Matrix.from_rows(m.field, columns).transpose()
-    else:
-        p_total = zero_module(a)
-        pi = Matrix.zeros(m.field, m.dim, 0)
+    field, generators = m.field, _top(m)
+    summands = [projs[vi][0] for vi, _ in generators]
+    p_total = ModuleRep(a, sum(p.dim for p in summands), tuple(
+        Matrix.block_diag(field, [p.action[j] for p in summands]) for j in range(a.dim)))
+    # a sum of A e_i, on which (alpha) holds by the table's checked laws
+    vars(p_total).update(_witness=None, _projective=True)
+    # images[g] holds the rows a_j v_g over j; a basis element b of A e_i,
+    # a row over the basis of A, sends v_g to their combination by b
+    gens = Matrix(field, len(generators), m.dim, [v for _, v in generators]).transpose()
+    images = list(zip(*((act @ gens).transpose().rows for act in m.action)))
+    elements = [inc.transpose().rows for _, inc in projs]
+    columns = [combine(field, b, images[g])
+               for g, (vi, _) in enumerate(generators) for b in elements[vi]]
+    pi = Matrix(field, len(columns), m.dim, columns).transpose()
     cover = ProjectiveCover(p_total, pi, tuple(vi for vi, _ in generators))
     _check_cover(m, cover)
-    vars(p_total)["_projective"] = True  # a sum of A e_i by construction
     return cover
 
 
 def _check_cover(m: ModuleRep, cover: ProjectiveCover):
     p, pi = cover.projective, cover.pi
-    for j in range(m.algebra.dim):  # A-linear
+    first = int(_kept_good(m) and _kept_good(p))  # a_0 acts as 1 on both
+    for j in range(first, m.algebra.dim):  # A-linear
         if pi @ p.action[j] != m.action[j] @ pi:
             raise ValidationFailure("cover map is not A-linear")
     # surjective: rank = dim P - dim ker, from the one elimination

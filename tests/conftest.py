@@ -16,3 +16,9 @@ def hypothesis():
         max_examples=200)
     hypothesis.settings.load_profile("compvar")
     return hypothesis
+
+
+def row_space(m):
+    """The span of the rows of the matrix m, as a Subspace."""
+    from compvar.linalg import Subspace
+    return Subspace._span(m.field, m.ncols, [(dict(v), d) for v, d in m.rows])

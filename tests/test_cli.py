@@ -419,10 +419,10 @@ def test_theorem7_covers_and_homs_each_term_value_once(monkeypatch, capsys):
     import compvar.complexes as complexes_module
     import compvar.modules as modules_module
     covered, homs = [], []
-    cover, hom = modules_module.projective_cover, modules_module.hom_matrices
+    cover, hom = modules_module.projective_cover, modules_module.hom_space
     monkeypatch.setattr(modules_module, "projective_cover",
                         lambda m: (covered.append(m), cover(m))[1])
-    monkeypatch.setattr(complexes_module, "hom_matrices",
+    monkeypatch.setattr(complexes_module, "hom_space",
                         lambda m, n: (homs.append((m, n)), hom(m, n))[1])
     code = run_cli("theorem7",
                    "--algebra", fx("algebra_q_dual_numbers_quiver.json"),

@@ -21,6 +21,8 @@ from compvar.samples import (a2_algebra, a2_simple_stalks, axa_complex,
                              contractible_pair, dual_numbers,
                              p2_to_p1_complex, simple_over_dual)
 
+from conftest import row_space
+
 
 # -- basic structure -----------------------------------------------------------
 
@@ -438,9 +440,9 @@ def test_tower_validation_grows_linearly(monkeypatch):
         assert len(replace_by_projective(s, top_degree=steps - 1).terms) == steps
         counts[steps] = len(calls)
     # each step checks the three degrees it changes, however high it sits:
-    # its window point validates their three terms, and its canonical map
-    # asks for the kept verdicts of the six terms it joins on them
-    assert counts[32] - counts[16] == (3 + 6) * 16
+    # its window point validates their three terms; its canonical map has
+    # only its squares checked, so it asks for no verdict
+    assert counts[32] - counts[16] == 3 * 16
 
 
 def test_tower_step_builds_no_more_as_the_tower_grows(monkeypatch):
@@ -467,13 +469,28 @@ def test_tower_step_checks_its_kernel_inclusion(monkeypatch):
     def whole_cover_on_third_step(m, space):
         calls.append(space)
         if len(calls) == 3:  # the whole cover instead of the kernel of pi
-            space = Matrix.identity(m.field, m.dim).row_space()
+            space = row_space(Matrix.identity(m.field, m.dim))
         return submodule(m, space)
 
     monkeypatch.setattr(complexes_module, "submodule", whole_cover_on_third_step)
     with pytest.raises(ValidationFailure):
         replace_by_projective(stalk(simple_over_dual(QQ), 0), top_degree=5)
     assert len(calls) == 3
+
+
+def test_first_tower_step_checks_the_square_of_its_kernel(monkeypatch):
+    # the first step's window has no composite of differentials to check,
+    # so only the square pi . k = 0 of its canonical map refuses a kernel
+    # inclusion that pi does not kill
+    import compvar.complexes as complexes_module
+    submodule = complexes_module.submodule
+
+    def whole_cover(m, space):
+        return submodule(m, row_space(Matrix.identity(m.field, m.dim)))
+
+    monkeypatch.setattr(complexes_module, "submodule", whole_cover)
+    with pytest.raises(ValidationFailure, match="square"):
+        replace_by_projective(stalk(simple_over_dual(QQ), 0), top_degree=5)
 
 
 def test_replacement_truncation_is_stable():

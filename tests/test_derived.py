@@ -24,6 +24,8 @@ from compvar.samples import (a2_algebra, axa_complex, contractible_pair,
                              dual_numbers, p2_to_p1_complex, simple_over_dual,
                              two_loop_truncated)
 
+from conftest import row_space
+
 
 # -- derived hom dimensions ------------------------------------------------------
 
@@ -241,7 +243,7 @@ def test_end_algebra_refuses_a_null_homotopic_map_outside_the_space(monkeypatch)
 
     def everything_null(x, y, n):
         h = hom(x, y, n)
-        whole = Matrix.identity(x.field, h.space.ambient_dim).row_space()
+        whole = row_space(Matrix.identity(x.field, h.space.ambient_dim))
         return replace(h, nullhomotopic=whole)
 
     monkeypatch.setattr(derived_module, "homotopy_hom", everything_null)

@@ -372,3 +372,60 @@ def test_submodule_rejects_non_invariant_subspace():
     bad = Subspace.from_vectors(QQ, 2, [(1, 0)])  # spanned by 1, not invariant
     with pytest.raises(ValidationFailure):
         submodule(reg, bad)
+
+
+# -- kept verdicts ----------------------------------------------------------------------
+
+def test_submodule_keeps_only_a_good_verdict_already_taken():
+    a = dual_numbers(QQ)
+    reg = regular_module(a)  # a fresh instance: no verdict taken yet
+    radm = radical_submodule(reg)
+    sub, _ = submodule(reg, radm)
+    assert "_witness" not in vars(sub)
+    assert validate_module(reg) is None
+    kept, _ = submodule(reg, radm)
+    assert vars(kept)["_witness"] is None
+    # x acting as 1 on K breaks x^2 = 0: its verdict is a witness, which a
+    # submodule does not inherit as good
+    bad = ModuleRep(a, 1, (Matrix.identity(QQ, 1), Matrix.identity(QQ, 1)))
+    assert validate_module(bad) is not None
+    whole, _ = submodule(bad, Subspace.from_vectors(QQ, 1, [(1,)]))
+    assert "_witness" not in vars(whole)
+    assert validate_module(whole) is not None
+
+
+def _flipped(pi: Matrix) -> Matrix:
+    """pi with 1 added to its last entry."""
+    rows = [list(r) for r in pi.data]
+    rows[-1][-1] += 1
+    return Matrix.from_rows(pi.field, rows)
+
+
+@pytest.mark.parametrize("build", ["simple", "sum"])
+def test_cover_check_refuses_a_flipped_entry(build):
+    from dataclasses import replace
+
+    from compvar.modules import _check_cover
+    s = simple_over_dual()
+    m = s if build == "simple" else direct_sum_modules([s, s])[0]
+    cover = m.cover
+    assert "_witness" in vars(cover.projective)  # kept, so a_0 is skipped
+    with pytest.raises(ValidationFailure, match="not A-linear|not surjective"):
+        _check_cover(m, replace(cover, pi=_flipped(cover.pi)))
+
+
+def test_tower_refuses_a_cover_whose_pi_changed_after_its_check(monkeypatch):
+    """The simple keeps a cover whose pi gains a nonzero x-column after
+    its check: that pi is not A-linear, and the tower step finds that its
+    kernel is no submodule."""
+    import compvar.modules as modules_module
+    from compvar.complexes import replace_by_projective, stalk
+    check = modules_module._check_cover
+
+    def flip_after_check(m, cover):
+        check(m, cover)
+        object.__setattr__(cover, "pi", _flipped(cover.pi))
+
+    monkeypatch.setattr(modules_module, "_check_cover", flip_after_check)
+    with pytest.raises(ValidationFailure, match="not invariant"):
+        replace_by_projective(stalk(simple_over_dual(), 0), top_degree=2)
