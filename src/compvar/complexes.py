@@ -450,7 +450,7 @@ def homotopy_hom(x: ComplexPoint, y: ComplexPoint, n: int) -> HomotopyHom:
         if key not in homs:
             rows = list(hom_space(src, tgt).by_pivot.values())
             homs[key] = Matrix(x.field, len(rows), tgt.dim * src.dim, rows)
-        terms = {i: [((-1) ** n, y.diff(i - n + 1), 0, None)],
+        terms = {i: [((-1) ** (n % 2), y.diff(i - n + 1), 0, None)],
                  i + 1: [(1, None, 0, x.diff(i + 1))]}
         boundary = linear_system(x.field, [(tgt.dim, src.dim)], [
             (r, c, terms.get(k, ())) for k, (r, c) in zip(layout.keys, layout.shapes)])
