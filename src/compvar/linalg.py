@@ -12,7 +12,7 @@ equal pairs; over F_p the values lie in ``[1, p)`` and d is 1.  Every
 kernel computes on these integers: elimination, products, ``mat_vec``, the
 combinations, the reduction and ``linear_system`` build no Fraction.
 Scalars stay ``Fraction`` values over Q at the boundary: dense tuples
-(``data``, ``flat()``, ``Subspace.basis``, ``reduce``,
+(``data``, ``flat()``, ``col()``, ``Subspace.basis``, ``reduce``,
 ``coordinates``, ``mat_vec``'s result and the vector API) are built only
 when read.  Other modules build and read rows only through the helpers
 here (``stored_row``, ``vector_row``, ``row_vector``, ``row_values``,
@@ -296,8 +296,8 @@ class Matrix:
     """Immutable matrix over an exact field, stored as its rows ``(N, d)``.
 
     ``rows`` is a list of one row per matrix row, shared between matrices
-    and never modified.  ``data`` and ``flat()`` are dense views, built
-    when read.  Equality and the hash (kept once taken) ignore
+    and never modified.  ``data``, ``flat()`` and ``col()`` are dense
+    views, built when read.  Equality and the hash (kept once taken) ignore
     the order in which a row's columns were inserted.
     """
 
@@ -362,6 +362,9 @@ class Matrix:
                                             else (r, 1) for r in parts])
 
     # -- basic access ------------------------------------------------------
+
+    def col(self, j: int) -> tuple:
+        return tuple(r[j] for r in self.data)
 
     def flat(self) -> tuple:
         """Row-major flattening."""

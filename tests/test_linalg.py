@@ -601,6 +601,7 @@ def test_builders_and_views_match_lists_of_lists(hypothesis):
                           for row in ref]
         assert m.data == tuple(map(tuple, ref))
         assert m.flat() == tuple(x for row in ref for x in row)
+        assert all(m.col(j) == tuple(row[j] for row in ref) for j in range(ncols))
 
     @st.composite
     def grids(draw):
