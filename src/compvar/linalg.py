@@ -776,12 +776,9 @@ class Subspace:
     def coordinate_matrix(self, m: Matrix):
         """The dim x m.ncols matrix X with ``column_matrix() @ X == m``, of the
         coordinate rows of the columns of m; None if one lies outside the span."""
-        cols = []
-        for col in m.transpose().rows:
-            row = self._coordinate_row(col)
-            if row is None:
-                return None
-            cols.append(row)
+        cols = [self._coordinate_row(col) for col in m.transpose().rows]
+        if None in cols:
+            return None
         return Matrix(self.field, len(cols), self.dim, cols).transpose()
 
     def contains_subspace(self, other: "Subspace") -> bool:
